@@ -20,11 +20,10 @@ from math import prod
 
 from .cobordism import eps_form_of, null_cobordance_obstructions
 from .exact import Matrix, det, kronecker
-from .laurent import Laurent, NormalizationError
+from .laurent import Laurent, NormalizationError, conway_normalize, is_product_of_cyclotomics
 from .quadratic import karl, signature
 from .seifert import (SeifertMatrix, alexander_polynomial, characteristic_polynomial,
-                      intersection_form, is_fibered_form, is_quasi_unipotent,
-                      monodromy)
+                      intersection_form, is_fibered_form, monodromy)
 from .spheres import BPClass, bp_class
 
 
@@ -143,7 +142,8 @@ def germ_report(germ: BrieskornGerm) -> GermReport:
         anomalies.append("Seifert form of an algebraic link must be unimodular")
     h = monodromy(s) if fibered else None
     chi = characteristic_polynomial(h) if h is not None else None
-    qu = is_quasi_unipotent(h) if h is not None else None
+    # the test is_quasi_unipotent(h) applies, on the chi already in hand
+    qu = (chi.is_integral and is_product_of_cyclotomics(chi)) if chi is not None else None
     if qu is False:
         anomalies.append("monodromy of an algebraic link must be quasi-unipotent")
     inter = intersection_form(s)
@@ -151,7 +151,7 @@ def germ_report(germ: BrieskornGerm) -> GermReport:
     unimod = d_inter in (1, -1)
     raw = alexander_polynomial(s, "raw")
     try:
-        conway = alexander_polynomial(s, "conway")
+        conway = conway_normalize(raw)
     except NormalizationError:
         conway = None
     sig = karl_value = bp = None

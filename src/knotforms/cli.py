@@ -17,12 +17,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .brieskorn import BrieskornGerm, germ_report
 from .cobordism import algebraically_cobordant, eps_form_of
 from .exact import det
-from .laurent import NormalizationError
+from .laurent import NormalizationError, conway_normalize
 from .matrixfile import MatrixFileError, parse_matrix_file, serialize_matrix_file
 from .quadratic import karl, levine_congruence_check, signature
 from .report import ReportDocument, format_table
@@ -68,9 +67,10 @@ def invariant_report(s: SeifertMatrix) -> ReportDocument:
     fibered = is_fibered_form(s)
     doc.add("fibered", fibered)
     doc.add("monodromy", monodromy(s) if fibered else None)
-    doc.add("alexander_raw", alexander_polynomial(s, "raw"))
+    raw = alexander_polynomial(s, "raw")
+    doc.add("alexander_raw", raw)
     try:
-        doc.add("alexander_conway", alexander_polynomial(s, "conway"))
+        doc.add("alexander_conway", conway_normalize(raw))
     except NormalizationError as exc:
         doc.add("alexander_conway", f"<error: {exc}>")
     module = knot_module(s)
@@ -161,6 +161,9 @@ def _cmd_matrix_files(args, kind: str) -> int:
     outputs: list[str] = []
     try:
         if args.jobs > 1 and len(args.paths) > 1 and "-" not in args.paths:
+            # imported here: the process pool costs memory and import time
+            # on every run, and only --jobs uses it
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 futures = [pool.submit(_render_file_report, p, kind, args.format)
                            for p in args.paths]

@@ -5,13 +5,22 @@ Everything in this module is exact: entries are Python ints or
 fraction-free (Bareiss) elimination, and no floating point is used anywhere.
 Empty (0 x 0) matrices are legal and meaningful throughout; by the usual
 empty-product convention their determinant is 1.
+
+The multi-modular kernel at the end of the module does the O(n^3) work of
+pencil determinants, characteristic polynomials and adjugate products:
+Gauss-Jordan solve and Hessenberg reduction over F_p for primes p < 2^30,
+combined by the Chinese remainder theorem under a proven (Hadamard-type)
+coefficient bound and lifted to the symmetric range.  The result is exact
+and deterministic; the primes are proven by trial division on first use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from itertools import count
+from math import comb, prod
+from operator import mul
 
 
 class ShapeError(ValueError):
@@ -407,3 +416,210 @@ def _is_prime(p: int) -> bool:
         f += 2
     return True
 
+
+# ---------------------------------------------------------------------------
+# multi-modular kernel (Cohen, A Course in Computational Algebraic Number
+# Theory, Alg. 2.2.9; von zur Gathen-Gerhard, Modern Computer Algebra, ch. 5)
+
+_PRIME_CEILING = 1 << 30  # residues and their products stay small CPython ints
+_word_primes: list[int] = []  # primes below the ceiling, descending, grown on demand
+
+
+def word_prime(k: int) -> int:
+    """The (k+1)-th largest prime below 2^30, proven prime by trial division."""
+    while len(_word_primes) <= k:
+        c = (_word_primes[-1] if _word_primes else _PRIME_CEILING + 1) - 2
+        while not _is_prime(c):
+            c -= 2
+        _word_primes.append(c)
+    return _word_primes[k]
+
+
+def crt_lift(residues, size: int, bound_sq: int, avoid: int = 1) -> list[int]:
+    """The integers v_0 .. v_{size-1}, each with v_i^2 <= bound_sq, from
+    `residues(p)`, the list of v_i mod p.
+
+    Primes dividing `avoid` are skipped.  Primes are taken until their
+    product M exceeds twice the bound H = sqrt(bound_sq), so the symmetric
+    lift into (-M/2, M/2] is the only candidate; the loop never stops early
+    on a result that merely looks stable.  One further prime, not used by
+    the lift, re-checks the result.
+    """
+    primes = (p for p in map(word_prime, count()) if avoid % p)
+    values = [0] * size
+    modulus = 1
+    p = next(primes)
+    while modulus * modulus <= 4 * bound_sq:
+        inv = pow(modulus, -1, p)
+        values = [v + modulus * ((r - v % p) * inv % p)
+                  for v, r in zip(values, residues(p))]
+        modulus *= p
+        p = next(primes)
+    half = modulus // 2
+    values = [v - modulus if v > half else v for v in values]
+    assert [v % p for v in values] == residues(p), "multi-modular self-check failed"
+    return values
+
+
+def _solve_mod(m: list[list[int]], r: list[list[int]], p: int):
+    """(det m, m^-1 r) mod p by Gauss-Jordan on [m | r], or None if m is
+    singular mod p.  Entries must already be reduced mod p."""
+    n = len(m)
+    # column col of the working rows is dropped once it has been cleared
+    a = [mr + rr for mr, rr in zip(m, r)]
+    d = 1
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][0]), None)
+        if piv is None:
+            return None
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            d = -d
+        prow = a[col]
+        d = d * prow[0] % p
+        inv = pow(prow[0], -1, p)
+        prow = a[col] = [x * inv % p for x in prow[1:]]
+        for i in range(n):
+            if i != col:
+                row = a[i]
+                f = row[0]
+                if f:
+                    a[i] = [(x - f * y) % p for x, y in zip(row[1:], prow)]
+                else:
+                    del row[0]
+    return d % p, a
+
+
+def _charpoly_mod(m: list[list[int]], p: int) -> list[int]:
+    """Ascending coefficients of det(xI - m) mod p, monic of length n+1.
+
+    Similarity transforms bring m to upper Hessenberg form H, then
+    p_0 = 1, p_{k+1} = (x - H_kk) p_k - sum_i H_{k-i,k} (prod of the
+    subdiagonal H_{j,j-1} for k-i < j <= k) p_{k-i}.
+    """
+    n = len(m)
+    h = [list(row) for row in m]
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if h[i][j]), None)
+        if piv is None:
+            continue
+        if piv != j + 1:
+            h[piv], h[j + 1] = h[j + 1], h[piv]
+            for row in h:
+                row[piv], row[j + 1] = row[j + 1], row[piv]
+        tail = h[j + 1][j + 1:]
+        inv = pow(h[j + 1][j], -1, p)
+        # rows: row_i -= u_i row_{j+1}; then columns: col_{j+1} += sum u_i col_i
+        us = []
+        for row in h[j + 2:]:
+            u = row[j] * inv % p
+            us.append(u)
+            if u:
+                row[j] = 0
+                row[j + 1:] = [(x - u * y) % p for x, y in zip(row[j + 1:], tail)]
+        if any(us):
+            for row in h:
+                row[j + 1] = (row[j + 1] + sum(map(mul, us, row[j + 2:]))) % p
+    polys = [[1]]
+    for k in range(n):
+        prev = polys[k]
+        c = h[k][k]
+        new = [(a - c * b) % p for a, b in zip([0] + prev, prev + [0])]
+        sub = 1
+        for i in range(1, k + 1):
+            sub = sub * h[k - i + 1][k - i] % p
+            if not sub:
+                break
+            c = h[k - i][k] * sub % p
+            if c:
+                q = polys[k - i]
+                new[:len(q)] = [(a - c * b) % p for a, b in zip(new, q)]
+        polys.append(new)
+    return polys[n]
+
+
+def _shift_mod(q: list[int], c: int, p: int) -> list[int]:
+    """Ascending coefficients of q(t - c) mod p, by Horner's rule."""
+    if not c:
+        return q
+    out: list[int] = []
+    for coeff in reversed(q):
+        out = [(a - c * b) % p for a, b in zip([0] + out, out + [0])]
+        out[0] = (out[0] + coeff) % p
+    return out
+
+
+def _pencil_det_mod(a: list[list[int]], b: list[list[int]], p: int) -> list[int]:
+    # det(tA + B) mod p, ascending, length n + 1.  With M = cA + B invertible
+    # and N = M^-1 A: det(tA + B) = det(M) det(I + sN), s = t - c, and the
+    # coefficient of s^j in det(I + sN) is (-1)^j chi_N[n - j].
+    n = len(a)
+    assert p > n
+    ap = [[x % p for x in row] for row in a]
+    bp = [[x % p for x in row] for row in b]
+    for c in range(n + 1):
+        mc = [[(c * x + y) % p for x, y in zip(ra, rb)] for ra, rb in zip(ap, bp)]
+        solved = _solve_mod(mc, ap, p)
+        if solved is not None:
+            break
+    else:
+        # a polynomial of degree <= n vanishing at n + 1 points of F_p
+        return [0] * (n + 1)
+    d, nmat = solved
+    chi = _charpoly_mod(nmat, p)
+    s_coeffs = [(-d if j % 2 else d) * chi[n - j] % p for j in range(n + 1)]
+    return _shift_mod(s_coeffs, c, p)
+
+
+def pencil_det_coefficients(a: Matrix, b: Matrix) -> list[int]:
+    """Ascending coefficients c_0 .. c_n of det(t*a + b) for square integer
+    a, b of equal size n; the list has exactly n + 1 entries.
+
+    Each |c_k| is at most max over |t| = 1 of |det(ta + b)|, hence at most
+    the Hadamard bound prod_i || |a_i| + |b_i| ||_2 over the rows.
+    """
+    if a.shape != b.shape or not a.is_square:
+        raise ShapeError("pencil determinant needs equal square shapes")
+    if not (a.is_integral and b.is_integral):
+        raise TypeError("pencil determinant needs integer matrices")
+    bound_sq = prod(sum((abs(x) + abs(y)) ** 2 for x, y in zip(ra, rb))
+                    for ra, rb in zip(a.rows, b.rows))
+    if a == Matrix.identity(a.nrows):
+        # det(tI + b) is the characteristic polynomial of -b
+        def residues(p):
+            return _charpoly_mod([[-x % p for x in row] for row in b.rows], p)
+    else:
+        def residues(p):
+            return _pencil_det_mod(a.rows, b.rows, p)
+    return crt_lift(residues, a.nrows + 1, bound_sq)
+
+
+def adjugate_product(m: Matrix, r: Matrix) -> tuple[int, Matrix]:
+    """(d, Y) with d = det(m) != 0 and Y = adj(m) @ r = d * m^-1 @ r, so that
+    m @ Y = d * r; integer input and output.  Raises SingularMatrixError
+    when det m = 0.
+
+    By Cramer's rule Y_ij is the determinant of m with column i replaced by
+    column j of r, so Hadamard bounds it by the product of the column norms
+    of m times the largest column norm of r.
+    """
+    if not m.is_square or m.nrows != r.nrows:
+        raise ShapeError(f"cannot solve {m.shape} against {r.shape}")
+    if not (m.is_integral and r.is_integral):
+        raise TypeError("adjugate product needs integer matrices")
+    d = det(m)
+    if d == 0:
+        raise SingularMatrixError("matrix is singular")
+    n, k = r.shape
+    bound_sq = (prod(sum(x * x for x in col) for col in m.transpose().rows)
+                * max((sum(x * x for x in col) for col in r.transpose().rows), default=0))
+
+    def residues(p):
+        solved = _solve_mod([[x % p for x in row] for row in m.rows],
+                            [[x % p for x in row] for row in r.rows], p)
+        assert solved is not None and solved[0] == d % p
+        dp = solved[0]
+        return [dp * x % p for row in solved[1] for x in row]
+
+    flat = crt_lift(residues, n * k, bound_sq, avoid=d)
+    return d, Matrix([flat[i * k:(i + 1) * k] for i in range(n)], ncols=k)

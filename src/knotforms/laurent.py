@@ -7,8 +7,10 @@ nonzero constant term, and positive leading coefficient.
 
 Also here: polynomial factorization over Z[t] by desk-scale exhaustive
 search (rational-root stripping, cyclotomic peeling, then bounded-degree
-factor interpolation), cyclotomic polynomials, and elementary divisors of
-square matrices over Q[t, 1/t].
+factor interpolation), cyclotomic polynomials, determinants of integer
+pencils t*A + B by the multi-modular Hessenberg kernel of `exact`
+(O(n^3) per prime, CRT under a proven coefficient bound), and elementary
+divisors of square matrices over Q[t, 1/t].
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .exact import Matrix, ShapeError, _as_exact
+from .exact import Matrix, ShapeError, _as_exact, pencil_det_coefficients
 
 
 class NormalizationError(ValueError):
@@ -617,22 +619,17 @@ def pencil(a: Matrix, b: Matrix) -> list[list[Laurent]]:
 
 
 def det_pencil(a: Matrix, b: Matrix) -> Laurent:
-    """det(t*a + b) for integer matrices, by evaluation and interpolation.
+    """det(t*a + b) for integer matrices, in O(n^3) word operations per prime.
 
-    The determinant is an integer polynomial of degree <= n, so n+1 exact
-    integer determinant evaluations determine it.
+    For each prime p < 2^30, with the smallest c in 0..n making c*a + b
+    invertible mod p, the result is det(c*a + b) times the reversed
+    Hessenberg characteristic polynomial of (c*a + b)^-1 a, Taylor-shifted
+    to t = s + c; if no such c exists the pencil vanishes mod p (p > n).
+    The residues are combined by CRT under a Hadamard bound on the
+    coefficients and re-checked at one extra prime (see
+    exact.pencil_det_coefficients).
     """
-    if a.shape != b.shape or not a.is_square:
-        raise ShapeError("pencil determinant needs equal square shapes")
-    n = a.nrows
-    if n == 0:
-        return Laurent.one()
-    from .exact import det as _det
-    xs = list(range(n + 1))
-    ys = [_det(a.scale(x) + b) for x in xs]
-    coeffs = _interpolate_int(xs, ys)
-    assert coeffs is not None
-    return Laurent.from_coeff_list(coeffs)
+    return Laurent.from_coeff_list(pencil_det_coefficients(a, b))
 
 
 def elementary_divisors(rows) -> list[Laurent]:

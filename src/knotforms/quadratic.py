@@ -137,34 +137,46 @@ def symplectic_basis_f2(b: Matrix) -> list[tuple[tuple[int, ...], tuple[int, ...
     if any(rows[i][i] for i in range(n)):
         raise ValueError("form must be alternating (zero diagonal mod 2)")
 
-    def pairing(x, y):
-        return sum(x[i] * rows[i][j] * y[j] for i in range(n) for j in range(n)) % 2
+    # vectors are int bitmasks, bit i holding coordinate i
+    masks = [sum(1 << j for j, x in enumerate(row) if x) for row in rows]
 
-    basis = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
+    def image(v):  # b v
+        return sum(1 << i for i, m in enumerate(masks) if (m & v).bit_count() & 1)
+
+    def coimage(v):  # v^T b
+        out = 0
+        for i, m in enumerate(masks):
+            if v >> i & 1:
+                out ^= m
+        return out
+
+    def vector(v):
+        return tuple(v >> i & 1 for i in range(n))
+
     pairs = []
-    remaining = list(basis)
+    remaining = [1 << i for i in range(n)]
     while remaining:
         e = remaining.pop(0)
-        partner = next((f for f in remaining if pairing(e, f) == 1), None)
+        eb = coimage(e)
+        partner = next((f for f in remaining if (eb & f).bit_count() & 1), None)
         if partner is None:
             raise DegenerateFormError(
-                f"radical vector {e}: form is degenerate", radical_vector=e)
+                f"radical vector {vector(e)}: form is degenerate", radical_vector=vector(e))
         remaining.remove(partner)
         f = partner
         # peel e and f off every later vector
+        bf, be = image(f), image(e)
         reduced = []
         for v in remaining:
-            v1 = _f2_add(v, e) if pairing(v, f) else v
-            v2 = _f2_add(v1, f) if pairing(v1, e) else v1
-            if any(v2):
-                reduced.append(v2)
+            if (v & bf).bit_count() & 1:
+                v ^= e
+            if (v & be).bit_count() & 1:
+                v ^= f
+            if v:
+                reduced.append(v)
         remaining = reduced
-        pairs.append((e, f))
+        pairs.append((vector(e), vector(f)))
     return pairs
-
-
-def _f2_add(x, y):
-    return tuple((a + b) % 2 for a, b in zip(x, y))
 
 
 def arf(q: QuadraticFormF2) -> int:

@@ -15,8 +15,10 @@ The 0 x 0 matrix is the unknot: every invariant is trivial.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import lcm
 
-from .exact import Matrix, ShapeError, det, inverse
+from .exact import Matrix, ShapeError, SingularMatrixError, adjugate_product, det
 from .laurent import (Laurent, conway_normalize, det_pencil, elementary_divisors,
                       is_product_of_cyclotomics, pencil)
 
@@ -75,13 +77,18 @@ def is_fibered_form(s: SeifertMatrix) -> bool:
 
 
 def monodromy(s: SeifertMatrix) -> Matrix:
-    """h = (-1)^(q+1) (A^T)^(-1) A; integral whenever det A = +-1."""
+    """h = (-1)^(q+1) (A^T)^(-1) A; integral whenever det A = +-1.
+
+    Computed as -eps * Y / det A from the integer matrix
+    Y = adj(A^T) A, which exact.adjugate_product reconstructs by CRT, so
+    rational monodromies (det A != 0, +-1) come out exact as well.
+    """
     a = s.matrix
-    d = det(a)
-    if d == 0:
-        raise NonFiberedError("det A = 0: no open-book monodromy")
-    h = inverse(a.transpose()) @ a
-    return h.scale(-s.epsilon)
+    try:
+        d, y = adjugate_product(a.transpose(), a)
+    except SingularMatrixError:
+        raise NonFiberedError("det A = 0: no open-book monodromy") from None
+    return y.scale(-s.epsilon * d if d in (1, -1) else Fraction(-s.epsilon, d))
 
 
 def alexander_polynomial(s: SeifertMatrix, normalize: str = "raw") -> Laurent:
@@ -102,37 +109,19 @@ def alexander_polynomial(s: SeifertMatrix, normalize: str = "raw") -> Laurent:
 
 
 def characteristic_polynomial(m: Matrix) -> Laurent:
-    """det(tI - m), exact, monic of degree = size."""
+    """det(tI - m), exact, monic of degree = size.
+
+    A rational m is scaled by the common denominator D first: if
+    det(sI - D m) = sum c_k s^k, the coefficient of t^k is c_k D^(k-n).
+    """
     if not m.is_square:
         raise ShapeError("characteristic polynomial of a non-square matrix")
-    if m.is_integral:
-        return det_pencil(Matrix.identity(m.nrows), -m)
-    # rational entries: evaluate det(xI - m) exactly at n+1 points and
-    # interpolate over Q
     n = m.nrows
-    xs = list(range(n + 1))
-    ys = [det(Matrix.identity(n).scale(x) - m) for x in xs]
-    return Laurent(dict(enumerate(_interpolate_fractions(xs, ys))))
-
-
-def _interpolate_fractions(xs, ys):
-    from fractions import Fraction
-    n = len(xs)
-    coeffs = [Fraction(0)] * n
-    for i in range(n):
-        poly = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            poly = [Fraction(0)] + poly
-            for k in range(len(poly) - 1):
-                poly[k] -= xs[j] * poly[k + 1]
-            denom *= xs[i] - xs[j]
-        term = Fraction(ys[i]) / denom
-        for k in range(len(poly)):
-            coeffs[k] += term * poly[k]
-    return coeffs
+    denom = lcm(*(x.denominator for row in m.rows for x in row))
+    chi = det_pencil(Matrix.identity(n), m.scale(-denom))
+    if denom == 1:
+        return chi
+    return Laurent({k: Fraction(c, denom ** (n - k)) for k, c in chi.coeffs.items()})
 
 
 def is_quasi_unipotent(h: Matrix) -> bool:

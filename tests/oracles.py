@@ -4,7 +4,11 @@ Each oracle recomputes a quantity along a different route than the
 library: Bernoulli numbers by the Akiyama-Tanigawa triangle instead of the
 binomial recurrence, determinants by cofactor expansion instead of
 elimination, Smith invariant factors by gcds of minors instead of row
-reduction, signatures by floating-point eigenvalues (test-time only).
+reduction, signatures by floating-point eigenvalues (test-time only),
+pencil determinants by Bareiss evaluation and Lagrange interpolation
+instead of the multi-modular Hessenberg kernel, primality by Miller-Rabin
+instead of trial division, and symplectic bases over F_2 on tuples instead
+of bitmasks.
 """
 
 from __future__ import annotations
@@ -13,8 +17,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from knotforms.exact import Matrix
-from knotforms.laurent import Laurent
+from knotforms.exact import Matrix, ShapeError, det
+from knotforms.laurent import Laurent, _interpolate_int
+from knotforms.quadratic import DegenerateFormError
 
 
 def bernoulli_akiyama_tanigawa(n: int) -> Fraction:
@@ -67,6 +72,79 @@ def laurent_det_cofactor(rows: list[list[Laurent]]) -> Laurent:
             term = -term
         total = total + term
     return total
+
+
+def det_pencil_interpolation(a: Matrix, b: Matrix) -> Laurent:
+    """det(t*a + b) for integer matrices from n+1 exact Bareiss determinant
+    evaluations at t = 0..n and Lagrange interpolation; O(n^4)."""
+    if a.shape != b.shape or not a.is_square:
+        raise ShapeError("pencil determinant needs equal square shapes")
+    n = a.nrows
+    if n == 0:
+        return Laurent.one()
+    xs = list(range(n + 1))
+    ys = [det(a.scale(x) + b) for x in xs]
+    coeffs = _interpolate_int(xs, ys)
+    assert coeffs is not None
+    return Laurent.from_coeff_list(coeffs)
+
+
+def is_prime_miller_rabin(n: int) -> bool:
+    """Miller-Rabin with bases 2, 3, 5, 7, which is deterministic for
+    n < 3215031751 (Jaeschke 1993)."""
+    assert n < 3215031751
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7):
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for base in (2, 3, 5, 7):
+        x = pow(base, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def symplectic_basis_f2_tuples(b: Matrix) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Greedy symplectic reduction over F_2 on coordinate tuples, pairing by
+    the full double sum x^T b y; same order, pairs and radical vector as
+    `quadratic.symplectic_basis_f2`.  O(n^4)."""
+    n = b.nrows
+    rows = [[x % 2 for x in row] for row in b.rows]
+
+    def pairing(x, y):
+        return sum(x[i] * rows[i][j] * y[j] for i in range(n) for j in range(n)) % 2
+
+    def add(x, y):
+        return tuple((u + v) % 2 for u, v in zip(x, y))
+
+    remaining = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
+    pairs = []
+    while remaining:
+        e = remaining.pop(0)
+        f = next((f for f in remaining if pairing(e, f) == 1), None)
+        if f is None:
+            raise DegenerateFormError(f"radical vector {e}: form is degenerate",
+                                      radical_vector=e)
+        remaining.remove(f)
+        reduced = []
+        for v in remaining:
+            v1 = add(v, e) if pairing(v, f) else v
+            v2 = add(v1, f) if pairing(v1, e) else v1
+            if any(v2):
+                reduced.append(v2)
+        remaining = reduced
+        pairs.append((e, f))
+    return pairs
 
 
 def snf_via_minor_gcds(m: Matrix) -> tuple[int, ...]:

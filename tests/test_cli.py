@@ -1,4 +1,5 @@
 import io
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,7 @@ from knotforms.cli import main
 TREFOIL = "q=1 rank=2\n-1 0\n1 -1\n"
 UNKNOT = "q=1 rank=0\n"
 SUSPENDED = "q=2 rank=2\n-1 0\n1 -1\n"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture()
@@ -102,6 +104,13 @@ class TestBrieskorn:
         out = capsys.readouterr().out
         assert "karl" in out
         assert "t^-1 - 1 + t" in out
+
+    @pytest.mark.parametrize("exponents", ["2 3 5", "5 3 2 2 2", "3 2 2 2 2 2"])
+    def test_machine_output_matches_golden(self, exponents, capsys):
+        # byte-for-byte against the stored reference output
+        assert main(["brieskorn", *exponents.split(), "--format", "machine"]) == 0
+        golden = GOLDEN / f"brieskorn_{exponents.replace(' ', '_')}.txt"
+        assert capsys.readouterr().out == golden.read_text()
 
     def test_exponent_below_two_rejected(self, capsys):
         assert main(["brieskorn", "1", "3"]) == 2

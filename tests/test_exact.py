@@ -2,13 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from knotforms.exact import (Matrix, ShapeError, SingularMatrixError, bernoulli,
-                             det, inverse, kronecker, smith_normal_form,
+from knotforms import exact
+from knotforms.exact import (Matrix, ShapeError, SingularMatrixError, adjugate_product,
+                             bernoulli, det, inverse, kronecker, smith_normal_form,
                              smith_normal_form_with_transforms,
-                             von_staudt_denominator)
+                             von_staudt_denominator, word_prime)
 
-from oracles import bernoulli_akiyama_tanigawa, det_cofactor, snf_via_minor_gcds
+from generators import square_matrices
+from oracles import (bernoulli_akiyama_tanigawa, det_cofactor, is_prime_miller_rabin,
+                     snf_via_minor_gcds)
 
 
 def random_matrix(rng, n, m=None, lo=-5, hi=5):
@@ -93,6 +98,44 @@ class TestInverse:
             found += 1
             assert d * det(inverse(m)) == 1
             assert m @ inverse(m) == Matrix.identity(m.nrows)
+
+
+class TestMultiModular:
+    def test_word_primes(self):
+        # every prime the kernel has used so far in this process, and more:
+        # the consecutive primes below 2^30, each proven prime
+        count = len(exact._word_primes) + 30
+        primes = [word_prime(k) for k in range(count)]
+        assert primes[0] < 2 ** 30 < primes[0] + 40
+        for hi, lo in zip([2 ** 30] + primes, primes):
+            assert is_prime_miller_rabin(lo)
+            assert not any(is_prime_miller_rabin(c) for c in range(lo + 1, hi))
+
+    @settings(max_examples=100)
+    @given(st.integers(0, 6).flatmap(
+        lambda n: st.tuples(square_matrices(n, -9, 9), st.integers(0, 3).flatmap(
+            lambda k: st.lists(st.lists(st.integers(-9, 9), min_size=k, max_size=k),
+                               min_size=n, max_size=n).map(
+                lambda rows: Matrix(rows, ncols=k))))))
+    def test_adjugate_product(self, mr):
+        m, r = mr
+        d = det(m)
+        if d == 0:
+            with pytest.raises(SingularMatrixError):
+                adjugate_product(m, r)
+            return
+        got_d, y = adjugate_product(m, r)
+        assert got_d == d
+        assert y.is_integral and y.shape == r.shape
+        assert m @ y == r.scale(d)
+
+    def test_adjugate_product_skips_primes_dividing_det(self):
+        p0, p1 = word_prime(0), word_prime(1)
+        m = Matrix([[p0 * p1, 1], [0, 1]])
+        r = Matrix([[1, 2], [3, 4]])
+        d, y = adjugate_product(m, r)
+        assert d == p0 * p1
+        assert m @ y == r.scale(d)
 
 
 class TestKronecker:

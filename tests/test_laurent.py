@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
+from knotforms.brieskorn import BrieskornGerm, brieskorn_seifert
 from knotforms.exact import Matrix
 from knotforms.laurent import (Laurent, NormalizationError,
                                conway_normalize, cyclotomic,
@@ -10,7 +12,12 @@ from knotforms.laurent import (Laurent, NormalizationError,
                                elementary_divisors, factor_int_poly,
                                is_product_of_cyclotomics, pencil, render_poly)
 
-from oracles import laurent_det_cofactor
+from oracles import det_pencil_interpolation, laurent_det_cofactor
+from generators import matrix_pairs, random_unimodular
+
+# Sigma(6k-1,3,2,2,2), k = 1..4, and Sigma(d,2,2,2,2,2), odd d = 3..31
+LADDER_GERMS = ([(6 * k - 1, 3, 2, 2, 2) for k in range(1, 5)]
+                + [(d, 2, 2, 2, 2, 2) for d in range(3, 33, 2)])
 
 
 def poly(d):
@@ -189,16 +196,70 @@ class TestFactorization:
 
 
 class TestPencilDet:
-    def test_matches_cofactor_oracle(self):
-        rng = random.Random(2718)
-        for _ in range(80):
-            n = rng.randint(0, 4)
-            a = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)], ncols=n)
-            b = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)], ncols=n)
-            assert det_pencil(a, b) == laurent_det_cofactor(pencil(a, b))
+    @settings(max_examples=150)
+    @given(matrix_pairs(5))
+    def test_matches_cofactor_oracle(self, ab):
+        a, b = ab
+        assert det_pencil(a, b) == laurent_det_cofactor(pencil(a, b))
+
+    @settings(max_examples=60)
+    @given(matrix_pairs(12, -4, 4))
+    def test_matches_interpolation_oracle(self, ab):
+        a, b = ab
+        assert det_pencil(a, b) == det_pencil_interpolation(a, b)
 
     def test_empty(self):
         assert det_pencil(Matrix([], ncols=0), Matrix([], ncols=0)) == Laurent.one()
+
+    def test_rank_one(self):
+        assert det_pencil(Matrix([[3]]), Matrix([[-5]])) == poly({0: -5, 1: 3})
+        assert det_pencil(Matrix([[0]]), Matrix([[7]])) == poly({0: 7})
+        assert det_pencil(Matrix([[0]]), Matrix([[0]])).is_zero
+
+    def test_singular_a(self):
+        # det [[t, 2t + 1], [2t + 1, 4t]] = 4t^2 - (2t + 1)^2
+        a = Matrix([[1, 2], [2, 4]])
+        b = Matrix([[0, 1], [1, 0]])
+        assert det_pencil(a, b) == poly({0: -1, 1: -4})
+
+    def test_singular_a_and_b_regular_pencil(self):
+        # b and a + b are singular, 2a + b is not: det = t^2 - t, hidden by
+        # changes of basis of determinant 1 on both sides
+        rng = random.Random(31)
+        a = Matrix.diagonal([1, 1, 0])
+        b = Matrix.diagonal([0, -1, 1])
+        for _ in range(10):
+            p, q = random_unimodular(rng, 3), random_unimodular(rng, 3)
+            assert det_pencil(p @ a @ q, p @ b @ q) == poly({1: -1, 2: 1})
+
+    def test_identically_zero(self):
+        rng = random.Random(32)
+        for n in range(1, 7):
+            # the last column is the same combination of the others in a and b
+            w = [rng.randint(-3, 3) for _ in range(n - 1)]
+            a, b = ([[rng.randint(-9, 9) for _ in range(n - 1)] for _ in range(n)]
+                    for _ in range(2))
+            a = Matrix([row + [sum(map(int.__mul__, w, row))] for row in a], ncols=n)
+            b = Matrix([row + [sum(map(int.__mul__, w, row))] for row in b], ncols=n)
+            assert det_pencil(a, b).is_zero
+
+    def test_large_entries(self):
+        # coefficients beyond 2^60 need at least three primes below 2^30,
+        # and the symmetric lift must bring back the negative ones
+        rng = random.Random(33)
+        for n in (4, 6):
+            a, b = ([[rng.randint(-10**6, 10**6) for _ in range(n)] for _ in range(n)]
+                    for _ in range(2))
+            got = det_pencil(Matrix(a), Matrix(b))
+            assert got == det_pencil_interpolation(Matrix(a), Matrix(b))
+            assert max(map(abs, got.coeffs.values())) > 2 ** 60
+            assert min(got.coeffs.values()) < 0
+
+    @pytest.mark.parametrize("exponents", LADDER_GERMS)
+    def test_ladder_germs_match_interpolation(self, exponents):
+        s = brieskorn_seifert(BrieskornGerm(exponents))
+        a, b = s.matrix, s.matrix.transpose().scale(s.epsilon)
+        assert det_pencil(a, b) == det_pencil_interpolation(a, b)
 
 
 class TestElementaryDivisors:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotforms.exact import Matrix, det
 from knotforms.quadratic import (DegenerateFormError, ParityError, QuadraticFormF2,
@@ -8,7 +10,8 @@ from knotforms.quadratic import (DegenerateFormError, ParityError, QuadraticForm
                                  signature, symplectic_basis_f2)
 from knotforms.seifert import SeifertMatrix
 
-from oracles import float_signature
+from generators import random_unimodular
+from oracles import float_signature, symplectic_basis_f2_tuples
 
 # E8 Dynkin diagram: chain 1..7 with node 8 attached to node 3
 # (arm lengths 2, 4, 1 around the trivalent node)
@@ -32,19 +35,6 @@ def random_symmetric(rng, n, lo=-4, hi=4):
         for j in range(i, n):
             entries[i][j] = entries[j][i] = rng.randint(lo, hi)
     return Matrix(entries, ncols=n)
-
-
-def random_unimodular(rng, n, steps=6):
-    p = Matrix.identity(n)
-    for _ in range(steps):
-        i, j = rng.sample(range(n), 2) if n >= 2 else (0, 0)
-        if i == j:
-            continue
-        c = rng.randint(-2, 2)
-        e = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-        e[i][j] = c
-        p = p @ Matrix(e, ncols=n)
-    return p
 
 
 class TestSignature:
@@ -134,6 +124,28 @@ class TestSymplecticBasis:
         with pytest.raises(DegenerateFormError) as exc:
             symplectic_basis_f2(Matrix.zero(2, 2))
         assert exc.value.radical_vector is not None
+
+    @settings(max_examples=120)
+    @given(st.integers(0, 16).flatmap(
+        lambda n: st.lists(st.integers(-3, 3), min_size=n * (n - 1) // 2,
+                           max_size=n * (n - 1) // 2).map(lambda xs: (n, xs))))
+    def test_matches_tuple_oracle(self, n_entries):
+        # random alternating forms, degenerate ones included: the same pairs,
+        # or the same radical vector
+        n, xs = n_entries
+        entries = [[0] * n for _ in range(n)]
+        upper = ((i, j) for i in range(n) for j in range(i + 1, n))
+        for (i, j), x in zip(upper, xs):
+            entries[i][j] = entries[j][i] = x
+        b = Matrix(entries, ncols=n)
+        try:
+            expected = symplectic_basis_f2_tuples(b)
+        except DegenerateFormError as exc:
+            with pytest.raises(DegenerateFormError) as got:
+                symplectic_basis_f2(b)
+            assert got.value.radical_vector == exc.radical_vector
+        else:
+            assert symplectic_basis_f2(b) == expected
 
     def test_pairing_normal_form(self):
         rng = random.Random(900)

@@ -1,14 +1,18 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from knotforms.exact import Matrix, det
+from knotforms.exact import Matrix, det, inverse
 from knotforms.laurent import Laurent, NormalizationError, render_poly
 from knotforms.seifert import (NonFiberedError, SeifertMatrix, alexander_polynomial,
                                characteristic_polynomial, intersection_form,
                                is_fibered_form, is_quasi_unipotent, is_type_k,
                                is_unimodular, knot_module, monodromy)
 
+from generators import square_matrices
 from oracles import laurent_det_cofactor
 
 A1 = Matrix([[-1, 0], [1, -1]])
@@ -96,8 +100,26 @@ class TestMonodromy:
         with pytest.raises(NonFiberedError):
             monodromy(SeifertMatrix(Matrix([[0]]), q=1))
 
+    def test_unknot(self):
+        assert monodromy(EMPTY) == Matrix([], ncols=0)
+
+    @settings(max_examples=150)
+    @given(st.integers(0, 6).flatmap(square_matrices), st.integers(0, 3))
+    @example(Matrix([[2, 1], [0, 3]]), 1)
+    def test_matches_inverse(self, a, q):
+        # A^T h = -eps A, with h rational when det A is not +-1
+        s = SeifertMatrix(a, q=q)
+        if det(a) == 0:
+            with pytest.raises(NonFiberedError):
+                monodromy(s)
+            return
+        h = monodromy(s)
+        assert a.transpose() @ h == a.scale(-s.epsilon)
+        assert h == (inverse(a.transpose()) @ a).scale(-s.epsilon)
+        if det(a) in (1, -1):
+            assert h.is_integral
+
     def test_unimodular_monodromy_integral(self):
-        from knotforms.exact import inverse
         rng = random.Random(14)
         found = 0
         while found < 50:
@@ -121,6 +143,23 @@ class TestMonodromy:
             chi = characteristic_polynomial(monodromy(s))
             delta = alexander_polynomial(s, "raw")
             assert chi.unit_normalize() == delta.unit_normalize()
+
+
+class TestCharacteristicPolynomial:
+    @settings(max_examples=100)
+    @given(st.integers(0, 4).flatmap(lambda n: st.lists(
+        st.lists(st.fractions(-4, 4, max_denominator=6),
+                 min_size=n, max_size=n), min_size=n, max_size=n)))
+    def test_rational_matches_cofactor_oracle(self, rows):
+        m = Matrix(rows, ncols=len(rows))
+        n = m.nrows
+        t_minus_m = [[Laurent({1: int(i == j), 0: -m[i, j]}) for j in range(n)]
+                     for i in range(n)]
+        assert characteristic_polynomial(m) == laurent_det_cofactor(t_minus_m)
+
+    def test_rational_monodromy(self):
+        h = monodromy(SeifertMatrix(Matrix([[2, 1], [0, 3]]), q=1))
+        assert characteristic_polynomial(h) == Laurent({0: 1, 1: Fraction(-11, 6), 2: 1})
 
 
 class TestAlexander:
