@@ -11,20 +11,19 @@ prod(a_i - 1).
 The one-variable matrix for a > 3 extrapolates the published a = 2, 3
 data; it is pinned by the requirement that det(t*P + P^T) be
 1 + t + ... + t^(a-1) up to a unit, and by the golden low-rank examples.
+
+germ_report hands the matrix to the invariant pipeline (invariants.py).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
-from .cobordism import eps_form_of, null_cobordance_obstructions
-from .exact import Matrix, det, kronecker
-from .laurent import Laurent, NormalizationError, conway_normalize, is_product_of_cyclotomics
-from .quadratic import karl, signature
-from .seifert import (SeifertMatrix, alexander_polynomial, characteristic_polynomial,
-                      intersection_form, is_fibered_form, monodromy)
-from .spheres import BPClass, bp_class
+from .exact import Matrix, kronecker
+from .invariants import Invariants
+from .seifert import SeifertMatrix
 
 
 @dataclass(frozen=True)
@@ -102,85 +101,27 @@ def quadratic_suspension_seifert(n: int) -> Matrix:
     return brieskorn_seifert(BrieskornGerm((2,) * (n + 1))).matrix
 
 
-@dataclass(frozen=True)
-class GermReport:
-    germ: BrieskornGerm
-    seifert: SeifertMatrix
-    rank: int
-    fibered: bool
-    monodromy: Matrix | None
-    char_poly: Laurent | None
-    quasi_unipotent: bool | None
-    intersection: Matrix
-    det_intersection: int
-    unimodular: bool
-    alexander_raw: Laurent
-    alexander_conway: Laurent | None
-    signature: int | None = None
-    karl_value: int | None = None
-    bp: BPClass | None = None
-    slice_obstructions: tuple = ()
-    anomalies: tuple[str, ...] = ()
+class GermReport(Invariants):
+    """The invariants of a germ's Seifert matrix, with the germ and the
+    anomalies found."""
 
-    @property
-    def spherical(self) -> bool:
-        """Boundary has the homology of a sphere (knot rather than link)."""
-        return self.unimodular
+    def __init__(self, germ: BrieskornGerm):
+        super().__init__(brieskorn_seifert(germ))
+        self.germ = germ
+
+    @cached_property
+    def anomalies(self) -> tuple[str, ...]:
+        """Fiberedness and quasi-unipotence of the monodromy are theorems
+        for algebraic links, so their failure would indicate a convention
+        bug; it is reported here rather than raised."""
+        found = []
+        if not self.fibered:
+            found.append("Seifert form of an algebraic link must be unimodular")
+        if self.quasi_unipotent is False:
+            found.append("monodromy of an algebraic link must be quasi-unipotent")
+        return tuple(found)
 
 
 def germ_report(germ: BrieskornGerm) -> GermReport:
-    """Full invariant pipeline for a Brieskorn-Pham germ.
-
-    Fiberedness and quasi-unipotence of the monodromy are theorems for
-    algebraic links, so their failure is reported as an anomaly (it would
-    indicate a convention bug) rather than an error.
-    """
-    s = brieskorn_seifert(germ)
-    anomalies = []
-    fibered = is_fibered_form(s)
-    if not fibered:
-        anomalies.append("Seifert form of an algebraic link must be unimodular")
-    h = monodromy(s) if fibered else None
-    chi = characteristic_polynomial(h) if h is not None else None
-    # the test is_quasi_unipotent(h) applies, on the chi already in hand
-    qu = (chi.is_integral and is_product_of_cyclotomics(chi)) if chi is not None else None
-    if qu is False:
-        anomalies.append("monodromy of an algebraic link must be quasi-unipotent")
-    inter = intersection_form(s)
-    d_inter = det(inter)
-    unimod = d_inter in (1, -1)
-    raw = alexander_polynomial(s, "raw")
-    try:
-        conway = conway_normalize(raw)
-    except NormalizationError:
-        conway = None
-    sig = karl_value = bp = None
-    if unimod:
-        if s.q % 2 == 0:
-            sig = signature(inter)
-            bp = bp_class(s)
-        else:
-            karl_value = karl(s)
-            bp = bp_class(s)
-    obstructions = ()
-    if unimod:
-        obstructions = tuple(null_cobordance_obstructions(eps_form_of(s)).checks)
-    return GermReport(
-        germ=germ,
-        seifert=s,
-        rank=s.rank,
-        fibered=fibered,
-        monodromy=h,
-        char_poly=chi,
-        quasi_unipotent=qu,
-        intersection=inter,
-        det_intersection=d_inter,
-        unimodular=unimod,
-        alexander_raw=raw,
-        alexander_conway=conway,
-        signature=sig,
-        karl_value=karl_value,
-        bp=bp,
-        slice_obstructions=obstructions,
-        anomalies=tuple(anomalies),
-    )
+    """Invariant pipeline for a Brieskorn-Pham germ."""
+    return GermReport(germ)

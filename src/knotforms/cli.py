@@ -18,16 +18,13 @@ import argparse
 import os
 import sys
 
-from .brieskorn import BrieskornGerm, germ_report
+from .brieskorn import BrieskornGerm, GermReport, germ_report
 from .cobordism import algebraically_cobordant, eps_form_of
-from .exact import det
-from .laurent import NormalizationError, conway_normalize
+from .invariants import Invariants
 from .matrixfile import MatrixFileError, parse_matrix_file, serialize_matrix_file
-from .quadratic import karl, levine_congruence_check, signature
 from .report import ReportDocument, format_table
-from .seifert import (SeifertMatrix, alexander_polynomial, intersection_form,
-                      is_fibered_form, knot_module, monodromy)
-from .spheres import bp_class, bp4k_order, bp4k2_group, embeddable_spheres_group, im_j_order
+from .seifert import SeifertMatrix
+from .spheres import embeddable_spheres_group, im_j_order
 
 DEFAULT_RANK_WARN = 4096
 DEFAULT_RANK_LIMIT = 65536
@@ -52,56 +49,48 @@ def _read_input(path: str) -> str:
 
 
 def invariant_report(s: SeifertMatrix) -> ReportDocument:
+    inv = Invariants(s)
     doc = ReportDocument()
     doc.add("q", s.q)
     doc.add("rank", s.rank)
     doc.add("seifert_matrix", s.matrix)
     if s.rank == 0:
         doc.add("unknot", "all invariants trivial")
-    inter = intersection_form(s)
-    doc.add("intersection_form", inter)
-    det_i = det(inter)
-    doc.add("det_intersection", det_i)
-    unimodular = det_i in (1, -1)
-    doc.add("unimodular", unimodular)
-    fibered = is_fibered_form(s)
-    doc.add("fibered", fibered)
-    doc.add("monodromy", monodromy(s) if fibered else None)
-    raw = alexander_polynomial(s, "raw")
-    doc.add("alexander_raw", raw)
-    try:
-        doc.add("alexander_conway", conway_normalize(raw))
-    except NormalizationError as exc:
-        doc.add("alexander_conway", f"<error: {exc}>")
-    module = knot_module(s)
-    doc.add("elementary_divisors", list(module.divisors))
-    if unimodular:
-        if s.q % 2 == 0:
-            doc.add("signature", signature(inter))
-        else:
-            doc.add("karl", karl(s))
-            doc.add("levine_congruence", levine_congruence_check(s))
-        cls = bp_class(s)
-        doc.add("bp_group", cls.group.describe())
-        if cls.sigma_over_8 is not None:
-            doc.add("bp_class", f"{cls.sigma_over_8} "
-                    f"(residue {cls.class_residue} mod group order)"
-                    if cls.class_residue is not None else str(cls.sigma_over_8))
-        else:
-            doc.add("bp_class", cls.karl_value)
-        doc.add("exotic", cls.is_exotic)
-        for note in cls.notes:
-            doc.add("note", note)
-    else:
+    doc.add("intersection_form", inv.intersection)
+    doc.add("det_intersection", inv.det_intersection)
+    doc.add("unimodular", inv.unimodular)
+    doc.add("fibered", inv.fibered)
+    doc.add("monodromy", inv.monodromy)
+    doc.add("alexander_raw", inv.alexander_raw)
+    doc.add("alexander_conway", inv.alexander_conway
+            if inv.alexander_conway is not None else f"<error: {inv.conway_error}>")
+    doc.add("elementary_divisors", list(inv.knot_module.divisors))
+    cls = inv.bp
+    if cls is None:
         doc.add("note", "intersection form not unimodular: boundary is not "
                         "a homotopy sphere; sphere-class invariants skipped")
+        return doc
+    if inv.signature is not None:
+        doc.add("signature", inv.signature)
+    else:
+        doc.add("karl", inv.karl_value)
+        doc.add("levine_congruence", inv.levine_congruence)
+    doc.add("bp_group", cls.group.describe())
+    if cls.sigma_over_8 is None:
+        doc.add("bp_class", inv.karl_value)
+    elif cls.class_residue is None:
+        doc.add("bp_class", str(cls.sigma_over_8))
+    else:
+        doc.add("bp_class", f"{cls.sigma_over_8} (residue {cls.class_residue} mod group order)")
+    doc.add("exotic", cls.is_exotic)
+    for note in cls.notes:
+        doc.add("note", note)
     return doc
 
 
-def brieskorn_report(germ: BrieskornGerm) -> ReportDocument:
-    rep = germ_report(germ)
+def brieskorn_report(rep: GermReport) -> ReportDocument:
     doc = ReportDocument()
-    doc.add("germ", str(germ))
+    doc.add("germ", str(rep.germ))
     doc.add("q", rep.seifert.q)
     doc.add("milnor_number", rep.rank)
     doc.add("seifert_matrix", rep.seifert.matrix)
@@ -116,19 +105,18 @@ def brieskorn_report(germ: BrieskornGerm) -> ReportDocument:
     doc.add("alexander_conway", rep.alexander_conway
             if rep.alexander_conway is not None
             else "<not normalizable: boundary is not a homotopy sphere>")
-    if rep.signature is not None:
-        doc.add("signature", rep.signature)
-    if rep.karl_value is not None:
-        doc.add("karl", rep.karl_value)
-    if rep.bp is not None:
-        doc.add("boundary_dim", rep.bp.boundary_dim)
-        doc.add("bp_group", rep.bp.group.describe())
-        if rep.bp.sigma_over_8 is not None:
-            doc.add("bp_class", rep.bp.sigma_over_8)
-        if rep.bp.karl_value is not None:
-            doc.add("bp_class", rep.bp.karl_value)
-        doc.add("exotic", rep.bp.is_exotic)
-        for note in rep.bp.notes:
+    cls = rep.bp
+    if cls is not None:
+        if rep.signature is not None:
+            doc.add("signature", rep.signature)
+        else:
+            doc.add("karl", rep.karl_value)
+        doc.add("boundary_dim", cls.boundary_dim)
+        doc.add("bp_group", cls.group.describe())
+        doc.add("bp_class", cls.sigma_over_8 if cls.sigma_over_8 is not None
+                else rep.karl_value)
+        doc.add("exotic", cls.is_exotic)
+        for note in cls.notes:
             doc.add("note", note)
     for anomaly in rep.anomalies:
         doc.add("anomaly", anomaly)
@@ -170,10 +158,7 @@ def _cmd_matrix_files(args, kind: str) -> int:
                 outputs = [f.result() for f in futures]
         else:
             outputs = [_render_file_report(p, kind, args.format) for p in args.paths]
-    except MatrixFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (MatrixFileError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write("\n".join(outputs) if len(outputs) > 1 else outputs[0])
@@ -195,9 +180,14 @@ def _cmd_brieskorn(args) -> int:
     if mu > DEFAULT_RANK_WARN:
         print(f"warning: Milnor number {mu} is large; this will be slow",
               file=sys.stderr)
-    doc = brieskorn_report(germ)
+    if args.emit_matrix and germ.middle_dimension < 1:
+        print("error: --emit-matrix needs at least two exponents: matrix files "
+              "require q >= 1, and this germ has q = 0", file=sys.stderr)
+        return 2
+    rep = germ_report(germ)
+    doc = brieskorn_report(rep)
     if args.emit_matrix:
-        text = serialize_matrix_file(brieskorn_seifert_for_emit(germ))
+        text = serialize_matrix_file(rep.seifert)
         if args.emit_matrix == "-":
             sys.stdout.write(text)
         else:
@@ -205,13 +195,6 @@ def _cmd_brieskorn(args) -> int:
                 fh.write(text)
     sys.stdout.write(doc.render(args.format))
     return 0
-
-
-def brieskorn_seifert_for_emit(germ: BrieskornGerm) -> SeifertMatrix:
-    from .brieskorn import brieskorn_seifert
-    s = brieskorn_seifert(germ)
-    # matrix files require q >= 1; a one-variable germ has q = 0
-    return SeifertMatrix(s.matrix, q=max(s.q, 1))
 
 
 def _cmd_cobordant(args) -> int:
@@ -245,29 +228,17 @@ def _cmd_cobordant(args) -> int:
     return {"cobordant": 0, "not-cobordant": 1, "unknown-within-bound": 3}[verdict.status]
 
 
-def _group_cell(n: int) -> tuple[str, str]:
+def _group_row(n: int) -> list[str]:
+    """One row of the groups table, from the one verdict for G^n."""
     verdict = embeddable_spheres_group(n)
     if verdict.kind == "trivial":
-        if n <= 4:
-            return "trivial (low dimension)", verdict.provenance
-        if n % 2 == 0:
-            return "trivial (even n)", verdict.provenance
-        return "trivial (exceptional)", verdict.provenance
-    if verdict.kind == "unknown":
-        return "unknown", verdict.provenance
-    return verdict.describe(), verdict.provenance
-
-
-def _bp_cell(n: int) -> str:
-    m = n + 1
-    if m % 2 == 1:
-        return "1"
-    if n <= 6:
-        return "1"
-    if m % 4 == 0:
-        return str(bp4k_order(m // 4))
-    verdict = bp4k2_group((m - 2) // 4)
-    return {"trivial": "1", "Z/2": "2", "unknown": "?"}[verdict.kind]
+        cell = ("trivial (low dimension)" if n <= 4 else
+                "trivial (even n)" if n % 2 == 0 else "trivial (exceptional)")
+    else:
+        cell = verdict.describe()
+    order = {"trivial": "1", "cyclic": str(verdict.order), "Z/2": "2", "unknown": "?"}
+    imj = str(im_j_order((n + 1) // 4)) if n % 4 == 3 else "-"
+    return [str(n), cell, order[verdict.kind], imj, verdict.provenance]
 
 
 def _cmd_groups(args) -> int:
@@ -277,11 +248,7 @@ def _cmd_groups(args) -> int:
         print("error: need 1 <= N_MIN <= N_MAX", file=sys.stderr)
         return 2
     headers = ["n", "G^n", "|bP^(n+1)|", "im_J(4k-1)", "provenance"]
-    rows = []
-    for n in range(lo, hi + 1):
-        cell, provenance = _group_cell(n)
-        imj = str(im_j_order((n + 1) // 4)) if n % 4 == 3 else "-"
-        rows.append([str(n), cell, _bp_cell(n), imj, provenance])
+    rows = [_group_row(n) for n in range(lo, hi + 1)]
     sys.stdout.write(format_table(headers, rows, args.format))
     return 0
 
@@ -331,7 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "cobordant" and args.bound < 1:
+        parser.error(f"argument --bound: must be >= 1, got {args.bound}")
     if args.command == "invariants":
         return _cmd_matrix_files(args, "invariants")
     if args.command == "handles":

@@ -12,7 +12,7 @@ never as a proof of non-existence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .exact import Matrix, ShapeError, det, smith_normal_form
 from .laurent import Laurent, det_pencil, factor_int_poly, render_poly
@@ -163,7 +163,7 @@ def _enumerate_hnf(f: EpsForm, r: int, half: int, bound: int):
     at_rows = [list(row) for row in f.matrix.transpose().rows]
     memo: dict = {}
     for pivot_cols in combinations(range(r), half):
-        for pivot_vals in _tuples(range(1, bound + 1), half):
+        for pivot_vals in product(range(1, bound + 1), repeat=half):
             cands = []
             for i in range(half):
                 caps = tuple(min(pivot_vals[k], bound + 1)
@@ -195,7 +195,7 @@ def _isotropic_rows(a_rows, at_rows, r, bound, pivot_cols, pivot_val, i, caps):
             cols.append(j)
             ranges.append(range(-bound, bound + 1))
     out = []
-    for combo in _tuples_from(ranges):
+    for combo in product(*ranges):
         row = [0] * r
         row[jpiv] = pivot_val
         for j, v in zip(cols, combo):
@@ -222,25 +222,6 @@ def _combine(cands, i, chosen):
                 break
         else:
             yield from _combine(cands, i + 1, chosen + (entry,))
-
-
-def _tuples(rng, n):
-    if n == 0:
-        yield ()
-        return
-    for head in rng:
-        for tail in _tuples(rng, n - 1):
-            yield (head, *tail)
-
-
-def _tuples_from(ranges):
-    if not ranges:
-        yield ()
-        return
-    head, *tail = ranges
-    for h in head:
-        for rest in _tuples_from(tail):
-            yield (h, *rest)
 
 
 def fox_milnor(delta: Laurent) -> bool:

@@ -1,0 +1,113 @@
+"""One invariant pipeline: every invariant of a Seifert matrix, each computed once.
+
+`Invariants(s)` has one lazy, memoized stage per invariant; a stage reads
+the earlier stages it needs instead of recomputing them.  Reports render
+an `Invariants` key by key, so a report computes only the stages it shows.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import cached_property
+
+from .exact import Matrix, det
+from .laurent import Laurent, NormalizationError, conway_normalize, is_product_of_cyclotomics
+from .quadratic import levine_congruence
+from .seifert import (KnotModulePresentation, SeifertMatrix, alexander_polynomial,
+                      intersection_form, knot_module, monodromy)
+from .spheres import BPClass, bp_class
+
+
+class Invariants:
+    def __init__(self, seifert: SeifertMatrix):
+        self.seifert = seifert
+
+    @property
+    def rank(self) -> int:
+        return self.seifert.rank
+
+    @cached_property
+    def intersection(self) -> Matrix:
+        return intersection_form(self.seifert)
+
+    @cached_property
+    def det_intersection(self) -> int:
+        return det(self.intersection)
+
+    @property
+    def unimodular(self) -> bool:
+        return self.det_intersection in (1, -1)
+
+    @cached_property
+    def det_a(self) -> int:
+        return det(self.seifert.matrix)
+
+    @property
+    def fibered(self) -> bool:
+        return self.det_a in (1, -1)
+
+    @cached_property
+    def monodromy(self) -> Matrix | None:
+        """The open-book monodromy; None unless the form is fibered."""
+        return monodromy(self.seifert) if self.fibered else None
+
+    @cached_property
+    def alexander_raw(self) -> Laurent:
+        return alexander_polynomial(self.seifert, "raw")
+
+    @cached_property
+    def _conway(self) -> tuple[Laurent | None, str | None]:
+        try:
+            return conway_normalize(self.alexander_raw), None
+        except NormalizationError as exc:
+            return None, str(exc)
+
+    @property
+    def alexander_conway(self) -> Laurent | None:
+        """Conway form of alexander_raw; None when it has none, for the
+        reason in conway_error."""
+        return self._conway[0]
+
+    @property
+    def conway_error(self) -> str | None:
+        return self._conway[1]
+
+    @cached_property
+    def char_poly(self) -> Laurent | None:
+        """det(tI - h) for h = -eps (A^T)^-1 A; None when det A = 0.
+
+        det(tI - h) = det(t A^T + eps A) / det A, whose numerator is the raw
+        Alexander polynomial: exact for rational h too.
+        """
+        return self.alexander_raw.scale(Fraction(1, self.det_a)) if self.det_a else None
+
+    @cached_property
+    def quasi_unipotent(self) -> bool | None:
+        """seifert.is_quasi_unipotent's test, on char_poly."""
+        chi = self.char_poly
+        return None if chi is None else chi.is_integral and is_product_of_cyclotomics(chi)
+
+    @cached_property
+    def knot_module(self) -> KnotModulePresentation:
+        return knot_module(self.seifert)
+
+    @cached_property
+    def bp(self) -> BPClass | None:
+        """Class of the boundary sphere; None unless the form is unimodular."""
+        return bp_class(self.seifert) if self.unimodular else None
+
+    @property
+    def signature(self) -> int | None:
+        """Signature of a unimodular even-q form, from bp."""
+        return self.bp and self.bp.signature
+
+    @property
+    def karl_value(self) -> int | None:
+        """KARL invariant of a unimodular odd-q form, from bp."""
+        return self.bp and self.bp.karl_value
+
+    @property
+    def levine_congruence(self) -> bool | None:
+        if self.karl_value is None:
+            return None
+        return levine_congruence(self.alexander_conway, self.karl_value)

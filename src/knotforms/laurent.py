@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd, isqrt
 
 from .exact import Matrix, ShapeError, _as_exact, pencil_det_coefficients
@@ -557,7 +558,7 @@ def _find_factor(coeffs: list[int]) -> tuple[list[int], list[int]] | None:
             # its negation divides, and we normalize afterwards
             divisor_lists.append([d0 for d0 in ds] if i == 0
                                  else [s * d0 for d0 in ds for s in (1, -1)])
-        for combo in _product_lists(divisor_lists):
+        for combo in product(*divisor_lists):
             cand = _interpolate_int(xs, combo)
             if cand is None or len(cand) != m + 1:
                 continue
@@ -567,16 +568,6 @@ def _find_factor(coeffs: list[int]) -> tuple[list[int], list[int]] | None:
                     cand, q = [-c for c in cand], [-c for c in q]
                 return cand, q
     return None
-
-
-def _product_lists(lists):
-    if not lists:
-        yield ()
-        return
-    head, *tail = lists
-    for h in head:
-        for rest in _product_lists(tail):
-            yield (h, *rest)
 
 
 def _interpolate_int(xs: list[int], ys) -> list[int] | None:

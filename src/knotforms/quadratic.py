@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import Matrix, ShapeError, det
+from .laurent import Laurent
 from .seifert import SeifertMatrix, alexander_polynomial, intersection_form
 
 
@@ -206,15 +207,18 @@ def karl(s: SeifertMatrix) -> int:
     return arf(form)
 
 
-def levine_congruence_check(s: SeifertMatrix) -> bool:
-    """Verify value-at(-1) of the Conway-normalized Alexander polynomial
-    against 1 + 4*Arf (mod 8).
+def levine_congruence(delta: Laurent, karl_value: int) -> bool:
+    """Value at -1 of a Conway-normalized Alexander polynomial against
+    1 + 4*KARL (mod 8).
 
     This congruence ties together the Alexander polynomial, Conway
     normalization and the KARL invariant; it must hold for every
     unimodular Seifert matrix with odd q and serves as a built-in
     cross-check.
     """
-    delta = alexander_polynomial(s, normalize="conway")
-    at_minus_one = delta(-1)
-    return (at_minus_one - 1 - 4 * karl(s)) % 8 == 0
+    return (delta(-1) - 1 - 4 * karl_value) % 8 == 0
+
+
+def levine_congruence_check(s: SeifertMatrix) -> bool:
+    """levine_congruence for the Seifert matrix s (odd q, unimodular)."""
+    return levine_congruence(alexander_polynomial(s, normalize="conway"), karl(s))

@@ -170,11 +170,3 @@ def knot_module(s: SeifertMatrix) -> KnotModulePresentation:
         divisors=tuple(divisors),
     )
 
-
-def is_type_k(s: SeifertMatrix) -> bool:
-    """Finite generation with (t-1) acting invertibly, read off the
-    presentation: |det(A + (-1)^q A^T)| = 1, i.e. evaluation of the
-    presentation at t = 1 is unimodular.  Coincides with is_unimodular.
-    """
-    a = s.matrix
-    return det(a + a.transpose().scale(s.epsilon)) in (1, -1)

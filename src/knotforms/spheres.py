@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import bernoulli
+from .exact import bernoulli, det
 from .quadratic import is_even, karl, signature
-from .seifert import SeifertMatrix, intersection_form, is_unimodular
+from .seifert import SeifertMatrix, intersection_form
 
 
 @dataclass(frozen=True)
@@ -120,6 +120,7 @@ class BPClass:
 
     boundary_dim: int
     group: GroupVerdict
+    signature: int | None = None      # even q
     sigma_over_8: int | None = None   # even q
     class_residue: int | None = None  # even q, when the group is cyclic
     karl_value: int | None = None     # odd q
@@ -150,7 +151,8 @@ def bp_class(s: SeifertMatrix) -> BPClass:
     is trivial it still records the Arf invariant of the Seifert
     hypersurface but no longer distinguishes spheres.
     """
-    if not is_unimodular(s):
+    inter = intersection_form(s)
+    if det(inter) not in (1, -1):
         raise ValueError("boundary class is defined for unimodular Seifert matrices")
     n = 2 * s.q - 1
     notes = []
@@ -158,7 +160,6 @@ def bp_class(s: SeifertMatrix) -> BPClass:
         notes.append("q < 2: no sphere-group interpretation")
     group = embeddable_spheres_group(max(n, 1))
     if s.q % 2 == 0:
-        inter = intersection_form(s)
         sig = signature(inter)
         if is_even(inter) and sig % 8 != 0:
             raise ConventionError(
@@ -168,7 +169,7 @@ def bp_class(s: SeifertMatrix) -> BPClass:
             0 if group.kind == "trivial" else None)
         if s.q == 2:
             notes.append("q = 2: boundary is only guaranteed a homology sphere")
-        return BPClass(boundary_dim=n, group=group, sigma_over_8=sigma8,
+        return BPClass(boundary_dim=n, group=group, signature=sig, sigma_over_8=sigma8,
                        class_residue=residue, notes=tuple(notes))
     value = karl(s)
     if group.kind == "trivial":

@@ -85,6 +85,16 @@ class TestInvariants:
         assert parallel == serial
         assert serial.index(trefoil_file) < serial.index(unknot_file)
 
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    @pytest.mark.parametrize("name", ["trefoil", "unknot", "e8_q2", "e8_q4", "trefoil_q3",
+                                      "not_unimodular", "not_fibered", "det_a_2"])
+    def test_matches_golden(self, name, fmt, capsys, monkeypatch):
+        # byte-for-byte against the stored reference output; the path is
+        # relative so that its "input" line is stable
+        monkeypatch.chdir(GOLDEN)
+        assert main(["invariants", "--format", fmt, f"invariants_{name}.mat"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"invariants_{name}.{fmt}").read_text()
+
     def test_jobs_parse_error_exit_2(self, trefoil_file, tmp_path, capsys):
         bad = tmp_path / "bad.mat"
         bad.write_text("q=1 rank=1\nx\n")
@@ -112,6 +122,13 @@ class TestBrieskorn:
         golden = GOLDEN / f"brieskorn_{exponents.replace(' ', '_')}.txt"
         assert capsys.readouterr().out == golden.read_text()
 
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    @pytest.mark.parametrize("exponents", ["2 2", "5"])
+    def test_non_spherical_germ_matches_golden(self, exponents, fmt, capsys):
+        assert main(["brieskorn", *exponents.split(), "--format", fmt]) == 0
+        golden = GOLDEN / f"brieskorn_{exponents.replace(' ', '_')}.{fmt}"
+        assert capsys.readouterr().out == golden.read_text()
+
     def test_exponent_below_two_rejected(self, capsys):
         assert main(["brieskorn", "1", "3"]) == 2
         assert "exponents" in capsys.readouterr().err
@@ -129,6 +146,16 @@ class TestBrieskorn:
         assert main(["invariants", str(out_path)]) == 0
         out = capsys.readouterr().out
         assert "t^-1 - 1 + t" in out
+
+    def test_emit_matrix_refused_for_one_variable_germ(self, tmp_path, capsys):
+        # matrix files require q >= 1 and the germ (5) has q = 0: rewriting
+        # q would change the intersection form, so nothing is written
+        out_path = tmp_path / "emitted.mat"
+        assert main(["brieskorn", "5", "--emit-matrix", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert "q >= 1" in captured.err
+        assert captured.out == ""
+        assert not out_path.exists()
 
     def test_rank_limit_env(self, capsys, monkeypatch):
         monkeypatch.setenv("KNOTFORMS_RANK_LIMIT", "4")
@@ -173,6 +200,17 @@ class TestCobordant:
         assert "parity" in capsys.readouterr().err
 
 
+    def test_bound_zero_rejected_before_any_work(self, trefoil_file, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("cobordance computed for an invalid bound")
+
+        monkeypatch.setattr("knotforms.cli.algebraically_cobordant", fail)
+        with pytest.raises(SystemExit) as exc:
+            main(["cobordant", trefoil_file, trefoil_file, "--bound", "0"])
+        assert exc.value.code == 2
+        assert "--bound" in capsys.readouterr().err
+
+
 class TestGroups:
     def test_table_rows(self, capsys):
         assert main(["groups", "5", "9"]) == 0
@@ -191,6 +229,11 @@ class TestGroups:
         main(["groups", "--format", "machine", "7"])
         out = capsys.readouterr().out
         assert "7\tZ/28" in out
+
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    def test_table_matches_golden(self, fmt, capsys):
+        assert main(["groups", "1", "130", "--format", fmt]) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"groups_1_130.{fmt}").read_text()
 
     def test_bad_range(self, capsys):
         assert main(["groups", "9", "5"]) == 2

@@ -1,0 +1,120 @@
+import sys
+from collections import Counter
+
+import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
+
+from knotforms.brieskorn import BrieskornGerm, brieskorn_seifert, germ_report
+from knotforms.cli import main
+from knotforms.exact import Matrix, det
+from knotforms.invariants import Invariants
+from knotforms.quadratic import karl, levine_congruence_check, signature
+from knotforms.seifert import (SeifertMatrix, characteristic_polynomial,
+                               is_quasi_unipotent, monodromy)
+from knotforms.spheres import bp_class
+
+from generators import square_matrices
+
+LADDER = [(6 * k - 1, 3, 2, 2, 2) for k in range(1, 5)] + [
+    (d, 2, 2, 2, 2, 2) for d in range(3, 32, 2)]
+
+
+class TestCharPoly:
+    @given(st.integers(1, 6).flatmap(lambda n: square_matrices(n, -4, 4)),
+           st.integers(1, 3))
+    @example(Matrix([[2, 1], [0, 1]]), 1)
+    @example(Matrix([[3, 0], [1, -2]]), 2)
+    def test_matches_monodromy_charpoly(self, a, q):
+        # chi_h from the Alexander polynomial against the charpoly of the
+        # matrix h itself, rational h included
+        assume(det(a) != 0)
+        s = SeifertMatrix(a, q=q)
+        inv, h = Invariants(s), monodromy(s)
+        assert inv.char_poly == characteristic_polynomial(h)
+        assert inv.quasi_unipotent == is_quasi_unipotent(h)
+
+    @pytest.mark.parametrize("exponents", LADDER + [(2, 3), (2, 2), (3, 5, 7), (5,)])
+    def test_germs(self, exponents):
+        s = brieskorn_seifert(BrieskornGerm(exponents))
+        inv = Invariants(s)
+        h = monodromy(s)
+        assert inv.char_poly == characteristic_polynomial(h)
+        assert inv.quasi_unipotent == is_quasi_unipotent(h)
+
+    def test_singular_form_has_none(self):
+        inv = Invariants(SeifertMatrix(Matrix([[0, 1], [0, 0]]), q=1))
+        assert inv.char_poly is None and inv.quasi_unipotent is None
+        assert inv.monodromy is None
+
+
+class TestStages:
+    @pytest.mark.parametrize("rows,q", [([[-1, 0], [1, -1]], 1), ([[-1, 0], [1, -1]], 3),
+                                        ([[2, 1], [0, 1]], 1), ([[0, 1], [0, 0]], 1)])
+    def test_odd_q_matches_public_helpers(self, rows, q):
+        s = SeifertMatrix(Matrix(rows), q=q)
+        inv = Invariants(s)
+        assert inv.karl_value == karl(s)
+        assert inv.levine_congruence == levine_congruence_check(s)
+        assert inv.signature is None
+        assert inv.bp == bp_class(s)
+
+    def test_even_q_signature_from_bp(self):
+        s = brieskorn_seifert(BrieskornGerm((2, 2, 2, 3, 5)))
+        inv = Invariants(s)
+        assert inv.signature == signature(inv.intersection) == 8
+        assert inv.karl_value is None and inv.levine_congruence is None
+
+    def test_not_unimodular_has_no_sphere_class(self):
+        inv = Invariants(SeifertMatrix(Matrix([[-1]]), q=1))
+        assert not inv.unimodular
+        assert inv.bp is None and inv.signature is None and inv.karl_value is None
+        assert inv.alexander_conway is None
+        assert "value at t=1 is 0" in inv.conway_error
+
+
+@pytest.fixture()
+def calls(monkeypatch):
+    """Count calls to library functions: every knotforms binding of each
+    named function is replaced by a counting wrapper."""
+    counts = Counter()
+
+    def watch(module: str, name: str):
+        original = getattr(sys.modules[f"knotforms.{module}"], name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        for key, mod in list(sys.modules.items()):
+            if key.startswith("knotforms") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+
+    for module, name in [("laurent", "det_pencil"), ("quadratic", "karl"),
+                         ("quadratic", "signature")]:
+        watch(module, name)
+    return counts
+
+
+class TestOneComputationPerInvariant:
+    @pytest.mark.parametrize("exponents", [("2", "3", "5"), ("5", "3", "2", "2", "2"),
+                                           ("3", "2", "2", "2", "2", "2"), ("2", "2")])
+    def test_germ_report(self, exponents, calls, capsys):
+        assert main(["brieskorn", *exponents]) == 0
+        assert calls["det_pencil"] == 1
+        assert calls["karl"] <= 1 and calls["signature"] <= 1
+
+    @pytest.mark.parametrize("text", ["q=1 rank=2\n-1 0\n1 -1\n", "q=3 rank=2\n2 1\n0 1\n",
+                                      "q=2 rank=2\n0 1\n0 0\n", "q=1 rank=1\n-1\n"])
+    def test_file_report(self, text, calls, tmp_path, capsys):
+        path = tmp_path / "s.mat"
+        path.write_text(text)
+        assert main(["invariants", str(path)]) == 0
+        assert calls["det_pencil"] == 1
+        assert calls["karl"] <= 1 and calls["signature"] <= 1
+
+    def test_germ_report_object_reads_stages_once(self, calls):
+        rep = germ_report(BrieskornGerm((2, 2, 2, 2, 2, 3)))
+        for _ in range(2):
+            rep.char_poly, rep.alexander_conway, rep.karl_value, rep.anomalies
+        assert calls == Counter(det_pencil=1, karl=1)

@@ -9,7 +9,7 @@ from knotforms.exact import Matrix, det, inverse
 from knotforms.laurent import Laurent, NormalizationError, render_poly
 from knotforms.seifert import (NonFiberedError, SeifertMatrix, alexander_polynomial,
                                characteristic_polynomial, intersection_form,
-                               is_fibered_form, is_quasi_unipotent, is_type_k,
+                               is_fibered_form, is_quasi_unipotent,
                                is_unimodular, knot_module, monodromy)
 
 from generators import square_matrices
@@ -65,12 +65,6 @@ class TestUnimodular:
 
     def test_unknot(self):
         assert is_unimodular(EMPTY)
-
-    def test_type_k_coincides(self):
-        rng = random.Random(13)
-        for _ in range(100):
-            s = random_seifert(rng)
-            assert is_type_k(s) == is_unimodular(s)
 
 
 class TestFibered:
