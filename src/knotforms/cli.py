@@ -185,15 +185,18 @@ def _cmd_brieskorn(args) -> int:
               "require q >= 1, and this germ has q = 0", file=sys.stderr)
         return 2
     rep = germ_report(germ)
-    doc = brieskorn_report(rep)
     if args.emit_matrix:
         text = serialize_matrix_file(rep.seifert)
         if args.emit_matrix == "-":
             sys.stdout.write(text)
         else:
-            with open(args.emit_matrix, "w", encoding="utf-8") as fh:
-                fh.write(text)
-    sys.stdout.write(doc.render(args.format))
+            try:
+                with open(args.emit_matrix, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+    sys.stdout.write(brieskorn_report(rep).render(args.format))
     return 0
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import comb, prod
+from math import comb, lcm, prod
 from operator import mul
 
 
@@ -156,7 +156,8 @@ class Matrix:
 def det(m: Matrix):
     """Exact determinant; int for integral input, Fraction otherwise.
 
-    The 0 x 0 determinant is 1 (empty product).
+    The 0 x 0 determinant is 1 (empty product).  A rational m is scaled by
+    the common denominator D of its entries: det(m) = det(D m) / D^n.
     """
     if not m.is_square:
         raise ShapeError(f"determinant of non-square {m.shape} matrix")
@@ -165,21 +166,9 @@ def det(m: Matrix):
         return 1
     if m.is_integral:
         return _det_bareiss([list(row) for row in m.rows])
-    a = [[Fraction(x) for x in row] for row in m.rows]
-    detval = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            detval = -detval
-        detval *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] * inv
-            if f:
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    denom = lcm(*(x.denominator for row in m.rows for x in row))
+    detval = Fraction(_det_bareiss([[int(x * denom) for x in row] for row in m.rows]),
+                      denom ** n)
     return int(detval) if detval.denominator == 1 else detval
 
 

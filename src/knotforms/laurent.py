@@ -6,11 +6,12 @@ a factor +-t^k; the canonical representative has minimal exponent 0,
 nonzero constant term, and positive leading coefficient.
 
 Also here: polynomial factorization over Z[t] by desk-scale exhaustive
-search (rational-root stripping, cyclotomic peeling, then bounded-degree
-factor interpolation), cyclotomic polynomials, determinants of integer
-pencils t*A + B by the multi-modular Hessenberg kernel of `exact`
-(O(n^3) per prime, CRT under a proven coefficient bound), and elementary
-divisors of square matrices over Q[t, 1/t].
+search in integer arithmetic (cyclotomic peeling, then factor
+interpolation for each degree from 1 to half the degree), cyclotomic
+polynomials, determinants of integer pencils t*A + B by the multi-modular
+Hessenberg kernel of `exact` (O(n^3) per prime, CRT under a proven
+coefficient bound), and elementary divisors of square matrices over
+Q[t, 1/t].
 """
 
 from __future__ import annotations
@@ -291,34 +292,25 @@ def _poly_gcd(a: list, b: list) -> list:
 
 
 def _int_divide_exact(num: list[int], den: list[int]) -> list[int] | None:
-    """Quotient of integer polynomials if den divides num exactly, else None."""
-    if den and den[-1] in (1, -1):
-        return _int_divide_by_monic(num, den if den[-1] == 1 else [-c for c in den],
-                                    negate=den[-1] == -1)
-    q, r = _poly_divmod(num, den)
-    if r:
-        return None
-    if any(x.denominator != 1 for x in q):
-        return None
-    return [int(x) for x in q]
+    """Quotient of integer polynomials if den divides num in Z[t], else None.
 
-
-def _int_divide_by_monic(num: list[int], den: list[int], negate: bool = False) -> list[int] | None:
-    # Synthetic division by a monic divisor, integer arithmetic only.
-    if len(num) < len(den):
-        return None
+    Long division in integers only, for any nonzero leading coefficient of
+    den; gives up at the first quotient coefficient that is not an integer.
+    """
     r = list(num)
     dn = len(den) - 1
-    q = [0] * (len(num) - dn)
+    q = [0] * max(0, len(num) - dn)
     for shift in range(len(q) - 1, -1, -1):
-        factor = r[shift + dn]
+        factor, rem = divmod(r[shift + dn], den[-1])
+        if rem:
+            return None
         if factor:
             q[shift] = factor
             for i in range(dn + 1):
                 r[shift + i] -= factor * den[i]
     if any(r):
         return None
-    return [-c for c in q] if negate else q
+    return q
 
 
 @lru_cache(maxsize=None)
@@ -331,7 +323,7 @@ def cyclotomic(n: int) -> Laurent:
     den = [1]
     for d in range(1, n):
         if n % d == 0:
-            den = _poly_mul_int(den, [int(x) for x in cyclotomic(d).coeff_list()])
+            den = _poly_mul_int(den, cyclotomic(d).coeff_list())
     quotient = _int_divide_exact(num, den)
     assert quotient is not None
     return Laurent.from_coeff_list(quotient)
@@ -386,17 +378,23 @@ def is_product_of_cyclotomics(p: Laurent) -> bool:
         raise ValueError("expected an ordinary polynomial, not a Laurent unit class")
     if p.min_exponent > 0:
         return False
-    coeffs = [int(x) for x in p.coeff_list()]
+    rest, _ = _peel_cyclotomics(p.coeff_list())
+    return rest in ([1], [-1])
+
+
+def _peel_cyclotomics(coeffs: list[int]) -> tuple[list[int], list[list[int]]]:
+    """The cofactor of a nonzero integer polynomial after dividing out every
+    cyclotomic factor, and those factors, one entry per multiplicity."""
+    peeled = []
     for n in cyclotomic_indices_up_to_degree(len(coeffs) - 1):
-        phi = [int(x) for x in cyclotomic(n).coeff_list()]
-        if len(phi) > len(coeffs):
-            continue
+        phi = cyclotomic(n).coeff_list()
         while len(coeffs) >= len(phi):
-            q = _int_divide_by_monic(coeffs, phi)
+            q = _int_divide_exact(coeffs, phi)
             if q is None:
                 break
+            peeled.append(phi)
             coeffs = q
-    return len(coeffs) == 1 and coeffs[0] in (1, -1)
+    return coeffs, peeled
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +415,7 @@ class Factorization:
         self.unit_exponent = unit_exponent
         self.content = content
         self.factors = sorted(
-            ((f, m) for f, m in factors),
-            key=lambda fm: (fm[0].max_exponent if not fm[0].is_zero else -1,
-                            tuple(fm[0].coeff_list())))
+            factors, key=lambda fm: (fm[0].max_exponent, fm[0].coeff_list()))
 
     def product(self) -> Laurent:
         p = Laurent.constant(self.sign * self.content).shift(self.unit_exponent)
@@ -437,11 +433,11 @@ def factor_int_poly(p: Laurent) -> Factorization:
     """Factor a nonzero integer Laurent polynomial into irreducibles over Z[t].
 
     Strategy (correctness over speed, inputs of desk scale): strip the unit
-    +-t^k and the content, peel rational roots and cyclotomic factors, then
-    search the remaining part for factors of each degree m <= deg/2 by
-    evaluation at m+1 points and divisor interpolation.  The product of the
-    returned data reconstructs the input exactly, which callers may verify
-    with Factorization.product().
+    +-t^k and the content, peel cyclotomic factors, then search the
+    remaining part for factors of each degree 1 <= m <= deg/2 by evaluation
+    at m+1 points and divisor interpolation, all in integer arithmetic.
+    The product of the returned data reconstructs the input exactly, which
+    callers may verify with Factorization.product().
     """
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
@@ -458,20 +454,10 @@ def factor_int_poly(p: Laurent) -> Factorization:
         f = Laurent.from_coeff_list(coeffs)
         factors[f] = factors.get(f, 0) + 1
 
-    work = prim
-    # rational roots a/b, with b | lead and a | constant
-    work = _strip_linear_factors(work, record)
     # cyclotomic peeling keeps the exhaustive search small
-    for n in cyclotomic_indices_up_to_degree(max(0, len(work) - 1)):
-        phi = [int(x) for x in cyclotomic(n).coeff_list()]
-        if len(phi) == 2:
-            continue  # linear cyclotomics were handled as roots
-        while len(work) >= len(phi):
-            q = _int_divide_exact(work, phi)
-            if q is None:
-                break
-            record(phi)
-            work = q
+    work, peeled = _peel_cyclotomics(prim)
+    for phi in peeled:
+        record(phi)
     stack = [work] if len(work) > 1 else []
     while stack:
         current = stack.pop()
@@ -479,9 +465,7 @@ def factor_int_poly(p: Laurent) -> Factorization:
         if split is None:
             record(current)
         else:
-            f, q = split
-            stack.append(f)
-            stack.append(q)
+            stack.extend(split)
     result = Factorization(sign, unit_exponent, cont, list(factors.items()))
     assert result.product() == p, "factorization self-check failed"
     return result
@@ -498,32 +482,6 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def _strip_linear_factors(coeffs: list[int], record) -> list[int]:
-    changed = True
-    while changed and len(coeffs) > 1:
-        changed = False
-        lead, const = coeffs[-1], coeffs[0]
-        for b in _divisors(lead):
-            for a in _divisors(const):
-                for s in (1, -1):
-                    cand = [-s * a, b]  # b*t - s*a, root s*a/b
-                    if gcd(a, b) != 1:
-                        continue
-                    q = _int_divide_exact(coeffs, cand)
-                    if q is not None:
-                        if cand[-1] < 0:
-                            cand = [-x for x in cand]
-                        record(cand)
-                        coeffs = q
-                        changed = True
-                        break
-                if changed:
-                    break
-            if changed:
-                break
-    return coeffs
-
-
 def _eval_int(coeffs: list[int], x: int) -> int:
     total = 0
     for c in reversed(coeffs):
@@ -533,10 +491,11 @@ def _eval_int(coeffs: list[int], x: int) -> int:
 
 def _find_factor(coeffs: list[int]) -> tuple[list[int], list[int]] | None:
     """A nontrivial factor (factor, quotient) of a primitive integer
-    polynomial with no linear factors, or None if irreducible.
+    polynomial with positive leading coefficient, or None if irreducible.
 
-    Bounded-degree search: a degree-m factor is determined by its values at
-    m+1 points, each of which must divide the value of the polynomial there.
+    Bounded-degree search over m = 1 .. deg/2: a degree-m factor is
+    determined by its values at m+1 points, each of which must divide the
+    value of the polynomial there.
     """
     d = len(coeffs) - 1
     points: list[int] = []
@@ -549,17 +508,13 @@ def _find_factor(coeffs: list[int]) -> tuple[list[int], list[int]] | None:
                 points.append(cand)
                 values.append(v)
         x += 1
-    for m in range(2, d // 2 + 1):
-        xs = points[: m + 1]
-        divisor_lists = []
-        for i, v in enumerate(values[: m + 1]):
-            ds = _divisors(v)
-            # fixing the first value positive halves the search; a factor or
-            # its negation divides, and we normalize afterwards
-            divisor_lists.append([d0 for d0 in ds] if i == 0
-                                 else [s * d0 for d0 in ds for s in (1, -1)])
+    for m in range(1, d // 2 + 1):
+        # fixing the first value positive halves the search; a factor or
+        # its negation divides, and we normalize afterwards
+        divisor_lists = [_divisors(values[0])] + [
+            [s * d0 for d0 in _divisors(v) for s in (1, -1)] for v in values[1:m + 1]]
         for combo in product(*divisor_lists):
-            cand = _interpolate_int(xs, combo)
+            cand = _interpolate_int(points[:m + 1], combo)
             if cand is None or len(cand) != m + 1:
                 continue
             q = _int_divide_exact(coeffs, cand)
@@ -571,26 +526,29 @@ def _find_factor(coeffs: list[int]) -> tuple[list[int], list[int]] | None:
 
 
 def _interpolate_int(xs: list[int], ys) -> list[int] | None:
-    """Lagrange interpolation; None unless all coefficients are integers."""
+    """Coefficients of the polynomial of degree < len(xs) through the points
+    (xs[i], ys[i]) at distinct integer nodes, or None unless all of them
+    are integers.
+
+    Newton divided differences: those of an integer polynomial at integer
+    nodes are integers, and integer divided differences give an integer
+    polynomial, so the first inexact division rejects the candidate.
+    """
     n = len(xs)
-    coeffs = [Fraction(0)] * n
-    for i in range(n):
-        # poly = prod_{j != i} (t - x_j), denom = prod_{j != i} (x_i - x_j)
-        poly = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            poly = [Fraction(0)] + poly
-            for k in range(len(poly) - 1):
-                poly[k] -= xs[j] * poly[k + 1]
-            denom *= xs[i] - xs[j]
-        term = Fraction(ys[i]) / denom
-        for k in range(len(poly)):
-            coeffs[k] += term * poly[k]
-    if any(c.denominator != 1 for c in coeffs):
-        return None
-    return _trim([int(c) for c in coeffs])
+    diffs = list(ys)
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            diffs[i], rem = divmod(diffs[i] - diffs[i - 1], xs[i] - xs[i - k])
+            if rem:
+                return None
+    # Horner on the Newton form: p = diffs[0] + (t - xs[0]) (diffs[1] + ...)
+    coeffs: list[int] = []
+    for k in range(n - 1, -1, -1):
+        coeffs = [0] + coeffs
+        for j in range(len(coeffs) - 1):
+            coeffs[j] -= xs[k] * coeffs[j + 1]
+        coeffs[0] += diffs[k]
+    return _trim(coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Matrix, ShapeError, det
+from .exact import Matrix, ShapeError
 from .laurent import Laurent
 from .seifert import SeifertMatrix, alexander_polynomial, intersection_form
 
@@ -193,13 +193,12 @@ def karl(s: SeifertMatrix) -> int:
     Q(x) = A(x, x) mod 2, refined over the intersection form mod 2 (for odd
     q these agree with A + A^T mod 2).  Detects which homotopy sphere in
     the boundary-of-parallelisable family a (4k+1)-knot represents, and is
-    a knot-cobordism invariant.
+    a knot-cobordism invariant.  An intersection form that is degenerate
+    mod 2 raises DegenerateFormError with a radical vector.
     """
     if s.q % 2 == 0:
         raise ParityError(f"KARL invariant needs odd q, got q={s.q}")
     inter = intersection_form(s)
-    if det(inter) % 2 == 0 and s.rank > 0:
-        raise DegenerateFormError("intersection form is degenerate mod 2")
     values = tuple(s.matrix.rows[i][i] % 2 for i in range(s.rank))
     form = QuadraticFormF2(values=values, bilinear=inter.entries_mod(2))
     if s.rank == 0:

@@ -12,8 +12,7 @@ from .laurent import Laurent, render_poly
 
 
 class ReportDocument:
-    def __init__(self, title: str = ""):
-        self.title = title
+    def __init__(self):
         self.items: list[tuple[str, str]] = []
 
     def add(self, key: str, value) -> "ReportDocument":
@@ -22,16 +21,11 @@ class ReportDocument:
 
     def render(self, mode: str = "text") -> str:
         if mode == "machine":
-            lines = []
-            if self.title:
-                lines.append(f"report={self.title}")
-            lines.extend(f"{key}={value}" for key, value in self.items)
+            lines = [f"{key}={value}" for key, value in self.items]
             return "\n".join(lines) + "\n"
         if mode != "text":
             raise ValueError(f"unknown output mode {mode!r}")
         lines = []
-        if self.title:
-            lines.append(self.title)
         width = max((len(k) for k, _ in self.items), default=0)
         for key, value in self.items:
             if "\n" in value:

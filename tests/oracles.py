@@ -6,9 +6,11 @@ binomial recurrence, determinants by cofactor expansion instead of
 elimination, Smith invariant factors by gcds of minors instead of row
 reduction, signatures by floating-point eigenvalues (test-time only),
 pencil determinants by Bareiss evaluation and Lagrange interpolation
-instead of the multi-modular Hessenberg kernel, primality by Miller-Rabin
-instead of trial division, and symplectic bases over F_2 on tuples instead
-of bitmasks.
+instead of the multi-modular Hessenberg kernel, integer interpolation by
+Lagrange's formula in Fractions instead of Newton divided differences in
+integers, exact division in Z[t] by long division over Q, primality by
+Miller-Rabin instead of trial division, and symplectic bases over F_2 on
+tuples instead of bitmasks.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from itertools import combinations
 from math import gcd
 
 from knotforms.exact import Matrix, ShapeError, det
-from knotforms.laurent import Laurent, _interpolate_int
+from knotforms.laurent import Laurent, _poly_divmod, _trim
 from knotforms.quadratic import DegenerateFormError
 
 
@@ -84,9 +86,41 @@ def det_pencil_interpolation(a: Matrix, b: Matrix) -> Laurent:
         return Laurent.one()
     xs = list(range(n + 1))
     ys = [det(a.scale(x) + b) for x in xs]
-    coeffs = _interpolate_int(xs, ys)
+    coeffs = interpolate_lagrange(xs, ys)
     assert coeffs is not None
     return Laurent.from_coeff_list(coeffs)
+
+
+def interpolate_lagrange(xs: list[int], ys) -> list[int] | None:
+    """Lagrange interpolation; None unless all coefficients are integers."""
+    n = len(xs)
+    coeffs = [Fraction(0)] * n
+    for i in range(n):
+        # poly = prod_{j != i} (t - x_j), denom = prod_{j != i} (x_i - x_j)
+        poly = [Fraction(1)]
+        denom = Fraction(1)
+        for j in range(n):
+            if j == i:
+                continue
+            poly = [Fraction(0)] + poly
+            for k in range(len(poly) - 1):
+                poly[k] -= xs[j] * poly[k + 1]
+            denom *= xs[i] - xs[j]
+        term = Fraction(ys[i]) / denom
+        for k in range(len(poly)):
+            coeffs[k] += term * poly[k]
+    if any(c.denominator != 1 for c in coeffs):
+        return None
+    return _trim([int(c) for c in coeffs])
+
+
+def int_divide_exact_over_q(num: list[int], den: list[int]) -> list[int] | None:
+    """Quotient of integer polynomials by long division over Q in Fractions;
+    None unless the remainder is zero and the quotient is integral."""
+    q, r = _poly_divmod(num, den)
+    if r or any(x.denominator != 1 for x in q):
+        return None
+    return [int(x) for x in q]
 
 
 def is_prime_miller_rabin(n: int) -> bool:

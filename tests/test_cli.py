@@ -157,6 +157,14 @@ class TestBrieskorn:
         assert captured.out == ""
         assert not out_path.exists()
 
+    def test_emit_matrix_unwritable_path(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "x.mat"
+        assert main(["brieskorn", "2", "2", "--emit-matrix", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+        assert not out_path.exists()
+
     def test_rank_limit_env(self, capsys, monkeypatch):
         monkeypatch.setenv("KNOTFORMS_RANK_LIMIT", "4")
         assert main(["brieskorn", "2", "3", "5"]) == 2

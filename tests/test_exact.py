@@ -70,6 +70,13 @@ class TestDet:
         m = Matrix([[Fraction(1, 2), 1], [0, Fraction(2, 3)]])
         assert det(m) == Fraction(1, 3)
 
+    @given(st.integers(0, 5).flatmap(lambda n: st.lists(
+        st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6),
+                 min_size=n, max_size=n), min_size=n, max_size=n)))
+    def test_rational_matches_cofactor_oracle(self, rows):
+        m = Matrix(rows, ncols=len(rows))
+        assert det(m) == det_cofactor(m)
+
 
 class TestInverse:
     def test_identity(self):

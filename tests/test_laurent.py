@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotforms.brieskorn import BrieskornGerm, brieskorn_seifert
 from knotforms.exact import Matrix
@@ -10,9 +12,12 @@ from knotforms.laurent import (Laurent, NormalizationError,
                                conway_normalize, cyclotomic,
                                cyclotomic_indices_up_to_degree, det_pencil,
                                elementary_divisors, factor_int_poly,
-                               is_product_of_cyclotomics, pencil, render_poly)
+                               is_product_of_cyclotomics, pencil, render_poly,
+                               _int_divide_exact, _interpolate_int, _poly_mul_int)
+from knotforms.cobordism import fox_milnor
 
-from oracles import det_pencil_interpolation, laurent_det_cofactor
+from oracles import (det_pencil_interpolation, int_divide_exact_over_q,
+                     interpolate_lagrange, laurent_det_cofactor)
 from generators import matrix_pairs, random_unimodular
 
 # Sigma(6k-1,3,2,2,2), k = 1..4, and Sigma(d,2,2,2,2,2), odd d = 3..31
@@ -20,8 +25,31 @@ LADDER_GERMS = ([(6 * k - 1, 3, 2, 2, 2) for k in range(1, 5)]
                 + [(d, 2, 2, 2, 2, 2) for d in range(3, 33, 2)])
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
 def poly(d):
     return Laurent(d)
+
+
+def int_polys(min_degree: int, max_degree: int, bound: int = 4):
+    """Ascending integer coefficient lists with nonzero leading coefficient."""
+    return st.integers(min_degree, max_degree).flatmap(lambda d: st.tuples(
+        st.lists(st.integers(-bound, bound), min_size=d, max_size=d),
+        st.integers(-bound, bound).filter(bool)).map(lambda cl: cl[0] + [cl[1]]))
+
+
+@st.composite
+def interpolation_data(draw):
+    """Distinct integer nodes with values that are either arbitrary or those
+    of an integer polynomial of lower degree than the node count."""
+    xs = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=6, unique=True))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-20, 20), min_size=len(xs), max_size=len(xs)))
+        ys = [sum(c * x ** k for k, c in enumerate(coeffs)) for x in xs]
+    else:
+        ys = draw(st.lists(st.integers(-60, 60), min_size=len(xs), max_size=len(xs)))
+    return xs, ys
 
 
 class TestLaurentArithmetic:
@@ -185,6 +213,44 @@ class TestFactorization:
         f = factor_int_poly(p)
         assert dict((render_poly(g), m) for g, m in f.factors) == \
             {"-1 + t": 3, "1 + t": 1}
+
+    def test_matches_golden(self):
+        # captured before factoring became integer-only: cobordance
+        # difference polynomials plus hand-made cases (non-monic linear
+        # factors, cyclotomics, repeated factors, content, sign, t^k)
+        golden = (GOLDEN / "factorizations.txt").read_text()
+        lines = []
+        for line in golden.splitlines():
+            if not line.startswith("#"):
+                lo, coeffs = line.split("; ")[:2]
+                p = Laurent.from_coeff_list([int(c) for c in coeffs.split()], int(lo))
+                line = f"{lo}; {coeffs}; {factor_int_poly(p)!r}; {fox_milnor(p)}"
+            lines.append(line)
+        assert "\n".join(lines) + "\n" == golden
+
+    @given(st.lists(int_polys(1, 2, bound=3), min_size=1, max_size=3),
+           st.sampled_from([1, -1, 2, -6]), st.integers(-3, 3))
+    def test_product_round_trip(self, factors, unit, shift):
+        p = Laurent.constant(unit).shift(shift)
+        for coeffs in factors:
+            p = p * Laurent.from_coeff_list(coeffs)
+        assert factor_int_poly(p).product() == p
+
+    @settings(max_examples=300)
+    @given(interpolation_data())
+    def test_interpolation_matches_lagrange(self, data):
+        xs, ys = data
+        assert _interpolate_int(xs, ys) == interpolate_lagrange(xs, ys)
+
+    @settings(max_examples=300)
+    @given(int_polys(0, 3), int_polys(0, 4), st.booleans())
+    def test_exact_division_matches_rational(self, den, other, multiply):
+        # num is den * other (always divisible) or other itself, which may
+        # be shorter than den
+        num = _poly_mul_int(den, other) if multiply else other
+        assert _int_divide_exact(num, den) == int_divide_exact_over_q(num, den)
+        if multiply:
+            assert _int_divide_exact(num, den) == other
 
     def test_higher_degree_irreducible_pair(self):
         # t^8 + t^6 + t^4 + t^2 + 1 factors into two quartics (and is also

@@ -227,6 +227,11 @@ class TestKarl:
         with pytest.raises(DegenerateFormError):
             karl(SeifertMatrix(Matrix([[0]]), q=1))
 
+    def test_nonzero_even_det_rejected(self):
+        # intersection form [[0, 2], [-2, 0]] has det 4: zero mod 2
+        with pytest.raises(DegenerateFormError):
+            karl(SeifertMatrix(Matrix([[1, 1], [-1, 1]]), q=1))
+
 
 class TestLevineCongruence:
     def test_trefoil(self):
