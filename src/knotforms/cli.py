@@ -38,7 +38,7 @@ def _rank_limit() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"error: {RANK_LIMIT_ENV} must be an integer, got {raw!r}")
+        raise ValueError(f"{RANK_LIMIT_ENV} must be an integer, got {raw!r}") from None
 
 
 def _read_input(path: str) -> str:
@@ -168,11 +168,11 @@ def _cmd_matrix_files(args, kind: str) -> int:
 def _cmd_brieskorn(args) -> int:
     try:
         germ = BrieskornGerm(tuple(args.exponents))
+        limit = _rank_limit()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     mu = germ.milnor_number
-    limit = _rank_limit()
     if mu > limit:
         print(f"error: Milnor number {mu} exceeds the rank limit {limit} "
               f"(override with {RANK_LIMIT_ENV})", file=sys.stderr)

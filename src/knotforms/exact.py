@@ -196,24 +196,14 @@ def _det_bareiss(a: list[list[int]]) -> int:
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Exact inverse over the rationals; raises SingularMatrixError."""
-    if not m.is_square:
-        raise ShapeError(f"inverse of non-square {m.shape} matrix")
-    n = m.nrows
-    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(m.rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return Matrix([row[n:] for row in a], ncols=n)
+    """Exact inverse over the rationals; raises SingularMatrixError.
+
+    With D the common denominator of the entries, m^-1 = D adj(D m) / det(D m),
+    the adjugate coming from adjugate_product.
+    """
+    denom = lcm(*(x.denominator for row in m.rows for x in row))
+    d, adj = adjugate_product(m.scale(denom), Matrix.identity(m.nrows))
+    return adj.scale(Fraction(denom, d))
 
 
 def kronecker(m: Matrix, n: Matrix) -> Matrix:
@@ -234,57 +224,47 @@ def smith_normal_form(m: Matrix) -> tuple[int, ...]:
 
     Returns min(nrows, ncols) factors; trailing zeros encode rank deficiency.
     """
+    return smith_normal_form_with_transforms(m)[0]
+
+
+def smith_normal_form_with_transforms(m: Matrix) -> tuple[tuple[int, ...], Matrix, Matrix]:
+    """Invariant factors plus unimodular U, V with U @ m @ V diagonal.
+
+    Classical pivot-and-reduce: every row move is also made on U, every
+    column move on V.
+    """
     if not m.is_integral:
         raise TypeError("Smith normal form requires integer entries")
+    nrows, ncols = m.shape
     a = [list(row) for row in m.rows]
-    factors = _snf_inplace(a, m.nrows, m.ncols)
-    return tuple(factors)
+    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
+    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
 
-
-def _snf_inplace(a: list[list[int]], nrows: int, ncols: int,
-                 row_ops: list | None = None, col_ops: list | None = None) -> list[int]:
-    # Classical pivot-and-reduce; optional op logs record (kind, i, j, c)
-    # elementary moves so callers can rebuild the transform matrices.
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        if row_ops is not None:
-            row_ops.append(("swap", i, j, 0))
+        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
-        for row in a:
+        for row in a + v:
             row[i], row[j] = row[j], row[i]
-        if col_ops is not None:
-            col_ops.append(("swap", i, j, 0))
 
     def add_row(i, j, c):
         # row_i += c * row_j
         a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        if row_ops is not None:
-            row_ops.append(("add", i, j, c))
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
 
     def add_col(i, j, c):
-        for row in a:
+        # col_i += c * col_j
+        for row in a + v:
             row[i] += c * row[j]
-        if col_ops is not None:
-            col_ops.append(("add", i, j, c))
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        if row_ops is not None:
-            row_ops.append(("neg", i, i, 0))
 
     k = min(nrows, ncols)
     for t in range(k):
-        # locate smallest-magnitude nonzero entry in the trailing block
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
         while True:
-            i, j = best
+            nonzero = [(i, j) for i in range(t, nrows) for j in range(t, ncols) if a[i][j]]
+            if not nonzero:
+                break
+            i, j = min(nonzero, key=lambda ij: abs(a[ij[0]][ij[1]]))
             if i != t:
                 swap_rows(t, i)
             if j != t:
@@ -292,62 +272,26 @@ def _snf_inplace(a: list[list[int]], nrows: int, ncols: int,
             done = True
             for r in range(t + 1, nrows):
                 if a[r][t] != 0:
-                    qq = a[r][t] // a[t][t]
-                    add_row(r, t, -qq)
+                    add_row(r, t, -(a[r][t] // a[t][t]))
                     if a[r][t] != 0:
                         done = False
             for c in range(t + 1, ncols):
                 if a[t][c] != 0:
-                    qq = a[t][c] // a[t][t]
-                    add_col(c, t, -qq)
+                    add_col(c, t, -(a[t][c] // a[t][t]))
                     if a[t][c] != 0:
                         done = False
             if done:
                 # pivot must divide the whole trailing block
-                offender = None
-                for r in range(t + 1, nrows):
-                    for c in range(t + 1, ncols):
-                        if a[r][c] % a[t][t] != 0:
-                            offender = r
-                            break
-                    if offender is not None:
-                        break
+                offender = next((r for r in range(t + 1, nrows)
+                                 if any(a[r][c] % a[t][t] for c in range(t + 1, ncols))), None)
                 if offender is None:
                     break
                 add_row(t, offender, 1)
-                done = False
-            best = min(((i, j) for i in range(t, nrows) for j in range(t, ncols)
-                        if a[i][j] != 0), key=lambda ij: abs(a[ij[0]][ij[1]]))
         if a[t][t] < 0:
-            negate_row(t)
-    return [a[i][i] if i < nrows and i < ncols else 0 for i in range(k)]
-
-
-def smith_normal_form_with_transforms(m: Matrix) -> tuple[tuple[int, ...], Matrix, Matrix]:
-    """Invariant factors plus unimodular U, V with U @ m @ V diagonal."""
-    if not m.is_integral:
-        raise TypeError("Smith normal form requires integer entries")
-    a = [list(row) for row in m.rows]
-    row_ops: list = []
-    col_ops: list = []
-    factors = _snf_inplace(a, m.nrows, m.ncols, row_ops, col_ops)
-    u = [[1 if i == j else 0 for j in range(m.nrows)] for i in range(m.nrows)]
-    for kind, i, j, c in row_ops:
-        if kind == "swap":
-            u[i], u[j] = u[j], u[i]
-        elif kind == "add":
-            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-        else:
-            u[i] = [-x for x in u[i]]
-    v = [[1 if i == j else 0 for j in range(m.ncols)] for i in range(m.ncols)]
-    for kind, i, j, c in col_ops:
-        if kind == "swap":
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-        else:
-            for row in v:
-                row[i] += c * row[j]
-    return tuple(factors), Matrix(u, ncols=m.nrows), Matrix(v, ncols=m.ncols)
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+    factors = tuple(a[i][i] for i in range(k))
+    return factors, Matrix(u, ncols=nrows), Matrix(v, ncols=ncols)
 
 
 @lru_cache(maxsize=None)

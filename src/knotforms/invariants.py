@@ -53,7 +53,7 @@ class Invariants:
 
     @cached_property
     def alexander_raw(self) -> Laurent:
-        return alexander_polynomial(self.seifert, "raw")
+        return alexander_polynomial(self.seifert)
 
     @cached_property
     def _conway(self) -> tuple[Laurent | None, str | None]:
@@ -94,7 +94,7 @@ class Invariants:
     @cached_property
     def bp(self) -> BPClass | None:
         """Class of the boundary sphere; None unless the form is unimodular."""
-        return bp_class(self.seifert) if self.unimodular else None
+        return bp_class(self) if self.unimodular else None
 
     @property
     def signature(self) -> int | None:

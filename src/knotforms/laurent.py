@@ -275,22 +275,6 @@ def _poly_divmod(num: list, den: list) -> tuple[list, list]:
     return _trim(q), r
 
 
-def _poly_monic(c: list) -> list:
-    c = [Fraction(x) for x in c]
-    if not c:
-        return c
-    lead = c[-1]
-    return [x / lead for x in c]
-
-
-def _poly_gcd(a: list, b: list) -> list:
-    a, b = [Fraction(x) for x in a], [Fraction(x) for x in b]
-    while _trim(b):
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    return _poly_monic(_trim(a))
-
-
 def _int_divide_exact(num: list[int], den: list[int]) -> list[int] | None:
     """Quotient of integer polynomials if den divides num in Z[t], else None.
 
@@ -678,23 +662,6 @@ def _poly_snf(a: list[list[list[Fraction]]]) -> list[list[Fraction]]:
                 for j in range(t, n):
                     a[t][j] = _poly_add(a[t][j], a[offender][j])
         diag.append(a[t][t] if a[t][t] else [])
-    # enforce the divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            p, q = diag[i], diag[i + 1]
-            if not p or not q:
-                if p == [] and q:
-                    diag[i], diag[i + 1] = q, p
-                    changed = True
-                continue
-            _, r = _poly_divmod(q, p)
-            if r:
-                g = _poly_gcd(p, q)
-                lcm, _ = _poly_divmod(_poly_mul_frac(p, q), g)
-                diag[i], diag[i + 1] = g, _poly_monic(lcm)
-                changed = True
     return diag
 
 

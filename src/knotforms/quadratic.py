@@ -1,18 +1,19 @@
 """Exact signatures, mod-2 quadratic refinements, Arf and KARL invariants.
 
-The signature is computed with no floating point: recursive congruence
-diagonalization over Q with symmetric pivoting.  Quadratic forms over F_2
-refine nondegenerate alternating bilinear forms; their Arf invariant is
-sum q(e_i) q(f_i) over any symplectic basis.
+The signature is computed with no floating point: Descartes' rule of signs
+on the characteristic polynomial, which the multi-modular kernel of
+`exact` computes exactly.  Quadratic forms over F_2 refine nondegenerate
+alternating bilinear forms; their Arf invariant is sum q(e_i) q(f_i) over
+any symplectic basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
-from .exact import Matrix, ShapeError
-from .laurent import Laurent
+from .exact import Matrix, ShapeError, pencil_det_coefficients
+from .laurent import Laurent, conway_normalize
 from .seifert import SeifertMatrix, alexander_polynomial, intersection_form
 
 
@@ -31,45 +32,23 @@ class ParityError(ValueError):
 def signature(m: Matrix) -> int:
     """Signature of a symmetric matrix, exactly.
 
-    Congruence diagonalization with symmetric pivoting: a nonzero diagonal
-    pivot contributes its sign; when the diagonal is all zero but the form
-    is not, adding a suitable row+column first creates a nonzero diagonal
-    entry (such a block always splits off a +1/-1 pair, contributing 0).
+    A symmetric matrix has only real eigenvalues, so its characteristic
+    polynomial chi(t) = det(tI - m) is real-rooted, and for a real-rooted
+    polynomial Descartes' rule of signs is exact: chi has as many positive
+    roots as its coefficient sequence has sign changes (zeros skipped), and
+    as many negative roots as that of chi(-t).  A rational m is scaled by
+    its (positive) common denominator first.
     """
     if not m.is_symmetric():
         raise ShapeError("signature is defined for symmetric matrices")
-    a = [[Fraction(x) for x in row] for row in m.rows]
-    active = list(range(m.nrows))
-    pos = neg = 0
-    while active:
-        pivot = next((i for i in active if a[i][i] != 0), None)
-        if pivot is None:
-            offdiag = next(((i, j) for i in active for j in active
-                            if i != j and a[i][j] != 0), None)
-            if offdiag is None:
-                break  # remaining block is zero: contributes nothing
-            i, j = offdiag
-            # congruence by (row_i += row_j, col_i += col_j): new a_ii = 2 a_ij
-            for k in active:
-                a[i][k] += a[j][k]
-            for k in active:
-                a[k][i] += a[k][j]
-            pivot = i
-        d = a[pivot][pivot]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        active.remove(pivot)
-        # Schur complement: preserves symmetry since a[i][pivot] = a[pivot][i]
-        for i in active:
-            f = a[i][pivot] / d
-            if f:
-                for j in active:
-                    a[i][j] -= f * a[pivot][j]
-        for i in active:
-            a[pivot][i] = a[i][pivot] = Fraction(0)
-    return pos - neg
+    denom = lcm(*(x.denominator for row in m.rows for x in row))
+    chi = pencil_det_coefficients(Matrix.identity(m.nrows), m.scale(-denom))
+
+    def sign_changes(coeffs):
+        signs = [c > 0 for c in coeffs if c]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    return sign_changes(chi) - sign_changes([-c if k % 2 else c for k, c in enumerate(chi)])
 
 
 def is_even(m: Matrix) -> bool:
@@ -220,4 +199,4 @@ def levine_congruence(delta: Laurent, karl_value: int) -> bool:
 
 def levine_congruence_check(s: SeifertMatrix) -> bool:
     """levine_congruence for the Seifert matrix s (odd q, unimodular)."""
-    return levine_congruence(alexander_polynomial(s, normalize="conway"), karl(s))
+    return levine_congruence(conway_normalize(alexander_polynomial(s)), karl(s))

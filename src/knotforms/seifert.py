@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 
 from .exact import Matrix, ShapeError, SingularMatrixError, adjugate_product, det
-from .laurent import (Laurent, conway_normalize, det_pencil, elementary_divisors,
+from .laurent import (Laurent, det_pencil, elementary_divisors,
                       is_product_of_cyclotomics, pencil)
 
 
@@ -91,21 +91,15 @@ def monodromy(s: SeifertMatrix) -> Matrix:
     return y.scale(-s.epsilon * d if d in (1, -1) else Fraction(-s.epsilon, d))
 
 
-def alexander_polynomial(s: SeifertMatrix, normalize: str = "raw") -> Laurent:
-    """det(tA + (-1)^q A^T), either verbatim ("raw") or Conway-normalized.
+def alexander_polynomial(s: SeifertMatrix) -> Laurent:
+    """det(tA + (-1)^q A^T), verbatim.
 
-    Conway normalization rescales by a unit +-t^k so that the result is
-    symmetric under t <-> 1/t and equals 1 at t = 1; it exists exactly when
-    the value at 1 is +-1 (guaranteed for unimodular Seifert matrices) and
-    raises NormalizationError otherwise.
+    laurent.conway_normalize rescales it by a unit +-t^k so that the result
+    is symmetric under t <-> 1/t and equals 1 at t = 1; that exists exactly
+    when the value at 1 is +-1 (guaranteed for unimodular Seifert matrices).
     """
     a = s.matrix
-    raw = det_pencil(a, a.transpose().scale(s.epsilon))
-    if normalize == "raw":
-        return raw
-    if normalize == "conway":
-        return conway_normalize(raw)
-    raise ValueError(f"unknown normalization {normalize!r}")
+    return det_pencil(a, a.transpose().scale(s.epsilon))
 
 
 def characteristic_polynomial(m: Matrix) -> Laurent:

@@ -11,10 +11,13 @@ q is even, the Arf-type KARL invariant when q is odd.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .exact import bernoulli, det
+from .exact import bernoulli
 from .quadratic import is_even, karl, signature
-from .seifert import SeifertMatrix, intersection_form
+
+if TYPE_CHECKING:
+    from .invariants import Invariants
 
 
 @dataclass(frozen=True)
@@ -47,8 +50,6 @@ KERVAIRE_TRIVIAL_DIMENSIONS = {
 KERVAIRE_UNKNOWN_DIMENSIONS = {
     126: "dimension 126 open at time of writing (Hill-Hopkins-Ravenel leave it)",
 }
-# Resolution hook: map dimension -> "trivial" or "Z/2" with documented source.
-KERVAIRE_RESOLVED_OVERRIDES: dict[int, str] = {}
 
 
 def im_j_order(k: int) -> int:
@@ -76,9 +77,6 @@ def bp4k2_group(k: int) -> GroupVerdict:
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     dim = 4 * k + 2
-    if dim in KERVAIRE_RESOLVED_OVERRIDES:
-        kind = KERVAIRE_RESOLVED_OVERRIDES[dim]
-        return GroupVerdict(kind=kind, provenance="post-publication override")
     if dim in KERVAIRE_TRIVIAL_DIMENSIONS:
         return GroupVerdict(kind="trivial",
                             provenance=KERVAIRE_TRIVIAL_DIMENSIONS[dim])
@@ -141,8 +139,9 @@ class ConventionError(AssertionError):
     """Internal consistency violated; indicates a sign-convention bug."""
 
 
-def bp_class(s: SeifertMatrix) -> BPClass:
-    """Class of the boundary sphere of a unimodular Seifert matrix.
+def bp_class(inv: Invariants) -> BPClass:
+    """Class of the boundary sphere of a unimodular Seifert matrix, read off
+    the intersection form and determinant its `Invariants` already hold.
 
     Even q: the intersection form is even and unimodular, so its signature
     is divisible by 8; signature/8 reduced modulo the group order is the
@@ -151,9 +150,9 @@ def bp_class(s: SeifertMatrix) -> BPClass:
     is trivial it still records the Arf invariant of the Seifert
     hypersurface but no longer distinguishes spheres.
     """
-    inter = intersection_form(s)
-    if det(inter) not in (1, -1):
+    if not inv.unimodular:
         raise ValueError("boundary class is defined for unimodular Seifert matrices")
+    s, inter = inv.seifert, inv.intersection
     n = 2 * s.q - 1
     notes = []
     if s.q < 2:

@@ -4,13 +4,15 @@ Each oracle recomputes a quantity along a different route than the
 library: Bernoulli numbers by the Akiyama-Tanigawa triangle instead of the
 binomial recurrence, determinants by cofactor expansion instead of
 elimination, Smith invariant factors by gcds of minors instead of row
-reduction, signatures by floating-point eigenvalues (test-time only),
-pencil determinants by Bareiss evaluation and Lagrange interpolation
-instead of the multi-modular Hessenberg kernel, integer interpolation by
-Lagrange's formula in Fractions instead of Newton divided differences in
-integers, exact division in Z[t] by long division over Q, primality by
-Miller-Rabin instead of trial division, and symplectic bases over F_2 on
-tuples instead of bitmasks.
+reduction, signatures by floating-point eigenvalues (test-time only) and
+by congruence diagonalization over Q instead of Descartes' rule on the
+characteristic polynomial, inverses by Gauss-Jordan over Q instead of the
+multi-modular adjugate, pencil determinants by Bareiss evaluation and
+Lagrange interpolation instead of the multi-modular Hessenberg kernel,
+integer interpolation by Lagrange's formula in Fractions instead of Newton
+divided differences in integers, exact division in Z[t] by long division
+over Q, primality by Miller-Rabin instead of trial division, and
+symplectic bases over F_2 on tuples instead of bitmasks.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from knotforms.exact import Matrix, ShapeError, det
+from knotforms.exact import Matrix, ShapeError, SingularMatrixError, det
 from knotforms.laurent import Laurent, _poly_divmod, _trim
 from knotforms.quadratic import DegenerateFormError
 
@@ -214,6 +216,71 @@ def float_signature(m: Matrix) -> int:
     pos = int((eigs > 1e-9).sum())
     neg = int((eigs < -1e-9).sum())
     return pos - neg
+
+
+def signature_congruence(m: Matrix) -> int:
+    """Signature of a symmetric matrix, exactly.
+
+    Congruence diagonalization with symmetric pivoting: a nonzero diagonal
+    pivot contributes its sign; when the diagonal is all zero but the form
+    is not, adding a suitable row+column first creates a nonzero diagonal
+    entry (such a block always splits off a +1/-1 pair, contributing 0).
+    """
+    if not m.is_symmetric():
+        raise ShapeError("signature is defined for symmetric matrices")
+    a = [[Fraction(x) for x in row] for row in m.rows]
+    active = list(range(m.nrows))
+    pos = neg = 0
+    while active:
+        pivot = next((i for i in active if a[i][i] != 0), None)
+        if pivot is None:
+            offdiag = next(((i, j) for i in active for j in active
+                            if i != j and a[i][j] != 0), None)
+            if offdiag is None:
+                break  # remaining block is zero: contributes nothing
+            i, j = offdiag
+            # congruence by (row_i += row_j, col_i += col_j): new a_ii = 2 a_ij
+            for k in active:
+                a[i][k] += a[j][k]
+            for k in active:
+                a[k][i] += a[k][j]
+            pivot = i
+        d = a[pivot][pivot]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        active.remove(pivot)
+        # Schur complement: preserves symmetry since a[i][pivot] = a[pivot][i]
+        for i in active:
+            f = a[i][pivot] / d
+            if f:
+                for j in active:
+                    a[i][j] -= f * a[pivot][j]
+        for i in active:
+            a[pivot][i] = a[i][pivot] = Fraction(0)
+    return pos - neg
+
+
+def inverse_gauss_jordan(m: Matrix) -> Matrix:
+    """Exact inverse over the rationals; raises SingularMatrixError."""
+    if not m.is_square:
+        raise ShapeError(f"inverse of non-square {m.shape} matrix")
+    n = m.nrows
+    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
+         for i, row in enumerate(m.rows)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            raise SingularMatrixError("matrix is singular")
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return Matrix([row[n:] for row in a], ncols=n)
 
 
 def brute_force_rank1_metaboliser_absent(form_matrix: Matrix, bound: int) -> bool:

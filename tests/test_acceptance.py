@@ -14,6 +14,8 @@ from knotforms.cobordism import (algebraically_cobordant, eps_form_of,
                                  is_metaboliser, null_cobordance_obstructions,
                                  search_metaboliser, validate_eps_form)
 from knotforms.exact import Matrix, det, smith_normal_form
+from knotforms.invariants import Invariants
+from knotforms.laurent import conway_normalize
 from knotforms.quadratic import arf, is_even, karl, signature, QuadraticFormF2
 from knotforms.seifert import (SeifertMatrix, alexander_polynomial,
                                intersection_form, is_quasi_unipotent,
@@ -62,7 +64,7 @@ def test_criterion_3_e8_germ():
     assert float_signature(rep.intersection) == rep.signature
     # the same form in the dimension where its boundary is a 7-sphere:
     # class is a generator of the cyclic group of order 28
-    cls = bp_class(brieskorn_seifert(BrieskornGerm((2, 2, 2, 3, 5))))
+    cls = bp_class(Invariants(brieskorn_seifert(BrieskornGerm((2, 2, 2, 3, 5)))))
     assert cls.group.order == 28
     assert cls.sigma_over_8 in (1, -1)
     assert cls.class_residue in (1 % 28, -1 % 28)
@@ -114,7 +116,7 @@ def test_criterion_6_levine_congruence_fuzz():
         if not is_unimodular(s):
             continue
         checked += 1
-        delta = alexander_polynomial(s, "conway")
+        delta = conway_normalize(alexander_polynomial(s))
         assert (delta(-1) - 1 - 4 * karl(s)) % 8 == 0, a.rows
     elapsed = time.monotonic() - start
     assert elapsed < 30.0

@@ -122,7 +122,7 @@ class TestPermutationCovariance:
             reports = []
             for perm in set(permutations(base)):
                 s = brieskorn_seifert(BrieskornGerm(perm))
-                delta = alexander_polynomial(s, "raw").unit_normalize()
+                delta = alexander_polynomial(s).unit_normalize()
                 inter = intersection_form(s)
                 unimod = is_unimodular(s)
                 extra = None

@@ -174,6 +174,14 @@ class TestBrieskorn:
         assert main(["brieskorn", "2", "3", "5"]) == 0
         capsys.readouterr()
 
+    def test_rank_limit_env_not_an_integer(self, capsys, monkeypatch):
+        # exit 1 means "not-cobordant"; a bad setting is a usage error
+        monkeypatch.setenv("KNOTFORMS_RANK_LIMIT", "abc")
+        assert main(["brieskorn", "2", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: KNOTFORMS_RANK_LIMIT must be an integer, got 'abc'\n"
+        assert captured.out == ""
+
 
 class TestCobordant:
     def test_trefoil_vs_itself(self, trefoil_file, capsys):

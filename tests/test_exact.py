@@ -12,8 +12,8 @@ from knotforms.exact import (Matrix, ShapeError, SingularMatrixError, adjugate_p
                              von_staudt_denominator, word_prime)
 
 from generators import square_matrices
-from oracles import (bernoulli_akiyama_tanigawa, det_cofactor, is_prime_miller_rabin,
-                     snf_via_minor_gcds)
+from oracles import (bernoulli_akiyama_tanigawa, det_cofactor, inverse_gauss_jordan,
+                     is_prime_miller_rabin, snf_via_minor_gcds)
 
 
 def random_matrix(rng, n, m=None, lo=-5, hi=5):
@@ -105,6 +105,26 @@ class TestInverse:
             found += 1
             assert d * det(inverse(m)) == 1
             assert m @ inverse(m) == Matrix.identity(m.nrows)
+
+    @settings(max_examples=150)
+    @given(st.integers(0, 6).flatmap(lambda n: square_matrices(n, -9, 9)))
+    def test_matches_gauss_jordan_oracle(self, m):
+        if det(m) == 0:
+            with pytest.raises(SingularMatrixError):
+                inverse(m)
+            return
+        assert inverse(m) == inverse_gauss_jordan(m)
+
+    @given(st.integers(0, 5).flatmap(lambda n: st.lists(
+        st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6),
+                 min_size=n, max_size=n), min_size=n, max_size=n)))
+    def test_rational_matches_gauss_jordan_oracle(self, rows):
+        m = Matrix(rows, ncols=len(rows))
+        if det(m) == 0:
+            with pytest.raises(SingularMatrixError):
+                inverse(m)
+            return
+        assert inverse(m) == inverse_gauss_jordan(m)
 
 
 class TestMultiModular:

@@ -10,7 +10,8 @@ from knotforms.cli import main
 from knotforms.exact import Matrix, det
 from knotforms.invariants import Invariants
 from knotforms.quadratic import karl, levine_congruence_check, signature
-from knotforms.seifert import (SeifertMatrix, characteristic_polynomial,
+from knotforms.matrixfile import parse_matrix_file
+from knotforms.seifert import (SeifertMatrix, characteristic_polynomial, intersection_form,
                                is_quasi_unipotent, monodromy)
 from knotforms.spheres import bp_class
 
@@ -57,7 +58,7 @@ class TestStages:
         assert inv.karl_value == karl(s)
         assert inv.levine_congruence == levine_congruence_check(s)
         assert inv.signature is None
-        assert inv.bp == bp_class(s)
+        assert inv.bp == bp_class(Invariants(s))
 
     def test_even_q_signature_from_bp(self):
         s = brieskorn_seifert(BrieskornGerm((2, 2, 2, 3, 5)))
@@ -76,14 +77,16 @@ class TestStages:
 @pytest.fixture()
 def calls(monkeypatch):
     """Count calls to library functions: every knotforms binding of each
-    named function is replaced by a counting wrapper."""
+    named function is replaced by a counting wrapper.  Calls to exact.det
+    are counted per argument matrix, in calls.det_args."""
     counts = Counter()
+    counts.det_args = Counter()
 
-    def watch(module: str, name: str):
+    def watch(module: str, name: str, counter: Counter, key_of):
         original = getattr(sys.modules[f"knotforms.{module}"], name)
 
         def counted(*args, **kwargs):
-            counts[name] += 1
+            counter[key_of(args)] += 1
             return original(*args, **kwargs)
 
         for key, mod in list(sys.modules.items()):
@@ -92,7 +95,8 @@ def calls(monkeypatch):
 
     for module, name in [("laurent", "det_pencil"), ("quadratic", "karl"),
                          ("quadratic", "signature")]:
-        watch(module, name)
+        watch(module, name, counts, lambda args, name=name: name)
+    watch("exact", "det", counts.det_args, lambda args: args[0])
     return counts
 
 
@@ -103,6 +107,8 @@ class TestOneComputationPerInvariant:
         assert main(["brieskorn", *exponents]) == 0
         assert calls["det_pencil"] == 1
         assert calls["karl"] <= 1 and calls["signature"] <= 1
+        s = brieskorn_seifert(BrieskornGerm(tuple(map(int, exponents))))
+        assert calls.det_args[intersection_form(s)] == 1
 
     @pytest.mark.parametrize("text", ["q=1 rank=2\n-1 0\n1 -1\n", "q=3 rank=2\n2 1\n0 1\n",
                                       "q=2 rank=2\n0 1\n0 0\n", "q=1 rank=1\n-1\n"])
@@ -112,9 +118,11 @@ class TestOneComputationPerInvariant:
         assert main(["invariants", str(path)]) == 0
         assert calls["det_pencil"] == 1
         assert calls["karl"] <= 1 and calls["signature"] <= 1
+        assert calls.det_args[intersection_form(parse_matrix_file(text))] == 1
 
     def test_germ_report_object_reads_stages_once(self, calls):
         rep = germ_report(BrieskornGerm((2, 2, 2, 2, 2, 3)))
         for _ in range(2):
             rep.char_poly, rep.alexander_conway, rep.karl_value, rep.anomalies
         assert calls == Counter(det_pencil=1, karl=1)
+        assert calls.det_args[rep.intersection] == 1

@@ -3,7 +3,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knotforms.brieskorn import BrieskornGerm, brieskorn_seifert
@@ -13,7 +13,8 @@ from knotforms.laurent import (Laurent, NormalizationError,
                                cyclotomic_indices_up_to_degree, det_pencil,
                                elementary_divisors, factor_int_poly,
                                is_product_of_cyclotomics, pencil, render_poly,
-                               _int_divide_exact, _interpolate_int, _poly_mul_int)
+                               _int_divide_exact, _interpolate_int, _poly_divmod,
+                               _poly_mul_int)
 from knotforms.cobordism import fox_milnor
 
 from oracles import (det_pencil_interpolation, int_divide_exact_over_q,
@@ -356,6 +357,29 @@ class TestElementaryDivisors:
                 _, rem = _poly_divmod([Fraction(x) for x in q.coeff_list()],
                                       [Fraction(x) for x in p.coeff_list()])
                 assert not rem
+
+    @settings(max_examples=100)
+    @given(matrix_pairs(5).flatmap(lambda ab: st.tuples(
+        st.just(ab), st.integers(0, ab[0].nrows))))
+    @example(((Matrix.identity(3), Matrix.diagonal([-1, -2, -1])), 0))
+    @example(((Matrix.identity(3), Matrix.diagonal([-1, -2, -1])), 1))
+    def test_chain_with_zero_divisors_last(self, data):
+        # pencil tA + B whose last k rows repeat earlier rows (or vanish
+        # when k = n), so its free rank over Q[t] is at least k
+        (a, b), k = data
+        n = a.nrows
+        src = [i if i < n - k else i % (n - k) if k < n else None for i in range(n)]
+        a, b = (Matrix([[0] * n if i is None else m.rows[i] for i in src], ncols=n)
+                for m in (a, b))
+        divisors = elementary_divisors(pencil(a, b))
+        zeros = [d.is_zero for d in divisors]
+        assert zeros == sorted(zeros)  # every zero divisor after every nonzero one
+        assert sum(zeros) >= k
+        assert any(zeros) == det_pencil(a, b).is_zero
+        nonzero = [d for d in divisors if not d.is_zero]
+        for p, q in zip(nonzero, nonzero[1:]):
+            _, rem = _poly_divmod(q.coeff_list(), p.coeff_list())
+            assert not rem
 
     def test_zero_divisor_for_singular(self):
         rows = [[Laurent.zero(), Laurent.zero()],

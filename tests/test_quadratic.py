@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from knotforms.quadratic import (DegenerateFormError, ParityError, QuadraticForm
 from knotforms.seifert import SeifertMatrix
 
 from generators import random_unimodular
-from oracles import float_signature, symplectic_basis_f2_tuples
+from oracles import float_signature, signature_congruence, symplectic_basis_f2_tuples
 
 # E8 Dynkin diagram: chain 1..7 with node 8 attached to node 3
 # (arm lengths 2, 4, 1 around the trivalent node)
@@ -62,6 +63,25 @@ class TestSignature:
         for _ in range(150):
             m = random_symmetric(rng, rng.randint(0, 5))
             assert signature(m) == float_signature(m)
+
+    @settings(max_examples=150)
+    @given(st.integers(0, 10).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-50, 50), min_size=n, max_size=n),
+                 min_size=n, max_size=n),
+        st.integers(0, n))))
+    def test_matches_congruence_oracle(self, data):
+        # symmetric, n <= 10, entries up to +-50; the last k coordinates
+        # repeat earlier ones (or vanish when k = n), so the rank is <= n - k
+        full, k = data
+        n = len(full)
+        idx = [i if i < n - k else i % (n - k) if k < n else None for i in range(n)]
+        m = Matrix([[0 if i is None or j is None else full[min(i, j)][max(i, j)]
+                     for j in idx] for i in idx], ncols=n)
+        assert signature(m) == signature_congruence(m)
+
+    def test_rational(self):
+        m = Matrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(-5, 7)]])
+        assert signature(m) == signature_congruence(m) == 0
 
     def test_congruence_invariance(self):
         rng = random.Random(809)

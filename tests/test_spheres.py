@@ -4,6 +4,7 @@ import pytest
 
 from knotforms.brieskorn import BrieskornGerm, brieskorn_seifert
 from knotforms.exact import Matrix
+from knotforms.invariants import Invariants
 from knotforms.quadratic import is_even, signature
 from knotforms.seifert import SeifertMatrix, intersection_form, is_unimodular
 from knotforms.spheres import (bp4k2_group, bp4k_order, bp_class,
@@ -105,19 +106,19 @@ class TestEmbeddableSpheresGroup:
 
 class TestBpClass:
     def test_standard_sphere(self):
-        cls = bp_class(SeifertMatrix(Matrix([], ncols=0), q=2))
+        cls = bp_class(Invariants(SeifertMatrix(Matrix([], ncols=0), q=2)))
         assert cls.sigma_over_8 == 0
         assert not cls.is_exotic
 
     def test_milnor_sphere(self):
-        cls = bp_class(brieskorn_seifert(BrieskornGerm((2, 2, 2, 3, 5))))
+        cls = bp_class(Invariants(brieskorn_seifert(BrieskornGerm((2, 2, 2, 3, 5)))))
         assert cls.boundary_dim == 7
         assert cls.group.order == 28
         assert cls.sigma_over_8 in (1, -1)
         assert cls.is_exotic
 
     def test_kervaire_sphere(self):
-        cls = bp_class(brieskorn_seifert(BrieskornGerm((2, 2, 2, 2, 2, 3))))
+        cls = bp_class(Invariants(brieskorn_seifert(BrieskornGerm((2, 2, 2, 2, 2, 3)))))
         assert cls.boundary_dim == 9
         assert cls.karl_value == 1
         assert cls.group.describe() == "Z/2"
@@ -126,7 +127,7 @@ class TestBpClass:
     def test_arf_caveat_in_trivial_dimension(self):
         # q = 3: boundary dimension 5 is exceptional, group trivial
         s = brieskorn_seifert(BrieskornGerm((2, 2, 2, 3)))
-        cls = bp_class(s)
+        cls = bp_class(Invariants(s))
         assert cls.boundary_dim == 5
         assert cls.group.kind == "trivial"
         assert not cls.is_exotic
@@ -134,7 +135,7 @@ class TestBpClass:
 
     def test_non_unimodular_rejected(self):
         with pytest.raises(ValueError):
-            bp_class(SeifertMatrix(Matrix([[0]]), q=2))
+            bp_class(Invariants(SeifertMatrix(Matrix([[0]]), q=2)))
 
     def test_sigma_mod8_pipeline(self):
         # every unimodular even-q Seifert matrix from the germ pipeline has
