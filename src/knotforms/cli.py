@@ -8,7 +8,8 @@ Subcommands:
     handles     handle-presentation data for Seifert-matrix files
 
 Exit codes: 0 success (and "cobordant"); 1 not-cobordant; 2 usage, parse or
-semantic error; 3 cobordance unknown within the search bound.  Output is
+semantic error, or any other error inside a command; 3 cobordance unknown
+within the search bound.  Output is
 byte-identical for identical inputs and flags.
 """
 
@@ -284,7 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cob.add_argument("file_a", metavar="FILE_A")
     p_cob.add_argument("file_b", metavar="FILE_B")
     p_cob.add_argument("--bound", type=int, default=2,
-                       help="entry bound for the metaboliser search (default 2)")
+                       help="entry bound on witness bases (default 2); the "
+                            "search is complete, and the bound only picks the "
+                            "witness, when chi_T is squarefree")
     add_format(p_cob)
 
     p_gr = sub.add_parser("groups", help="embeddable-sphere group table")
@@ -305,6 +308,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "cobordant" and args.bound < 1:
         parser.error(f"argument --bound: must be >= 1, got {args.bound}")
+    try:
+        return _run(args)
+    except Exception as exc:
+        # exit 1 would read as "not-cobordant"; interrupts and other
+        # BaseExceptions still propagate
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(args) -> int:
     if args.command == "invariants":
         return _cmd_matrix_files(args, "invariants")
     if args.command == "handles":

@@ -1,21 +1,34 @@
 """Algebraic knot cobordism: eps-forms, metabolisers, slice obstructions.
 
 An eps-form is a square integer matrix A whose eps-symmetrization
-A + eps*A^T is unimodular.  It is null-cobordant when A vanishes on a pure
-half-rank sublattice (a metaboliser); two forms are cobordant when the
-orthogonal difference is null-cobordant.  Metaboliser existence is searched
-exhaustively over Hermite-normal-form bases with bounded entries, so a
-negative search result is always reported as "not found within bound",
-never as a proof of non-existence.
+B = A + eps*A^T is unimodular.  It is null-cobordant when A vanishes on a
+pure half-rank sublattice (a metaboliser); two forms are cobordant when the
+orthogonal difference is null-cobordant.
+
+Metabolisers are decided from Levine's isometric structure T = B^-1 A: every
+metaboliser L is T-invariant (TL lies in the B-orthogonal of L, which is L),
+and every T-invariant half-dimensional rational subspace on which A vanishes
+meets Z^n in a metaboliser.  When the characteristic polynomial of T is
+squarefree, the T-invariant subspaces are the kernels of its divisors, so
+enumerating them decides metaboliser existence with no entry bound.  Only
+when it has a repeated factor does the search fall back to an exhaustive
+walk over Hermite-normal-form bases with bounded entries; that fallback's
+"not found within bound" is not a proof of non-existence.
+
+Alexander polynomials are factored one orthogonal block at a time, so the
+difference of two forms never factors a polynomial of higher degree than
+the larger form's rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 
-from .exact import Matrix, ShapeError, det, smith_normal_form
-from .laurent import Laurent, det_pencil, factor_int_poly, render_poly
+from .exact import (Matrix, ShapeError, adjugate_product, det, smith_normal_form,
+                    smith_normal_form_with_transforms)
+from .laurent import Factorization, Laurent, det_pencil, factor_int_poly, render_poly
 from .quadratic import karl, signature
 from .seifert import SeifertMatrix
 
@@ -125,16 +138,23 @@ class MetaboliserSearch:
 
 
 def search_metaboliser(f: EpsForm, bound: int) -> MetaboliserSearch:
-    """Exhaustive bounded search for a metaboliser.
+    """Search for a metaboliser; complete when chi_T is squarefree.
 
-    Candidate sublattices are enumerated through their row-style Hermite
-    normal form (pivot columns strictly increasing, pivots in 1..bound,
-    entries above a pivot reduced modulo it, all entries in [-bound, bound]),
-    so each sublattice appears exactly once and the enumeration order is
-    deterministic: pivot-column sets, then pivot values, then the remaining
-    entries, all lexicographically.  The first isotropic pure candidate in
-    this order is returned.  "not-found-within-bound" is not a proof of
-    non-existence.
+    Witnesses are given in row-style Hermite normal form (pivot columns
+    strictly increasing, positive pivots, entries above a pivot reduced
+    modulo it).  The box of the bound holds the bases whose entries all lie
+    in [-bound, bound]; in it, the witness is the least under the key
+    (pivot columns, pivot values, rows).
+
+    When the characteristic polynomial chi_T of T = B^-1 A is squarefree,
+    every metaboliser is the integer kernel of g(T) for a divisor g of
+    chi_T of degree rank/2, so all of them are listed: the least one in the
+    box is returned, else the one with the smallest entries, and
+    "not-found-within-bound" then means there is none at all.
+
+    Otherwise the box is walked exhaustively and the first isotropic pure
+    candidate is returned; only there does the bound cap the search, and
+    "not-found-within-bound" is not a proof of non-existence.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -144,11 +164,123 @@ def search_metaboliser(f: EpsForm, bound: int) -> MetaboliserSearch:
     half = r // 2
     if half == 0:
         return MetaboliserSearch(status="found", witness=Metaboliser(basis=()), bound=bound)
+    candidates = _invariant_metabolisers(f)
+    if candidates is not None:
+        if not candidates:
+            return MetaboliserSearch(status="not-found-within-bound", bound=bound)
+        in_box = [c for c in candidates if _max_entry(c) <= bound]
+        if in_box:
+            best = min(in_box, key=_hnf_key)
+        else:
+            best = min(candidates, key=lambda c: (_max_entry(c), _hnf_key(c)))
+        return MetaboliserSearch(status="found", witness=Metaboliser(basis=best),
+                                 bound=bound)
     for basis in _enumerate_hnf(f, r, half, bound):
         candidate = Metaboliser(basis=basis)
         if is_metaboliser(f, basis):
             return MetaboliserSearch(status="found", witness=candidate, bound=bound)
     return MetaboliserSearch(status="not-found-within-bound", bound=bound)
+
+
+def _max_entry(basis) -> int:
+    return max(abs(x) for row in basis for x in row)
+
+
+def _hnf_key(basis):
+    pivots = tuple(next(j for j, x in enumerate(row) if x) for row in basis)
+    return pivots, tuple(row[j] for row, j in zip(basis, pivots)), basis
+
+
+def _invariant_metabolisers(f: EpsForm):
+    """Hermite normal forms of all metabolisers of f when chi_T is
+    squarefree; None when it has a repeated factor (or when B is not
+    unimodular, so that T is not integral).
+
+    The irreducible factors g_i of chi_T have pairwise independent kernels
+    V_i, and a sum of them is isotropic exactly when A vanishes between
+    every two of its summands, so the subsets of degree rank/2 are filtered
+    pairwise before the kernel of their product is taken.
+    """
+    b = f.symmetrization()
+    if det(b) not in (1, -1):
+        return None
+    chi = _chi_factors(_delta_factorization(f), f.rank)
+    if any(mult > 1 for _, mult in chi):
+        return None
+    d, adj_a = adjugate_product(b, f.matrix)
+    t = [[d * x for x in row] for row in adj_a.rows]  # B^-1 = d adj(B), d = +-1
+    kernels = [_integer_kernel(_poly_at_matrix(g, t)) for g, _ in chi]
+
+    def isotropic(i, j):
+        return all(f.value(x, y) == 0 and f.value(y, x) == 0
+                   for x in kernels[i] for y in kernels[j])
+
+    k = len(chi)
+    pairs = {(i, j): isotropic(i, j) for i in range(k) for j in range(i, k)}
+    out = []
+    for size in range(1, k + 1):
+        for subset in combinations(range(k), size):
+            if (sum(chi[i][0].max_exponent for i in subset) != f.rank // 2
+                    or not all(pairs[i, i] for i in subset)
+                    or not all(pairs[i, j] for i, j in combinations(subset, 2))):
+                continue
+            if size == 1:
+                kernel = kernels[subset[0]]
+            else:
+                g = Laurent.one()
+                for i in subset:
+                    g = g * chi[i][0]
+                kernel = _integer_kernel(_poly_at_matrix(g, t))
+            out.append(_row_hnf(kernel))
+    return out
+
+
+def _poly_at_matrix(g: Laurent, m: list[list[int]]) -> list[list[int]]:
+    """g(m) by Horner's rule, for an ordinary integer polynomial g."""
+    cols = list(zip(*m))
+    n, top = len(m), g.max_exponent
+    out = [[g.coefficient(top) if i == j else 0 for j in range(n)] for i in range(n)]
+    for e in range(top - 1, -1, -1):
+        out = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in out]
+        for i, row in enumerate(out):
+            row[i] += g.coefficient(e)
+    return out
+
+
+def _integer_kernel(m: list[list[int]]) -> list[tuple[int, ...]]:
+    """A basis of ker(m) on Z^n, a pure lattice: with U m V = D in Smith
+    form, the columns of V past the rank of m."""
+    factors, _, v = smith_normal_form_with_transforms(Matrix(m))
+    rank = sum(1 for x in factors if x)
+    return [tuple(row[j] for row in v.rows) for j in range(rank, v.ncols)]
+
+
+def _row_hnf(vectors) -> tuple[tuple[int, ...], ...]:
+    """Row Hermite normal form of the lattice spanned by independent
+    integer vectors: echelon rows, positive pivots, entries above a pivot
+    in [0, pivot)."""
+    rows = [list(v) for v in vectors]
+    top = 0
+    for col in range(len(rows[0]) if rows else 0):
+        # Euclid down the column: the smallest entry becomes the pivot
+        while True:
+            live = [i for i in range(top, len(rows)) if rows[i][col]]
+            if len(live) <= 1:
+                break
+            p = min(live, key=lambda i: abs(rows[i][col]))
+            rows[top], rows[p] = rows[p], rows[top]
+            for i in range(top + 1, len(rows)):
+                c = rows[i][col] // rows[top][col]
+                rows[i] = [x - c * y for x, y in zip(rows[i], rows[top])]
+        if live:
+            rows[top], rows[live[0]] = rows[live[0]], rows[top]
+            if rows[top][col] < 0:
+                rows[top] = [-x for x in rows[top]]
+            for i in range(top):
+                c = rows[i][col] // rows[top][col]
+                rows[i] = [x - c * y for x, y in zip(rows[i], rows[top])]
+            top += 1
+    return tuple(tuple(row) for row in rows[:top])
 
 
 def _enumerate_hnf(f: EpsForm, r: int, half: int, bound: int):
@@ -224,8 +356,85 @@ def _combine(cands, i, chosen):
             yield from _combine(cands, i + 1, chosen + (entry,))
 
 
-def fox_milnor(delta: Laurent) -> bool:
-    """Does delta factor as Q(t) * Q(1/t) up to a unit +-t^k?
+def _orthogonal_blocks(f: EpsForm) -> list[list[int]]:
+    """Index sets of the orthogonal blocks of f, in order of their least
+    index: the connected components of the graph joining i and j whenever
+    A_ij or A_ji is nonzero."""
+    rows = f.matrix.rows
+    seen: set[int] = set()
+    blocks = []
+    for start in range(f.rank):
+        if start in seen:
+            continue
+        seen.add(start)
+        block, stack = [], [start]
+        while stack:
+            i = stack.pop()
+            block.append(i)
+            for j in range(f.rank):
+                if j not in seen and (rows[i][j] or rows[j][i]):
+                    seen.add(j)
+                    stack.append(j)
+        blocks.append(sorted(block))
+    return blocks
+
+
+@lru_cache(maxsize=16)
+def _delta_factorization(f: EpsForm) -> Factorization:
+    """Factorization of delta = det(tA + eps A^T) over Z[t], merged from the
+    factorizations of its orthogonal blocks' deltas.
+
+    delta is the product of the blocks' deltas and factorization is unique,
+    so each block is factored on its own and the multiplicities are summed;
+    the merged product is checked against delta of the whole form.  Held for
+    the few forms last seen, since the obstruction battery and the
+    metaboliser search of one cobordance question both need it.
+    """
+    eps_at = f.matrix.transpose().scale(f.eps)
+    sign, unit_exponent, content, counts = 1, 0, 1, {}
+    for block in _orthogonal_blocks(f):
+        fact = factor_int_poly(det_pencil(f.matrix.submatrix(block, block),
+                                          eps_at.submatrix(block, block)))
+        sign *= fact.sign
+        unit_exponent += fact.unit_exponent
+        content *= fact.content
+        for poly, mult in fact.factors:
+            counts[poly] = counts.get(poly, 0) + mult
+    merged = Factorization(sign, unit_exponent, content, list(counts.items()))
+    assert merged.product() == det_pencil(f.matrix, eps_at), \
+        "per-block factorization does not multiply to delta"
+    return merged
+
+
+def _chi_factors(fact: Factorization, n: int) -> list[tuple[Laurent, int]]:
+    """Irreducible factors of chi_T, T = B^-1 A, with multiplicities, from
+    the factorization of delta for a rank-n form.
+
+    tA + eps A^T = B((t - 1)T + I), so chi_T(x) = +-x^(n - deg delta)
+    x^deg delta delta((x - 1)/x): a factor f of degree d gives the
+    homogeneous image x^d f((x - 1)/x), the unit t^k gives (x - 1)^k, and
+    the degree drop gives x^(n - deg delta).
+    """
+    out = [(Laurent({0: -1, 1: 1}), fact.unit_exponent)] if fact.unit_exponent else []
+    degree = fact.unit_exponent
+    for poly, mult in fact.factors:
+        # Horner in (x - 1)/x, homogenized: h <- (x - 1) h + c_(d-j) x^j
+        c = poly.coeff_list()
+        d = len(c) - 1
+        h = [c[d]]
+        for j in range(1, d + 1):
+            h = [a - b for a, b in zip([0] + h, h + [0])]
+            h[j] += c[d - j]
+        out.append((Laurent.from_coeff_list(h), mult))
+        degree += d * mult
+    if n > degree:
+        out.append((Laurent.t(), n - degree))
+    return out
+
+
+def fox_milnor(fact: Factorization) -> bool:
+    """Does the factored polynomial have the form Q(t) * Q(1/t) up to a unit
+    +-t^k?
 
     Checked on the irreducible factorization over Z[t]: after stripping the
     unit, the content must be a perfect square, every self-reciprocal
@@ -233,9 +442,6 @@ def fox_milnor(delta: Laurent) -> bool:
     factors must pair up exactly with their reciprocals.  Necessary for the
     Alexander polynomial of any null-cobordant knot.
     """
-    if delta.is_zero:
-        raise ValueError("Fox-Milnor condition is undefined for the zero polynomial")
-    fact = factor_int_poly(delta)
     if _isqrt_exact(fact.content) is None:
         return False
     counts = {poly: mult for poly, mult in fact.factors}
@@ -289,7 +495,8 @@ def null_cobordance_obstructions(f: EpsForm) -> ObstructionReport:
     """Battery of necessary conditions for null-cobordance.
 
     Rank parity; vanishing signature of the symmetrization when eps = +1;
-    the Fox-Milnor factorization condition on det(tA + eps A^T); and a
+    the Fox-Milnor factorization condition on det(tA + eps A^T), factored
+    one orthogonal block at a time; and a
     vanishing Arf invariant when eps = -1 (a cobordism invariant of
     odd-dimensional knots).  Each check carries a human-readable
     certificate.  All-pass does not prove null-cobordance.
@@ -304,11 +511,11 @@ def null_cobordance_obstructions(f: EpsForm) -> ObstructionReport:
         checks.append(Obstruction(
             name="signature", passed=sig == 0,
             certificate=f"signature of symmetrization = {sig}"))
-    delta = det_pencil(f.matrix, f.matrix.transpose().scale(f.eps))
-    fm = fox_milnor(delta)
+    fact = _delta_factorization(f)
+    fm = fox_milnor(fact)
     checks.append(Obstruction(
         name="fox-milnor", passed=fm,
-        certificate=f"delta = {render_poly(delta.unit_normalize())}: "
+        certificate=f"delta = {render_poly(fact.product().unit_normalize())}: "
                     f"{'factors as Q(t)Q(1/t)' if fm else 'does not factor as Q(t)Q(1/t)'}"))
     if f.eps == -1:
         arf_value = karl(SeifertMatrix(f.matrix, q=1))
@@ -326,12 +533,12 @@ class CobordanceVerdict:
 
 
 def algebraically_cobordant(f1: EpsForm, f2: EpsForm, bound: int) -> CobordanceVerdict:
-    """Decide cobordance of f1 and f2 within the search bound.
+    """Decide cobordance of f1 and f2.
 
     Runs the obstruction battery on f1 (+) -f2 first; a failed necessary
-    condition settles the question negatively.  Otherwise the bounded
-    metaboliser search either produces a witness (cobordant) or exhausts
-    the bound (unknown).
+    condition settles the question negatively.  Otherwise the metaboliser
+    search either produces a witness (cobordant) or reports none (unknown);
+    only when chi_T has a repeated factor does the bound limit that search.
     """
     if f1.eps != f2.eps:
         raise EpsFormError("cobordance needs forms of the same eps")

@@ -215,7 +215,6 @@ class TestCobordant:
         assert main(["cobordant", trefoil_file, str(other)]) == 2
         assert "parity" in capsys.readouterr().err
 
-
     def test_bound_zero_rejected_before_any_work(self, trefoil_file, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("cobordance computed for an invalid bound")
@@ -225,6 +224,40 @@ class TestCobordant:
             main(["cobordant", trefoil_file, trefoil_file, "--bound", "0"])
         assert exc.value.code == 2
         assert "--bound" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    @pytest.mark.parametrize("name, code", [
+        ("hnf_witness", 0),        # genus 1 against a congruent copy: repeated factors
+        ("invariant_witness", 0),  # genus 2, chi_T squarefree
+        ("fox_milnor", 1),
+        ("genus3_fox_milnor", 1),  # each summand's delta factored on its own
+        ("unknown", 3),            # genus 1, repeated factors, nothing in the box
+    ])
+    def test_matches_golden(self, name, code, fmt, capsys, monkeypatch):
+        monkeypatch.chdir(GOLDEN)
+        argv = ["cobordant", "--format", fmt,
+                f"cobordant_{name}_a.mat", f"cobordant_{name}_b.mat"]
+        assert main(argv) == code
+        assert capsys.readouterr().out == (GOLDEN / f"cobordant_{name}.{fmt}").read_text()
+
+    def test_crash_exits_2_not_1(self, trefoil_file, capsys, monkeypatch):
+        # exit 1 means "not-cobordant"; an error inside a command is exit 2
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("knotforms.cli.algebraically_cobordant", crash)
+        assert main(["cobordant", trefoil_file, trefoil_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: RuntimeError: boom\n"
+        assert captured.out == ""
+
+    def test_interrupt_propagates(self, trefoil_file, monkeypatch):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("knotforms.cli.algebraically_cobordant", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(["cobordant", trefoil_file, trefoil_file])
 
 
 class TestGroups:

@@ -1,18 +1,23 @@
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from knotforms.brieskorn import BrieskornGerm, brieskorn_seifert
-from knotforms.cobordism import (EpsForm, EpsFormError,
+from knotforms.cobordism import (EpsForm, EpsFormError, _chi_factors,
+                                 _delta_factorization, _enumerate_hnf,
+                                 _invariant_metabolisers, _orthogonal_blocks, _row_hnf,
                                  algebraically_cobordant, eps_form_of, fox_milnor,
                                  is_metaboliser, negate,
                                  null_cobordance_obstructions, orthogonal_sum,
                                  search_metaboliser, validate_eps_form)
-from knotforms.exact import Matrix, smith_normal_form
-from knotforms.laurent import Laurent
+from knotforms.exact import Matrix, pencil_det_coefficients, smith_normal_form
+from knotforms.laurent import Laurent, det_pencil, factor_int_poly
 from knotforms.quadratic import signature
 
-from oracles import brute_force_rank1_metaboliser_absent
+from generators import eps_forms, random_unimodular
+from oracles import brute_force_rank1_metaboliser_absent, inverse_gauss_jordan
 
 A1 = Matrix([[-1, 0], [1, -1]])
 TREFOIL_FORM = validate_eps_form(A1, -1)
@@ -122,17 +127,17 @@ class TestSearchMetaboliser:
 
 class TestFoxMilnor:
     def test_trefoil_delta_fails(self):
-        assert not fox_milnor(Laurent({0: 1, 1: -1, 2: 1}))
+        assert not fox_milnor(factor_int_poly(Laurent({0: 1, 1: -1, 2: 1})))
 
     def test_constructed_product_passes(self):
-        assert fox_milnor(Laurent({0: -2, 1: 5, 2: -2}))  # (2 - t)(2t - 1)
+        assert fox_milnor(factor_int_poly(Laurent({0: -2, 1: 5, 2: -2})))  # (2 - t)(2t - 1)
 
     def test_unit_passes(self):
-        assert fox_milnor(Laurent.one())
+        assert fox_milnor(factor_int_poly(Laurent.one()))
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            fox_milnor(Laurent.zero())
+            fox_milnor(factor_int_poly(Laurent.zero()))
 
     def test_constructive_fuzz(self):
         rng = random.Random(31415)
@@ -145,11 +150,11 @@ class TestFoxMilnor:
                 continue
             built += 1
             product = q * q.reciprocal()
-            assert fox_milnor(product)
+            assert fox_milnor(factor_int_poly(product))
 
     def test_odd_square_content_fails(self):
         # content 2 is not a perfect square
-        assert not fox_milnor(Laurent({0: -2, 1: 2}))
+        assert not fox_milnor(factor_int_poly(Laurent({0: -2, 1: 2})))
 
 
 class TestObstructions:
@@ -214,3 +219,97 @@ class TestAlgebraicallyCobordant:
         plus = validate_eps_form(upper_half(Matrix([[0, 1], [1, 0]])), 1)
         with pytest.raises(EpsFormError):
             algebraically_cobordant(plus, TREFOIL_FORM, bound=1)
+
+
+def _permuted(f: EpsForm, order) -> EpsForm:
+    # the congruent form Q^T A Q, Q the permutation matrix of `order`
+    return EpsForm(matrix=f.matrix.submatrix(order, order), eps=f.eps)
+
+
+def _first_hnf_hit(f: EpsForm, bound: int):
+    """The HNF walk's answer: its first metaboliser in the bound box."""
+    return next((basis for basis in _enumerate_hnf(f, f.rank, f.rank // 2, bound)
+                 if is_metaboliser(f, basis)), None)
+
+
+class TestIsometricStructure:
+    @given(st.sampled_from((-1, 1)).flatmap(
+        lambda eps: st.tuples(eps_forms(2, eps), eps_forms(1, eps))), st.randoms())
+    def test_per_block_fox_milnor_matches_whole_product(self, forms, rnd):
+        f1, f2 = forms
+        order = list(range(f1.rank + f2.rank))
+        rnd.shuffle(order)
+        diff = _permuted(orthogonal_sum(f1, negate(f2)), order)
+        blocks = _orthogonal_blocks(diff)
+        assert len(blocks) >= 2
+        assert sorted(i for block in blocks for i in block) == list(range(diff.rank))
+        merged = _delta_factorization(diff)
+        assert all(poly.max_exponent <= max(map(len, blocks)) for poly, _ in merged.factors)
+        whole = det_pencil(diff.matrix, diff.matrix.transpose().scale(diff.eps))
+        assert merged.product() == whole
+        assert fox_milnor(merged) == fox_milnor(factor_int_poly(whole))
+
+    @settings(max_examples=40)
+    @given(eps_forms(2), st.randoms())
+    def test_congruent_copy_is_never_refuted(self, f, rnd):
+        p = random_unimodular(rnd, f.rank)
+        copy = EpsForm(matrix=p.transpose() @ f.matrix @ p, eps=f.eps)
+        verdict = algebraically_cobordant(f, copy, bound=1)
+        assert verdict.status != "not-cobordant"
+        if verdict.witness is not None:
+            assert is_metaboliser(orthogonal_sum(f, negate(copy)), verdict.witness.basis)
+
+    @given(eps_forms(3))
+    def test_witness_is_metaboliser(self, f):
+        result = search_metaboliser(f, 2)
+        if result.found:
+            assert is_metaboliser(f, result.witness.basis)
+
+    @settings(max_examples=60)
+    @given(eps_forms(4), st.sampled_from((1, 2)))
+    def test_invariant_search_matches_hnf_walk(self, f, bound):
+        # rank 8 walks only the bound-1 box: at bound 2 one walk takes
+        # up to half a minute
+        assume(f.rank <= 6 or bound == 1)
+        assume(_invariant_metabolisers(f) is not None)
+        result = search_metaboliser(f, bound)
+        first = _first_hnf_hit(f, bound)
+        if first is not None:
+            assert result.found and result.witness.basis == first
+        elif result.found:
+            # complete search: a witness exists, just not inside the box
+            assert max(abs(x) for row in result.witness.basis for x in row) > bound
+            assert is_metaboliser(f, result.witness.basis)
+        else:
+            assert result.status == "not-found-within-bound"
+
+    @given(eps_forms(4))
+    @example(HYPERBOLIC_FORM)
+    @example(validate_eps_form(Matrix([[0, 0, 1, 0], [0, 0, 0, 1],
+                                       [0, 0, 1, 1], [0, 0, 0, 2]]), -1))
+    def test_homogeneous_factors_multiply_to_chi_t(self, f):
+        b = f.symmetrization()
+        t = inverse_gauss_jordan(b) @ f.matrix
+        chi = Laurent.from_coeff_list(
+            pencil_det_coefficients(Matrix.identity(f.rank), -t))
+        product = Laurent.one()
+        for g, mult in _chi_factors(_delta_factorization(f), f.rank):
+            product = product * g ** mult
+        assert product in (chi, -chi)
+
+    @given(st.lists(st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+                    min_size=1, max_size=3), st.randoms())
+    def test_row_hnf_is_a_lattice_invariant(self, rows, rnd):
+        m = Matrix(rows, ncols=5)
+        assume(all(smith_normal_form(m)))  # independent rows
+        hnf = _row_hnf(m.rows)
+        assert _row_hnf((random_unimodular(rnd, m.nrows) @ m).rows) == hnf
+        pivots = [next(j for j, x in enumerate(row) if x) for row in hnf]
+        assert pivots == sorted(set(pivots))
+        for i, (row, j) in enumerate(zip(hnf, pivots)):
+            assert row[j] > 0
+            assert all(0 <= hnf[k][j] < row[j] for k in range(i))
+            assert all(hnf[k][j] == 0 for k in range(i + 1, len(hnf)))
+        # same lattice: the stacked rows have the Smith form of m alone
+        assert smith_normal_form(Matrix(hnf + m.rows, ncols=5))[:m.nrows] == \
+            smith_normal_form(m)

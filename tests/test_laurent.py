@@ -225,7 +225,7 @@ class TestFactorization:
             if not line.startswith("#"):
                 lo, coeffs = line.split("; ")[:2]
                 p = Laurent.from_coeff_list([int(c) for c in coeffs.split()], int(lo))
-                line = f"{lo}; {coeffs}; {factor_int_poly(p)!r}; {fox_milnor(p)}"
+                line = f"{lo}; {coeffs}; {factor_int_poly(p)!r}; {fox_milnor(factor_int_poly(p))}"
             lines.append(line)
         assert "\n".join(lines) + "\n" == golden
 
