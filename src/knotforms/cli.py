@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 
 from .brieskorn import BrieskornGerm, GermReport, germ_report
 from .cobordism import algebraically_cobordant, eps_form_of
@@ -257,7 +258,10 @@ def _cmd_groups(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it costs far
+    more than a parse, and callers may run main many times in-process."""
     parser = argparse.ArgumentParser(
         prog="knotforms",
         description="Exact invariants of odd-dimensional knots and links "
@@ -287,7 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cob.add_argument("--bound", type=int, default=2,
                        help="entry bound on witness bases (default 2); the "
                             "search is complete, and the bound only picks the "
-                            "witness, when chi_T is squarefree")
+                            "witness, when chi_T is squarefree; otherwise every "
+                            "basis within the bound is searched, those that "
+                            "cannot be T-invariant skipped")
     add_format(p_cob)
 
     p_gr = sub.add_parser("groups", help="embeddable-sphere group table")

@@ -13,7 +13,11 @@ squarefree, the T-invariant subspaces are the kernels of its divisors, so
 enumerating them decides metaboliser existence with no entry bound.  Only
 when it has a repeated factor does the search fall back to an exhaustive
 walk over Hermite-normal-form bases with bounded entries; that fallback's
-"not found within bound" is not a proof of non-existence.
+"not found within bound" is not a proof of non-existence.  The walk keeps
+its answer, the least metaboliser in the box, but T prunes it: a row of a
+metaboliser has an A-isotropic cyclic span v, Tv, T^2 v, ..., and the
+other rows are orthogonal to that span, so rows and bases failing these
+necessary conditions are never formed.
 
 Alexander polynomials are factored one orthogonal block at a time, so the
 difference of two forms never factors a polynomial of higher degree than
@@ -25,9 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from math import isqrt
+from operator import add, mul
 
-from .exact import (Matrix, ShapeError, adjugate_product, det, smith_normal_form,
-                    smith_normal_form_with_transforms)
+from .exact import (Matrix, ShapeError, SingularMatrixError, adjugate_product, det,
+                    smith_normal_form, smith_normal_form_with_transforms)
 from .laurent import Factorization, Laurent, det_pencil, factor_int_poly, render_poly
 from .quadratic import karl, signature
 from .seifert import SeifertMatrix
@@ -152,9 +158,12 @@ def search_metaboliser(f: EpsForm, bound: int) -> MetaboliserSearch:
     box is returned, else the one with the smallest entries, and
     "not-found-within-bound" then means there is none at all.
 
-    Otherwise the box is walked exhaustively and the first isotropic pure
-    candidate is returned; only there does the bound cap the search, and
-    "not-found-within-bound" is not a proof of non-existence.
+    Otherwise the box is walked exhaustively in that order and the first
+    metaboliser is returned; only there does the bound cap the search, and
+    "not-found-within-bound" is not a proof of non-existence.  The walk
+    skips only bases that no metaboliser has (rows whose cyclic span under
+    T is not isotropic, and rows not orthogonal to an earlier row's cyclic
+    span), so its answer is the box's least metaboliser all the same.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -207,8 +216,8 @@ def _invariant_metabolisers(f: EpsForm):
     chi = _chi_factors(_delta_factorization(f), f.rank)
     if any(mult > 1 for _, mult in chi):
         return None
-    d, adj_a = adjugate_product(b, f.matrix)
-    t = [[d * x for x in row] for row in adj_a.rows]  # B^-1 = d adj(B), d = +-1
+    d, adj_a = _isometric_structure(f)
+    t = [[d * x for x in row] for row in adj_a]  # B^-1 = d adj(B), d = +-1
     kernels = [_integer_kernel(_poly_at_matrix(g, t)) for g, _ in chi]
 
     def isotropic(i, j):
@@ -233,6 +242,16 @@ def _invariant_metabolisers(f: EpsForm):
                 kernel = _integer_kernel(_poly_at_matrix(g, t))
             out.append(_row_hnf(kernel))
     return out
+
+
+def _isometric_structure(f: EpsForm):
+    """(det B, adj(B) A) with adj(B) A = det(B) T as integer rows, or None
+    when B is singular and T is undefined."""
+    try:
+        d, adj_a = adjugate_product(f.symmetrization(), f.matrix)
+    except SingularMatrixError:
+        return None
+    return d, adj_a.rows
 
 
 def _poly_at_matrix(g: Laurent, m: list[list[int]]) -> list[list[int]]:
@@ -284,76 +303,185 @@ def _row_hnf(vectors) -> tuple[tuple[int, ...], ...]:
 
 
 def _enumerate_hnf(f: EpsForm, r: int, half: int, bound: int):
-    """Yield HNF candidate bases, pruned row by row.
+    """Yield the HNF bases of the bound box in the order of _hnf_key,
+    skipping only bases that cannot span a metaboliser.
 
-    For each pivot configuration the self-isotropic candidate rows are
-    precomputed (with cached A.v and A^T.v, so that pairwise orthogonality
-    checks are single dot products) and memoized across pivot-value
-    combinations that share the same constraint pattern.
+    A metaboliser L is T-invariant (see the module docstring), so each row
+    v of its basis has an A-isotropic cyclic span v, Tv, T^2 v, ..., and
+    every other row is A- and A^T-orthogonal to that span.  Rows failing
+    the first condition are never listed; after a row is chosen, the later
+    rows' lists are narrowed to the second (_combine).  T enters as
+    adj(B) A = det(B) T, which leaves both conditions unchanged; when
+    det B = 0 only A(v, v) = 0 and pairwise orthogonality are used.
+
+    A row depends only on its own pivot and the later ones, so its list is
+    memoized on those, and each pivot configuration builds its lists from
+    the last row, which has the fewest free entries, stopping at the first
+    empty one.  Before a list is built, the rows after it must admit one
+    compatible choice (a first basis from _combine), else the configuration
+    yields nothing; that answer is memoized on the later pivots too.
     """
-    a_rows = [list(row) for row in f.matrix.rows]
-    at_rows = [list(row) for row in f.matrix.transpose().rows]
+    a = [list(row) for row in f.matrix.rows]
+    at = [list(col) for col in zip(*a)]
+    structure = _isometric_structure(f)
+    t = None if structure is None else structure[1]
+    products = [a] if t is None else [a, [[sum(map(mul, row, col)) for col in zip(*t)]
+                                          for row in a]]
+    # S = M + M^T for M = A and M = A T: v^T M v = v^T S v / 2
+    forms = [[[x + y for x, y in zip(row, col)] for row, col in zip(m, zip(*m))]
+             for m in products]
     memo: dict = {}
+    tails: dict = {}
     for pivot_cols in combinations(range(r), half):
         for pivot_vals in product(range(1, bound + 1), repeat=half):
-            cands = []
-            for i in range(half):
-                caps = tuple(min(pivot_vals[k], bound + 1)
-                             for k in range(i + 1, half))
-                key = (pivot_cols, i, pivot_vals[i], caps)
+            lists = []
+            for i in range(half - 1, -1, -1):
+                key = (pivot_cols[i:], pivot_vals[i:])
+                if len(lists) > 1:
+                    tail = (pivot_cols[i + 1:], pivot_vals[i + 1:])
+                    if tail not in tails:
+                        tails[tail] = next(_combine(lists[::-1], ()), None) is not None
+                    if not tails[tail]:
+                        break
                 lst = memo.get(key)
                 if lst is None:
-                    lst = _isotropic_rows(a_rows, at_rows, r, bound, pivot_cols,
-                                          pivot_vals[i], i, caps)
-                    memo[key] = lst
+                    lst = memo[key] = _isotropic_rows(a, at, t, forms, bound, *key)
                 if not lst:
                     break
-                cands.append(lst)
+                lists.append(lst)
             else:
-                yield from _combine(cands, 0, ())
+                yield from _combine(lists[::-1], ())
 
 
-def _isotropic_rows(a_rows, at_rows, r, bound, pivot_cols, pivot_val, i, caps):
-    jpiv = pivot_cols[i]
-    cols = []
-    ranges = []
-    for j in range(jpiv + 1, r):
-        if j in pivot_cols:
-            k = pivot_cols.index(j)
-            if k > i:  # entry above a later pivot: reduced modulo that pivot
-                cols.append(j)
-                ranges.append(range(0, caps[k - i - 1]))
-        else:
-            cols.append(j)
-            ranges.append(range(-bound, bound + 1))
+def _isotropic_rows(a, at, t, forms, bound, pivot_cols, pivot_vals):
+    """The rows with pivot pivot_vals[0] in column pivot_cols[0] whose
+    cyclic span is A-isotropic, ascending, each with the vectors c for
+    which a later row w must have w . c = 0.
+
+    `forms` holds S = M + M^T for M = A, and M = A T when t is given, and
+    Q(v) = v^T S v = 2 v^T M v.  The entries after the pivot lie in
+    [-bound, bound], and in [0, p) above a later pivot p.  An odometer
+    steps all but the last two of them, keeping Q and (S v)_c for the free
+    columns c at O(r) a step.  Q(v + y e_d + x e_c) is then a quadratic in
+    the last two entries y and x: y is swept, and x is an integer root.
+    """
+    r = len(a)
+    jpiv, last = pivot_cols[0], len(pivot_cols) == 1
+    later = dict(zip(pivot_cols[1:], pivot_vals[1:]))
+    cols = list(range(jpiv + 1, r))
+    lows = [0 if j in later else -bound for j in cols]
+    highs = [later.get(j, bound + 1) for j in cols]
+    head = cols[:-2]
+    v = [0] * r
+    v[jpiv] = pivot_vals[0]
+    for j, lo in zip(head, lows):
+        v[j] = lo
+    n = len(cols)
+    # (S v)_c of every form, concatenated, and the columns of S that a
+    # step in each head column adds to it
+    sv = [sum(map(mul, s[c], v)) for s in forms for c in cols]
+    steps = [[s[c][j] for s in forms for j in cols] for c in head]
+    qs = [sum(v[j] * sum(map(mul, s[j], v)) for j in range(jpiv, r)) for s in forms]
+    if n == 0:
+        entry = None if any(qs) else _cyclic_span(a, at, t, v, last)
+        return [entry] if entry else []
+    c = cols[-1]
+    if n >= 2:
+        d, sweep = cols[-2], range(lows[-2], highs[-2])
+    else:  # one free entry: y = 0 stands in the same column as x
+        d, sweep = c, (0,)
+    # per form: S_dd, 2 S_cd, S_cc
+    coeffs = [(s[d][d], 2 * s[c][d], s[c][c]) for s in forms]
     out = []
-    for combo in product(*ranges):
-        row = [0] * r
-        row[jpiv] = pivot_val
-        for j, v in zip(cols, combo):
-            row[j] = v
-        av = [sum(arow[j] * row[j] for j in range(jpiv, r)) for arow in a_rows]
-        if sum(row[j] * av[j] for j in range(jpiv, r)) != 0:
-            continue
-        atv = [sum(arow[j] * row[j] for j in range(jpiv, r)) for arow in at_rows]
-        out.append((tuple(row), av, atv))
-    return out
+    while True:
+        # Q(y, x) = Q + y (2 (S v)_d + y S_dd) + x (2 (S v)_c + 2 y S_cd + x S_cc)
+        lin = [(q, 2 * sv[i * n + n - 2], 2 * sv[i * n + n - 1])
+               for i, q in enumerate(qs)]
+        (q, qd, qc), (dd, cd, cc) = lin[0], coeffs[0]
+        for y in sweep:
+            for x in _integer_roots(cc, qc + y * cd, q + y * (qd + y * dd),
+                                    lows[-1], highs[-1]):
+                if any(q1 + y * (qd1 + y * dd1) + x * (qc1 + y * cd1 + x * cc1)
+                       for (q1, qd1, qc1), (dd1, cd1, cc1) in zip(lin[1:], coeffs[1:])):
+                    continue
+                row = v[:]
+                row[d], row[c] = y, x
+                entry = _cyclic_span(a, at, t, row, last)
+                if entry is not None:
+                    out.append(entry)
+        k = len(head) - 1
+        while k >= 0:
+            e = head[k]
+            delta = 1 if v[e] + 1 < highs[k] else lows[k] - v[e]
+            if delta:
+                v[e] += delta
+                # Q(v + delta e_e) = Q + 2 delta (S v)_e + delta^2 S_ee
+                qs = [q + delta * (2 * sv[i * n + k] + delta * s[e][e])
+                      for i, (q, s) in enumerate(zip(qs, forms))]
+                sv = (list(map(add, sv, steps[k])) if delta == 1 else
+                      [x + delta * y for x, y in zip(sv, steps[k])])
+            if delta == 1:
+                break
+            k -= 1
+        if k < 0:
+            return out
 
 
-def _combine(cands, i, chosen):
-    if i == len(cands):
-        yield tuple(entry[0] for entry in chosen)
+def _cyclic_span(a, at, t, row, last):
+    """(row, checks) when A(v, T^k v) = 0 for k < r, so that the cyclic span
+    of v = row is isotropic (T^r v is a combination of the earlier powers),
+    else None.  The checks are A T^j v and A^T T^j v for j < r/2, whose
+    orthogonality is that to the whole cyclic span: an isotropic subspace
+    has dimension at most r/2.  The last row of a basis needs none."""
+    r = len(a)
+    powers = [row]
+    if t is not None:
+        at_v = [sum(map(mul, col, row)) for col in at]
+        w = row
+        for k in range(1, r):
+            w = [sum(map(mul, t_row, w)) for t_row in t]
+            if sum(map(mul, at_v, w)):
+                return None
+            if k < r // 2:
+                powers.append(w)
+    checks = []
+    for w in [] if last else powers:
+        checks.append([sum(map(mul, a_row, w)) for a_row in a])
+        checks.append([sum(map(mul, col, w)) for col in at])
+    return tuple(row), checks
+
+
+def _integer_roots(a: int, b: int, c: int, lo: int, hi: int) -> list[int]:
+    """The integers x in [lo, hi) with a x^2 + b x + c = 0, ascending."""
+    if a == 0:
+        if b == 0:
+            return list(range(lo, hi)) if c == 0 else []
+        roots = [-c // b] if c % b == 0 else []
+    else:
+        disc = b * b - 4 * a * c
+        if disc < 0:
+            return []
+        root = isqrt(disc)
+        if root * root != disc:
+            return []
+        roots = sorted({(-b + e * root) // (2 * a) for e in (-1, 1)
+                        if (-b + e * root) % (2 * a) == 0})
+    return [x for x in roots if lo <= x < hi]
+
+
+def _combine(lists, chosen):
+    """Bases of one row from each list, depth first in list order.  After a
+    row is chosen the later lists keep only the rows w with w . c = 0 for
+    all of its checks, and a list left empty ends the branch."""
+    if not lists:
+        yield chosen
         return
-    for entry in cands[i]:
-        v = entry[0]
-        for _, aw, atw in chosen:
-            # A(w, v) = v . (A^T w) and A(v, w) = v . (A w)
-            if sum(a * b for a, b in zip(v, aw)) != 0:
-                break
-            if sum(a * b for a, b in zip(v, atw)) != 0:
-                break
-        else:
-            yield from _combine(cands, i + 1, chosen + (entry,))
+    for row, checks in lists[0]:
+        rest = [[entry for entry in lst
+                 if not any(sum(map(mul, entry[0], c)) for c in checks)]
+                for lst in lists[1:]]
+        if all(rest):
+            yield from _combine(rest, chosen + (row,))
 
 
 def _orthogonal_blocks(f: EpsForm) -> list[list[int]]:
@@ -467,7 +595,6 @@ def _reciprocal_normalized(p: Laurent) -> Laurent:
 def _isqrt_exact(n: int) -> int | None:
     if n < 0:
         return None
-    from math import isqrt
     r = isqrt(n)
     return r if r * r == n else None
 

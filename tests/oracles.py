@@ -11,16 +11,18 @@ multi-modular adjugate, pencil determinants by Bareiss evaluation and
 Lagrange interpolation instead of the multi-modular Hessenberg kernel,
 integer interpolation by Lagrange's formula in Fractions instead of Newton
 divided differences in integers, exact division in Z[t] by long division
-over Q, primality by Miller-Rabin instead of trial division, and
-symplectic bases over F_2 on tuples instead of bitmasks.
+over Q, primality by Miller-Rabin instead of trial division, symplectic
+bases over F_2 on tuples instead of bitmasks, and the Hermite-basis
+metaboliser walk with no use of the isometric structure.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
+from knotforms.cobordism import EpsForm
 from knotforms.exact import Matrix, ShapeError, SingularMatrixError, det
 from knotforms.laurent import Laurent, _poly_divmod, _trim
 from knotforms.quadratic import DegenerateFormError
@@ -299,6 +301,83 @@ def brute_force_rank1_metaboliser_absent(form_matrix: Matrix, bound: int) -> boo
             if value == 0:
                 return False
     return True
+
+
+def enumerate_hnf_unpruned(f: EpsForm, r: int, half: int, bound: int):
+    """Yield HNF candidate bases, pruned row by row.
+
+    The metaboliser walk without the isometric structure: rows are kept on
+    A(v, v) = 0 and pairwise A-orthogonality alone, and every row is
+    evaluated in full.
+
+    For each pivot configuration the self-isotropic candidate rows are
+    precomputed (with cached A.v and A^T.v, so that pairwise orthogonality
+    checks are single dot products) and memoized across pivot-value
+    combinations that share the same constraint pattern.
+    """
+    a_rows = [list(row) for row in f.matrix.rows]
+    at_rows = [list(row) for row in f.matrix.transpose().rows]
+    memo: dict = {}
+    for pivot_cols in combinations(range(r), half):
+        for pivot_vals in product(range(1, bound + 1), repeat=half):
+            cands = []
+            for i in range(half):
+                caps = tuple(min(pivot_vals[k], bound + 1)
+                             for k in range(i + 1, half))
+                key = (pivot_cols, i, pivot_vals[i], caps)
+                lst = memo.get(key)
+                if lst is None:
+                    lst = _isotropic_rows(a_rows, at_rows, r, bound, pivot_cols,
+                                          pivot_vals[i], i, caps)
+                    memo[key] = lst
+                if not lst:
+                    break
+                cands.append(lst)
+            else:
+                yield from _combine(cands, 0, ())
+
+
+def _isotropic_rows(a_rows, at_rows, r, bound, pivot_cols, pivot_val, i, caps):
+    jpiv = pivot_cols[i]
+    cols = []
+    ranges = []
+    for j in range(jpiv + 1, r):
+        if j in pivot_cols:
+            k = pivot_cols.index(j)
+            if k > i:  # entry above a later pivot: reduced modulo that pivot
+                cols.append(j)
+                ranges.append(range(0, caps[k - i - 1]))
+        else:
+            cols.append(j)
+            ranges.append(range(-bound, bound + 1))
+    out = []
+    for combo in product(*ranges):
+        row = [0] * r
+        row[jpiv] = pivot_val
+        for j, v in zip(cols, combo):
+            row[j] = v
+        av = [sum(arow[j] * row[j] for j in range(jpiv, r)) for arow in a_rows]
+        if sum(row[j] * av[j] for j in range(jpiv, r)) != 0:
+            continue
+        atv = [sum(arow[j] * row[j] for j in range(jpiv, r)) for arow in at_rows]
+        out.append((tuple(row), av, atv))
+    return out
+
+
+def _combine(cands, i, chosen):
+    if i == len(cands):
+        yield tuple(entry[0] for entry in chosen)
+        return
+    for entry in cands[i]:
+        v = entry[0]
+        for _, aw, atw in chosen:
+            # A(w, v) = v . (A^T w) and A(v, w) = v . (A w)
+            if sum(a * b for a, b in zip(v, aw)) != 0:
+                break
+            if sum(a * b for a, b in zip(v, atw)) != 0:
+                break
+        else:
+            yield from _combine(cands, i + 1, chosen + (entry,))
 
 
 def brieskorn_char_poly_numeric(exponents: tuple[int, ...], monic_coeffs: list) -> bool:

@@ -232,6 +232,8 @@ class TestCobordant:
         ("fox_milnor", 1),
         ("genus3_fox_milnor", 1),  # each summand's delta factored on its own
         ("unknown", 3),            # genus 1, repeated factors, nothing in the box
+        ("repeated_pair", 0),      # genus 3, q = 2, against a congruent copy
+        ("repeated_selfrecip", 0),  # genus 2, q = 2, independent, repeated factors
     ])
     def test_matches_golden(self, name, code, fmt, capsys, monkeypatch):
         monkeypatch.chdir(GOLDEN)
@@ -315,3 +317,16 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["cobordant", "only-one"])
         assert exc.value.code == 2
+
+    def test_parser_reused_across_calls(self, trefoil_file, capsys):
+        # main keeps one parser per process: a usage error leaves no state
+        # behind for the next call
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["cobordant", trefoil_file, trefoil_file, "--bound", "0"])
+            assert exc.value.code == 2
+            assert main(["cobordant", trefoil_file, trefoil_file, "--bound", "1"]) == 0
+            assert main(["groups", "5"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.count("--bound") == 2
+        assert captured.out.count("verdict") == 2

@@ -6,18 +6,19 @@ from hypothesis import strategies as st
 
 from knotforms.brieskorn import BrieskornGerm, brieskorn_seifert
 from knotforms.cobordism import (EpsForm, EpsFormError, _chi_factors,
-                                 _delta_factorization, _enumerate_hnf,
+                                 _delta_factorization, _enumerate_hnf, _integer_roots,
                                  _invariant_metabolisers, _orthogonal_blocks, _row_hnf,
                                  algebraically_cobordant, eps_form_of, fox_milnor,
                                  is_metaboliser, negate,
                                  null_cobordance_obstructions, orthogonal_sum,
                                  search_metaboliser, validate_eps_form)
-from knotforms.exact import Matrix, pencil_det_coefficients, smith_normal_form
+from knotforms.exact import Matrix, det, pencil_det_coefficients, smith_normal_form
 from knotforms.laurent import Laurent, det_pencil, factor_int_poly
 from knotforms.quadratic import signature
 
 from generators import eps_forms, random_unimodular
-from oracles import brute_force_rank1_metaboliser_absent, inverse_gauss_jordan
+from oracles import (brute_force_rank1_metaboliser_absent, enumerate_hnf_unpruned,
+                     inverse_gauss_jordan)
 
 A1 = Matrix([[-1, 0], [1, -1]])
 TREFOIL_FORM = validate_eps_form(A1, -1)
@@ -226,10 +227,15 @@ def _permuted(f: EpsForm, order) -> EpsForm:
     return EpsForm(matrix=f.matrix.submatrix(order, order), eps=f.eps)
 
 
-def _first_hnf_hit(f: EpsForm, bound: int):
+def _metabolisers(f: EpsForm, bound: int, walk=enumerate_hnf_unpruned):
+    """The metabolisers among an HNF walk's bases, in its order."""
+    return (basis for basis in walk(f, f.rank, f.rank // 2, bound)
+            if is_metaboliser(f, basis))
+
+
+def _first_hnf_hit(f: EpsForm, bound: int, walk=enumerate_hnf_unpruned):
     """The HNF walk's answer: its first metaboliser in the bound box."""
-    return next((basis for basis in _enumerate_hnf(f, f.rank, f.rank // 2, bound)
-                 if is_metaboliser(f, basis)), None)
+    return next(_metabolisers(f, bound, walk), None)
 
 
 class TestIsometricStructure:
@@ -313,3 +319,61 @@ class TestIsometricStructure:
         # same lattice: the stacked rows have the Smith form of m alone
         assert smith_normal_form(Matrix(hnf + m.rows, ncols=5))[:m.nrows] == \
             smith_normal_form(m)
+
+
+def _with_congruent_copy(f: EpsForm, rnd) -> EpsForm:
+    p = random_unimodular(rnd, f.rank)
+    return orthogonal_sum(f, negate(EpsForm(matrix=p.transpose() @ f.matrix @ p, eps=f.eps)))
+
+
+class TestPrunedWalk:
+    @settings(max_examples=150)
+    @given(eps_forms(3), st.randoms(), st.booleans(), st.sampled_from((1, 2)))
+    def test_metabolisers_match_unpruned_walk(self, f, rnd, doubled, bound):
+        # the T-pruning drops only bases no metaboliser has, so the first
+        # metaboliser of the walk, or its absence, is unchanged; at rank
+        # <= 4 so is every later one.  Rank 8 (a form of rank 4 against a
+        # congruent copy) walks the bound-1 box.
+        if doubled and f.rank <= 4:
+            f = _with_congruent_copy(f, rnd)
+        if f.rank == 8:
+            bound = 1
+        pruned = _metabolisers(f, bound, walk=_enumerate_hnf)
+        unpruned = _metabolisers(f, bound)
+        if f.rank <= 4:
+            assert list(pruned) == list(unpruned)
+        else:
+            assert next(pruned, None) == next(unpruned, None)
+
+    def test_later_pivot_values_kept_apart(self):
+        # the second metaboliser has pivot 2 in its second row, where the
+        # later rows with pivot values (1, 1) admit no compatible choice
+        f = validate_eps_form(Matrix([[0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, -1],
+                                      [0, 0, 0, 1, -1, 2], [0, 0, -1, 1, 0, 0],
+                                      [0, 1, 1, 2, 0, -1], [0, 1, -1, 2, -1, 1]]), 1)
+        expected = [((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)),
+                    ((1, 0, 0, 0, 0, 0), (0, 2, -1, 0, 0, 1), (0, 0, 0, 0, 1, 0))]
+        assert list(_metabolisers(f, 2)) == expected
+        assert list(_metabolisers(f, 2, walk=_enumerate_hnf)) == expected
+
+    @given(eps_forms(2))
+    def test_form_against_itself_is_cobordant(self, f):
+        # the diagonal {(x, x)} is a metaboliser of f (+) -f with a basis in
+        # the bound-1 box; chi_T has every factor twice, so this is the walk
+        verdict = algebraically_cobordant(f, f, bound=1)
+        assert verdict.status == "cobordant"
+        assert is_metaboliser(orthogonal_sum(f, negate(f)), verdict.witness.basis)
+
+    def test_singular_symmetrization_walks_without_t(self):
+        # det B = 0: T is undefined and only A-isotropy prunes
+        f = EpsForm(matrix=Matrix([[0, 1], [-1, 0]]), eps=1)
+        assert det(f.symmetrization()) == 0
+        assert list(_enumerate_hnf(f, 2, 1, 2)) == list(enumerate_hnf_unpruned(f, 2, 1, 2))
+        assert _first_hnf_hit(f, 2, walk=_enumerate_hnf) == ((1, -2),)
+
+    @given(st.integers(-4, 4), st.integers(-9, 9), st.integers(-20, 20),
+           st.integers(-6, 3), st.integers(0, 8))
+    def test_integer_roots_match_brute_force(self, a, b, c, lo, width):
+        hi = lo + width
+        assert _integer_roots(a, b, c, lo, hi) == [
+            x for x in range(lo, hi) if a * x * x + b * x + c == 0]
