@@ -15,8 +15,8 @@ from .laurent import (Laurent, NormalizationError, conway_normalize, cyclotomic,
                       elementary_divisors, factor_int_poly, render_poly)
 from .seifert import (KnotModulePresentation, NonFiberedError, SeifertMatrix,
                       alexander_polynomial, characteristic_polynomial,
-                      intersection_form, is_fibered_form, is_quasi_unipotent,
-                      is_unimodular, knot_module, monodromy)
+                      intersection_form, is_quasi_unipotent, knot_module,
+                      monodromy)
 from .quadratic import (DegenerateFormError, ParityError, QuadraticFormF2, arf,
                         is_even, karl, levine_congruence, levine_congruence_check,
                         signature, symplectic_basis_f2)
@@ -24,7 +24,7 @@ from .cobordism import (CobordanceVerdict, EpsForm, EpsFormError, Metaboliser,
                         MetaboliserSearch, algebraically_cobordant, eps_form_of,
                         fox_milnor, is_metaboliser, negate,
                         null_cobordance_obstructions, orthogonal_sum,
-                        search_metaboliser, validate_eps_form)
+                        search_metaboliser)
 from .invariants import Invariants
 from .brieskorn import (BrieskornGerm, GermReport, brieskorn_seifert, germ_report,
                         pham_matrix, quadratic_suspension_seifert, sakamoto_product)

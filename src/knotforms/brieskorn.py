@@ -46,10 +46,6 @@ class BrieskornGerm:
         return len(self.exponents) - 1
 
     @property
-    def link_dim(self) -> int:
-        return 2 * self.middle_dimension - 1
-
-    @property
     def milnor_number(self) -> int:
         return prod(a - 1 for a in self.exponents)
 

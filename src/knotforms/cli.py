@@ -152,9 +152,10 @@ def _cmd_matrix_files(args, kind: str) -> int:
     try:
         if args.jobs > 1 and len(args.paths) > 1 and "-" not in args.paths:
             # imported here: the process pool costs memory and import time
-            # on every run, and only --jobs uses it
+            # on every run, and only --jobs uses it; no more workers than
+            # files, since a fork pool starts them all at the first submit
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            with ProcessPoolExecutor(max_workers=min(args.jobs, len(args.paths))) as pool:
                 futures = [pool.submit(_render_file_report, p, kind, args.format)
                            for p in args.paths]
                 outputs = [f.result() for f in futures]

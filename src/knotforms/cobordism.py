@@ -1,23 +1,25 @@
 """Algebraic knot cobordism: eps-forms, metabolisers, slice obstructions.
 
 An eps-form is a square integer matrix A whose eps-symmetrization
-B = A + eps*A^T is unimodular.  It is null-cobordant when A vanishes on a
-pure half-rank sublattice (a metaboliser); two forms are cobordant when the
-orthogonal difference is null-cobordant.
+B = A + eps*A^T is unimodular; `EpsForm` refuses anything else, so every
+form here has even rank (B mod 2 is alternating and nondegenerate) and an
+integral isometric structure T = B^-1 A.  It is null-cobordant when A
+vanishes on a pure half-rank sublattice (a metaboliser); two forms are
+cobordant when the orthogonal difference is null-cobordant.
 
-Metabolisers are decided from Levine's isometric structure T = B^-1 A: every
-metaboliser L is T-invariant (TL lies in the B-orthogonal of L, which is L),
-and every T-invariant half-dimensional rational subspace on which A vanishes
-meets Z^n in a metaboliser.  When the characteristic polynomial of T is
-squarefree, the T-invariant subspaces are the kernels of its divisors, so
-enumerating them decides metaboliser existence with no entry bound.  Only
-when it has a repeated factor does the search fall back to an exhaustive
-walk over Hermite-normal-form bases with bounded entries; that fallback's
-"not found within bound" is not a proof of non-existence.  The walk keeps
-its answer, the least metaboliser in the box, but T prunes it: a row of a
-metaboliser has an A-isotropic cyclic span v, Tv, T^2 v, ..., and the
-other rows are orthogonal to that span, so rows and bases failing these
-necessary conditions are never formed.
+Metabolisers are decided from T: every metaboliser L is T-invariant (TL
+lies in the B-orthogonal of L, which is L), and every T-invariant
+half-dimensional rational subspace on which A vanishes meets Z^n in a
+metaboliser.  When the characteristic polynomial of T is squarefree, the
+T-invariant subspaces are the kernels of its divisors, so enumerating them
+decides metaboliser existence with no entry bound.  Only when it has a
+repeated factor does the search fall back to an exhaustive walk over
+Hermite-normal-form bases with bounded entries; that fallback's "not found
+within bound" is not a proof of non-existence.  The walk keeps its answer,
+the least metaboliser in the box, but T prunes it: a row of a metaboliser
+has an A-isotropic cyclic span v, Tv, T^2 v, ..., and the other rows are
+orthogonal to that span, so rows and bases failing these necessary
+conditions are never formed.
 
 Alexander polynomials are factored one orthogonal block at a time, so the
 difference of two forms never factors a polynomial of higher degree than
@@ -27,13 +29,13 @@ the larger form's rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from itertools import combinations, product
 from math import isqrt
 from operator import add, mul
 
-from .exact import (Matrix, ShapeError, SingularMatrixError, adjugate_product, det,
-                    smith_normal_form, smith_normal_form_with_transforms)
+from .exact import (Matrix, ShapeError, adjugate_product, det, smith_normal_form,
+                    smith_normal_form_with_transforms)
 from .laurent import Factorization, Laurent, det_pencil, factor_int_poly, render_poly
 from .quadratic import karl, signature
 from .seifert import SeifertMatrix
@@ -45,15 +47,70 @@ class EpsFormError(ValueError):
 
 @dataclass(frozen=True)
 class EpsForm:
+    """An eps-form, checked on construction: eps = +-1, A square with
+    integer entries (lists are coerced to a Matrix), det B = +-1.
+
+    Its cobordance stages are computed on first use and held on the form,
+    so that the obstruction battery and the metaboliser search of one
+    cobordance question share them: B, T and the factorization of delta.
+    """
+
     matrix: Matrix
     eps: int
+
+    def __post_init__(self):
+        if self.eps not in (1, -1):
+            raise EpsFormError(f"eps must be +1 or -1, got {self.eps}")
+        if not isinstance(self.matrix, Matrix):
+            object.__setattr__(self, "matrix", Matrix(self.matrix))
+        if not self.matrix.is_square:
+            raise ShapeError(f"eps-form matrix must be square, got {self.matrix.shape}")
+        if not self.matrix.is_integral:
+            raise TypeError("eps-form entries must be integers")
+        d = det(self.symmetrization)
+        if d not in (1, -1):
+            raise EpsFormError(
+                f"symmetrization has determinant {d}, not +-1: not an eps-form")
 
     @property
     def rank(self) -> int:
         return self.matrix.nrows
 
+    @cached_property
     def symmetrization(self) -> Matrix:
+        """B = A + eps A^T."""
         return self.matrix + self.matrix.transpose().scale(self.eps)
+
+    @cached_property
+    def isometric_structure(self) -> tuple[tuple[int, ...], ...]:
+        """T = B^-1 A as integer rows: det(B) adj(B) A, since det B = +-1."""
+        d, adj_a = adjugate_product(self.symmetrization, self.matrix)
+        return (adj_a if d == 1 else -adj_a).rows
+
+    @cached_property
+    def delta_factorization(self) -> Factorization:
+        """Factorization of delta = det(tA + eps A^T) over Z[t], merged from
+        the factorizations of the orthogonal blocks' deltas.
+
+        delta is the product of the blocks' deltas and factorization is
+        unique, so each block is factored on its own and the multiplicities
+        are summed; the merged product is checked against delta of the
+        whole form.
+        """
+        eps_at = self.matrix.transpose().scale(self.eps)
+        sign, unit_exponent, content, counts = 1, 0, 1, {}
+        for block in _orthogonal_blocks(self):
+            fact = factor_int_poly(det_pencil(self.matrix.submatrix(block, block),
+                                              eps_at.submatrix(block, block)))
+            sign *= fact.sign
+            unit_exponent += fact.unit_exponent
+            content *= fact.content
+            for poly, mult in fact.factors:
+                counts[poly] = counts.get(poly, 0) + mult
+        merged = Factorization(sign, unit_exponent, content, list(counts.items()))
+        assert merged.product() == det_pencil(self.matrix, eps_at), \
+            "per-block factorization does not multiply to delta"
+        return merged
 
     def value(self, x, y):
         """A(x, y) for integer coordinate vectors."""
@@ -62,39 +119,24 @@ class EpsForm:
                    for aij, yj in zip(row, y))
 
 
-def validate_eps_form(matrix: Matrix, eps: int) -> EpsForm:
-    """Construct an EpsForm, rejecting non-unimodular symmetrizations."""
-    if eps not in (1, -1):
-        raise EpsFormError(f"eps must be +1 or -1, got {eps}")
-    if not isinstance(matrix, Matrix):
-        matrix = Matrix(matrix)
-    if not matrix.is_square:
-        raise ShapeError(f"eps-form matrix must be square, got {matrix.shape}")
-    d = det(matrix + matrix.transpose().scale(eps))
-    if d not in (1, -1):
-        raise EpsFormError(
-            f"symmetrization has determinant {d}, not +-1: not an eps-form")
-    return EpsForm(matrix=matrix, eps=eps)
-
-
 def eps_form_of(s: SeifertMatrix) -> EpsForm:
-    return validate_eps_form(s.matrix, s.epsilon)
+    return EpsForm(s.matrix, s.epsilon)
+
+
+def _direct_sum(a: Matrix, b: Matrix) -> Matrix:
+    r1, r2 = a.nrows, b.nrows
+    return Matrix([list(row) + [0] * r2 for row in a.rows]
+                  + [[0] * r1 + list(row) for row in b.rows], ncols=r1 + r2)
 
 
 def orthogonal_sum(f1: EpsForm, f2: EpsForm) -> EpsForm:
     if f1.eps != f2.eps:
         raise EpsFormError("orthogonal sum of forms with different eps")
-    r1, r2 = f1.rank, f2.rank
-    rows = []
-    for i in range(r1):
-        rows.append(list(f1.matrix.rows[i]) + [0] * r2)
-    for i in range(r2):
-        rows.append([0] * r1 + list(f2.matrix.rows[i]))
-    return EpsForm(matrix=Matrix(rows, ncols=r1 + r2), eps=f1.eps)
+    return EpsForm(_direct_sum(f1.matrix, f2.matrix), f1.eps)
 
 
 def negate(f: EpsForm) -> EpsForm:
-    return EpsForm(matrix=-f.matrix, eps=f.eps)
+    return EpsForm(-f.matrix, f.eps)
 
 
 @dataclass(frozen=True)
@@ -102,10 +144,6 @@ class Metaboliser:
     """Basis (rows) of a pure half-rank sublattice on which the form vanishes."""
 
     basis: tuple[tuple[int, ...], ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
 
 
 def _basis_matrix(vectors) -> Matrix:
@@ -120,8 +158,6 @@ def is_metaboliser(f: EpsForm, vectors) -> bool:
     vectors = [tuple(v) for v in vectors]
     if any(len(v) != f.rank for v in vectors):
         raise ShapeError("candidate vectors have the wrong length")
-    if f.rank % 2 != 0:
-        return False
     if len(vectors) != f.rank // 2:
         return False
     if f.rank == 0:
@@ -134,9 +170,8 @@ def is_metaboliser(f: EpsForm, vectors) -> bool:
 
 @dataclass(frozen=True)
 class MetaboliserSearch:
-    status: str  # "found" | "not-found-within-bound" | "no-odd-rank"
+    status: str  # "found" | "not-found-within-bound"
     witness: Metaboliser | None = None
-    bound: int = 0
 
     @property
     def found(self) -> bool:
@@ -164,31 +199,29 @@ def search_metaboliser(f: EpsForm, bound: int) -> MetaboliserSearch:
     skips only bases that no metaboliser has (rows whose cyclic span under
     T is not isotropic, and rows not orthogonal to an earlier row's cyclic
     span), so its answer is the box's least metaboliser all the same.
+
+    T and chi_T are read from the stages held on f, so a search after the
+    obstruction battery factors nothing again.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    r = f.rank
-    if r % 2 != 0:
-        return MetaboliserSearch(status="no-odd-rank", bound=bound)
-    half = r // 2
+    half = f.rank // 2
     if half == 0:
-        return MetaboliserSearch(status="found", witness=Metaboliser(basis=()), bound=bound)
+        return MetaboliserSearch(status="found", witness=Metaboliser(basis=()))
     candidates = _invariant_metabolisers(f)
     if candidates is not None:
         if not candidates:
-            return MetaboliserSearch(status="not-found-within-bound", bound=bound)
+            return MetaboliserSearch(status="not-found-within-bound")
         in_box = [c for c in candidates if _max_entry(c) <= bound]
         if in_box:
             best = min(in_box, key=_hnf_key)
         else:
             best = min(candidates, key=lambda c: (_max_entry(c), _hnf_key(c)))
-        return MetaboliserSearch(status="found", witness=Metaboliser(basis=best),
-                                 bound=bound)
-    for basis in _enumerate_hnf(f, r, half, bound):
-        candidate = Metaboliser(basis=basis)
+        return MetaboliserSearch(status="found", witness=Metaboliser(basis=best))
+    for basis in _enumerate_hnf(f, f.rank, half, bound):
         if is_metaboliser(f, basis):
-            return MetaboliserSearch(status="found", witness=candidate, bound=bound)
-    return MetaboliserSearch(status="not-found-within-bound", bound=bound)
+            return MetaboliserSearch(status="found", witness=Metaboliser(basis=basis))
+    return MetaboliserSearch(status="not-found-within-bound")
 
 
 def _max_entry(basis) -> int:
@@ -202,22 +235,17 @@ def _hnf_key(basis):
 
 def _invariant_metabolisers(f: EpsForm):
     """Hermite normal forms of all metabolisers of f when chi_T is
-    squarefree; None when it has a repeated factor (or when B is not
-    unimodular, so that T is not integral).
+    squarefree; None when it has a repeated factor.
 
     The irreducible factors g_i of chi_T have pairwise independent kernels
     V_i, and a sum of them is isotropic exactly when A vanishes between
     every two of its summands, so the subsets of degree rank/2 are filtered
     pairwise before the kernel of their product is taken.
     """
-    b = f.symmetrization()
-    if det(b) not in (1, -1):
-        return None
-    chi = _chi_factors(_delta_factorization(f), f.rank)
+    chi = _chi_factors(f.delta_factorization, f.rank)
     if any(mult > 1 for _, mult in chi):
         return None
-    d, adj_a = _isometric_structure(f)
-    t = [[d * x for x in row] for row in adj_a]  # B^-1 = d adj(B), d = +-1
+    t = f.isometric_structure
     kernels = [_integer_kernel(_poly_at_matrix(g, t)) for g, _ in chi]
 
     def isotropic(i, j):
@@ -242,16 +270,6 @@ def _invariant_metabolisers(f: EpsForm):
                 kernel = _integer_kernel(_poly_at_matrix(g, t))
             out.append(_row_hnf(kernel))
     return out
-
-
-def _isometric_structure(f: EpsForm):
-    """(det B, adj(B) A) with adj(B) A = det(B) T as integer rows, or None
-    when B is singular and T is undefined."""
-    try:
-        d, adj_a = adjugate_product(f.symmetrization(), f.matrix)
-    except SingularMatrixError:
-        return None
-    return d, adj_a.rows
 
 
 def _poly_at_matrix(g: Laurent, m: list[list[int]]) -> list[list[int]]:
@@ -310,9 +328,7 @@ def _enumerate_hnf(f: EpsForm, r: int, half: int, bound: int):
     v of its basis has an A-isotropic cyclic span v, Tv, T^2 v, ..., and
     every other row is A- and A^T-orthogonal to that span.  Rows failing
     the first condition are never listed; after a row is chosen, the later
-    rows' lists are narrowed to the second (_combine).  T enters as
-    adj(B) A = det(B) T, which leaves both conditions unchanged; when
-    det B = 0 only A(v, v) = 0 and pairwise orthogonality are used.
+    rows' lists are narrowed to the second (_combine).
 
     A row depends only on its own pivot and the later ones, so its list is
     memoized on those, and each pivot configuration builds its lists from
@@ -323,10 +339,8 @@ def _enumerate_hnf(f: EpsForm, r: int, half: int, bound: int):
     """
     a = [list(row) for row in f.matrix.rows]
     at = [list(col) for col in zip(*a)]
-    structure = _isometric_structure(f)
-    t = None if structure is None else structure[1]
-    products = [a] if t is None else [a, [[sum(map(mul, row, col)) for col in zip(*t)]
-                                          for row in a]]
+    t = f.isometric_structure
+    products = [a, [[sum(map(mul, row, col)) for col in zip(*t)] for row in a]]
     # S = M + M^T for M = A and M = A T: v^T M v = v^T S v / 2
     forms = [[[x + y for x, y in zip(row, col)] for row, col in zip(m, zip(*m))]
              for m in products]
@@ -358,7 +372,7 @@ def _isotropic_rows(a, at, t, forms, bound, pivot_cols, pivot_vals):
     cyclic span is A-isotropic, ascending, each with the vectors c for
     which a later row w must have w . c = 0.
 
-    `forms` holds S = M + M^T for M = A, and M = A T when t is given, and
+    `forms` holds S = M + M^T for M = A and M = A T, and
     Q(v) = v^T S v = 2 v^T M v.  The entries after the pivot lie in
     [-bound, bound], and in [0, p) above a later pivot p.  An odometer
     steps all but the last two of them, keeping Q and (S v)_c for the free
@@ -435,15 +449,14 @@ def _cyclic_span(a, at, t, row, last):
     has dimension at most r/2.  The last row of a basis needs none."""
     r = len(a)
     powers = [row]
-    if t is not None:
-        at_v = [sum(map(mul, col, row)) for col in at]
-        w = row
-        for k in range(1, r):
-            w = [sum(map(mul, t_row, w)) for t_row in t]
-            if sum(map(mul, at_v, w)):
-                return None
-            if k < r // 2:
-                powers.append(w)
+    at_v = [sum(map(mul, col, row)) for col in at]
+    w = row
+    for k in range(1, r):
+        w = [sum(map(mul, t_row, w)) for t_row in t]
+        if sum(map(mul, at_v, w)):
+            return None
+        if k < r // 2:
+            powers.append(w)
     checks = []
     for w in [] if last else powers:
         checks.append([sum(map(mul, a_row, w)) for a_row in a])
@@ -505,33 +518,6 @@ def _orthogonal_blocks(f: EpsForm) -> list[list[int]]:
                     stack.append(j)
         blocks.append(sorted(block))
     return blocks
-
-
-@lru_cache(maxsize=16)
-def _delta_factorization(f: EpsForm) -> Factorization:
-    """Factorization of delta = det(tA + eps A^T) over Z[t], merged from the
-    factorizations of its orthogonal blocks' deltas.
-
-    delta is the product of the blocks' deltas and factorization is unique,
-    so each block is factored on its own and the multiplicities are summed;
-    the merged product is checked against delta of the whole form.  Held for
-    the few forms last seen, since the obstruction battery and the
-    metaboliser search of one cobordance question both need it.
-    """
-    eps_at = f.matrix.transpose().scale(f.eps)
-    sign, unit_exponent, content, counts = 1, 0, 1, {}
-    for block in _orthogonal_blocks(f):
-        fact = factor_int_poly(det_pencil(f.matrix.submatrix(block, block),
-                                          eps_at.submatrix(block, block)))
-        sign *= fact.sign
-        unit_exponent += fact.unit_exponent
-        content *= fact.content
-        for poly, mult in fact.factors:
-            counts[poly] = counts.get(poly, 0) + mult
-    merged = Factorization(sign, unit_exponent, content, list(counts.items()))
-    assert merged.product() == det_pencil(f.matrix, eps_at), \
-        "per-block factorization does not multiply to delta"
-    return merged
 
 
 def _chi_factors(fact: Factorization, n: int) -> list[tuple[Laurent, int]]:
@@ -621,24 +607,21 @@ class ObstructionReport:
 def null_cobordance_obstructions(f: EpsForm) -> ObstructionReport:
     """Battery of necessary conditions for null-cobordance.
 
-    Rank parity; vanishing signature of the symmetrization when eps = +1;
-    the Fox-Milnor factorization condition on det(tA + eps A^T), factored
-    one orthogonal block at a time; and a
-    vanishing Arf invariant when eps = -1 (a cobordism invariant of
-    odd-dimensional knots).  Each check carries a human-readable
-    certificate.  All-pass does not prove null-cobordance.
+    Vanishing signature of the symmetrization when eps = +1; the
+    Fox-Milnor factorization condition on det(tA + eps A^T), read from the
+    form's per-block factorization; and a vanishing Arf invariant when
+    eps = -1 (a cobordism invariant of odd-dimensional knots).  Each check
+    carries a human-readable certificate.  All-pass does not prove
+    null-cobordance.  (The rank is even for every eps-form, so rank parity
+    is no check.)
     """
     checks = []
-    even = f.rank % 2 == 0
-    checks.append(Obstruction(
-        name="rank-parity", passed=even,
-        certificate=f"rank {f.rank} is {'even' if even else 'odd'}"))
     if f.eps == 1:
-        sig = signature(f.symmetrization())
+        sig = signature(f.symmetrization)
         checks.append(Obstruction(
             name="signature", passed=sig == 0,
             certificate=f"signature of symmetrization = {sig}"))
-    fact = _delta_factorization(f)
+    fact = f.delta_factorization
     fm = fox_milnor(fact)
     checks.append(Obstruction(
         name="fox-milnor", passed=fm,
@@ -662,14 +645,16 @@ class CobordanceVerdict:
 def algebraically_cobordant(f1: EpsForm, f2: EpsForm, bound: int) -> CobordanceVerdict:
     """Decide cobordance of f1 and f2.
 
-    Runs the obstruction battery on f1 (+) -f2 first; a failed necessary
-    condition settles the question negatively.  Otherwise the metaboliser
-    search either produces a witness (cobordant) or reports none (unknown);
-    only when chi_T has a repeated factor does the bound limit that search.
+    Builds the difference f1 (+) -f2 as one form, whose stages the
+    obstruction battery and the metaboliser search share, and runs the
+    battery first; a failed necessary condition settles the question
+    negatively.  Otherwise the metaboliser search either produces a witness
+    (cobordant) or reports none (unknown); only when chi_T has a repeated
+    factor does the bound limit that search.
     """
     if f1.eps != f2.eps:
         raise EpsFormError("cobordance needs forms of the same eps")
-    difference = orthogonal_sum(f1, negate(f2))
+    difference = EpsForm(_direct_sum(f1.matrix, -f2.matrix), f1.eps)
     report = null_cobordance_obstructions(difference)
     if not report.all_pass:
         return CobordanceVerdict(status="not-cobordant",

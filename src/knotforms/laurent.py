@@ -178,9 +178,6 @@ class Laurent:
             p = -p
         return p
 
-    def equals_up_to_unit(self, other: "Laurent") -> bool:
-        return self.unit_normalize() == other.unit_normalize()
-
     def content(self) -> int:
         """gcd of the (integer) coefficients; 0 for the zero polynomial."""
         g = 0
@@ -189,12 +186,6 @@ class Laurent:
                 raise TypeError("content is defined for integer polynomials")
             g = gcd(g, c)
         return g
-
-    def primitive_part(self) -> "Laurent":
-        g = self.content()
-        if g in (0, 1):
-            return self
-        return Laurent({e: c // g for e, c in self.coeffs.items()})
 
 
 def render_poly(p: Laurent, var: str = "t") -> str:

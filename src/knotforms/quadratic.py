@@ -88,10 +88,6 @@ class QuadraticFormF2:
     def dimension(self) -> int:
         return len(self.values)
 
-    def bilinear_value(self, x, y) -> int:
-        b = self.bilinear.rows
-        return sum(x[i] * b[i][j] * y[j] for i in range(len(x)) for j in range(len(y))) % 2
-
     def __call__(self, x) -> int:
         n = self.dimension
         total = sum(self.values[i] for i in range(n) if x[i] % 2)

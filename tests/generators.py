@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from knotforms.cobordism import validate_eps_form
+from knotforms.cobordism import EpsForm
 from knotforms.exact import Matrix
 
 
@@ -71,4 +71,4 @@ def eps_forms(draw, max_genus: int, eps: int | None = None):
             for j in range(g):
                 a[i][g + j] = int(i == j) - eps * a[g + j][i]
     p = random_unimodular(draw(st.randoms(use_true_random=False)), n)
-    return validate_eps_form(p.transpose() @ Matrix(a, ncols=n) @ p, eps)
+    return EpsForm(p.transpose() @ Matrix(a, ncols=n) @ p, eps)

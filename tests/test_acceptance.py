@@ -10,16 +10,15 @@ import time
 
 from knotforms.brieskorn import (BrieskornGerm, brieskorn_seifert, germ_report,
                                  quadratic_suspension_seifert)
-from knotforms.cobordism import (algebraically_cobordant, eps_form_of,
+from knotforms.cobordism import (EpsForm, algebraically_cobordant, eps_form_of,
                                  is_metaboliser, null_cobordance_obstructions,
-                                 search_metaboliser, validate_eps_form)
+                                 search_metaboliser)
 from knotforms.exact import Matrix, det, smith_normal_form
 from knotforms.invariants import Invariants
 from knotforms.laurent import conway_normalize
 from knotforms.quadratic import arf, is_even, karl, signature, QuadraticFormF2
 from knotforms.seifert import (SeifertMatrix, alexander_polynomial,
-                               intersection_form, is_quasi_unipotent,
-                               is_unimodular, monodromy)
+                               intersection_form, is_quasi_unipotent, monodromy)
 from knotforms.spheres import bp4k_order, bp_class, embeddable_spheres_group, im_j_order
 
 from oracles import bernoulli_akiyama_tanigawa, float_signature
@@ -113,7 +112,7 @@ def test_criterion_6_levine_congruence_fuzz():
         a = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)],
                    ncols=n)
         s = SeifertMatrix(a, q=rng.choice([1, 3, 5]))
-        if not is_unimodular(s):
+        if not Invariants(s).unimodular:
             continue
         checked += 1
         delta = conway_normalize(alexander_polynomial(s))
@@ -127,8 +126,8 @@ def test_criterion_6_levine_congruence_fuzz():
 def test_criterion_7_cobordism():
     start = time.monotonic()
     trefoil = eps_form_of(brieskorn_seifert(BrieskornGerm((2, 3))))
-    unknot = validate_eps_form(Matrix([], ncols=0), -1)
-    hyperbolic = validate_eps_form(Matrix([[0, 1], [0, 0]]), -1)
+    unknot = EpsForm(Matrix([], ncols=0), -1)
+    hyperbolic = EpsForm(Matrix([[0, 1], [0, 0]]), -1)
 
     same = algebraically_cobordant(trefoil, trefoil, bound=2)
     assert same.status == "cobordant"
@@ -219,7 +218,7 @@ def test_criterion_9_invariant_suites():
     # signature of unimodular even forms is divisible by 8 (pipeline forms)
     for exponents in [(2, 3, 5), (2, 2, 3, 3), (2, 2, 2, 3, 5), (3, 5, 2)]:
         s = brieskorn_seifert(BrieskornGerm(exponents))
-        if s.q % 2 == 0 and is_unimodular(s):
+        if s.q % 2 == 0 and Invariants(s).unimodular:
             inter = intersection_form(s)
             assert is_even(inter)
             assert signature(inter) % 8 == 0
@@ -241,7 +240,7 @@ def test_criterion_9_invariant_suites():
                    ncols=n)
         if det(a + a.transpose().scale(-1)) not in (1, -1):
             continue
-        form = validate_eps_form(a, -1)
+        form = EpsForm(a, -1)
         result = search_metaboliser(form, 2)
         if result.found:
             found += 1

@@ -7,11 +7,11 @@ from knotforms.brieskorn import (BrieskornGerm, brieskorn_seifert, germ_report,
                                  pham_matrix, quadratic_suspension_seifert,
                                  sakamoto_product)
 from knotforms.exact import Matrix, det
+from knotforms.invariants import Invariants
 from knotforms.laurent import Laurent, det_pencil
 from knotforms.quadratic import is_even, karl, signature
 from knotforms.seifert import (alexander_polynomial, characteristic_polynomial,
-                               intersection_form, is_quasi_unipotent, is_unimodular,
-                               monodromy)
+                               intersection_form, is_quasi_unipotent, monodromy)
 
 from oracles import brieskorn_char_poly_numeric
 
@@ -124,7 +124,7 @@ class TestPermutationCovariance:
                 s = brieskorn_seifert(BrieskornGerm(perm))
                 delta = alexander_polynomial(s).unit_normalize()
                 inter = intersection_form(s)
-                unimod = is_unimodular(s)
+                unimod = Invariants(s).unimodular
                 extra = None
                 if unimod:
                     if s.q % 2 == 0:

@@ -1,9 +1,18 @@
+import concurrent.futures
+import contextlib
 import io
+import re
+import tempfile
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotforms.cli import main
+
+from generators import square_matrices
 
 TREFOIL = "q=1 rank=2\n-1 0\n1 -1\n"
 UNKNOT = "q=1 rank=0\n"
@@ -100,6 +109,38 @@ class TestInvariants:
         bad.write_text("q=1 rank=1\nx\n")
         assert main(["invariants", "--jobs", "2", trefoil_file, str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["invariants", "handles"])
+    def test_jobs_capped_at_file_count(self, command, trefoil_file, unknot_file, capsys,
+                                       monkeypatch):
+        # a fork pool starts all its workers at the first submit, so the
+        # pool is replaced by one that records its size and runs inline
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        paths = [trefoil_file, unknot_file, trefoil_file]
+        assert main([command, *paths]) == 0
+        sequential = capsys.readouterr().out
+        assert main([command, "--jobs", "4096", *paths]) == 0
+        assert capsys.readouterr().out == sequential
+        assert main([command, "--jobs", "2", *paths]) == 0
+        assert capsys.readouterr().out == sequential
+        assert sizes == [3, 2]
 
 
 class TestBrieskorn:
@@ -330,3 +371,47 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.err.count("--bound") == 2
         assert captured.out.count("verdict") == 2
+
+
+def _matrix_text(matrix, q: int, defect: str) -> str:
+    """A matrix file, or one with a single defect that the parser rejects."""
+    rank = matrix.nrows
+    lines = [f"q={q} rank={rank}", *(" ".join(map(str, row)) for row in matrix.rows)]
+    if defect == "row-missing" and rank:
+        lines.pop()
+    elif defect == "token":
+        lines[-1] += " x"
+    elif defect == "q=0":
+        lines[0] = f"q=0 rank={rank}"
+    elif defect == "extra-row":
+        lines.append(" ".join(["0"] * rank))
+    elif defect == "no-header":
+        lines.pop(0)
+    return "\n".join(lines) + "\n"
+
+
+matrix_files = st.builds(
+    _matrix_text, st.integers(0, 4).flatmap(square_matrices), st.integers(1, 3),
+    st.sampled_from(["none"] * 5 + ["row-missing", "token", "q=0", "extra-row",
+                                    "no-header"]))
+
+
+class TestFuzz:
+    @settings(max_examples=200)
+    @given(matrix_files, matrix_files, st.booleans())
+    def test_every_command_ends_with_a_documented_exit_code(self, text_a, text_b, same):
+        # random and malformed files through every file command: no crash
+        # reaches the catch-all, whose line reads "error: <Type>: ..."
+        with tempfile.TemporaryDirectory() as tmp:
+            path_a, path_b = Path(tmp, "a.mat"), Path(tmp, "b.mat")
+            path_a.write_text(text_a)
+            path_b.write_text(text_a if same else text_b)
+            for argv in (["invariants", str(path_a)], ["handles", str(path_a)],
+                         ["cobordant", str(path_a), str(path_b), "--bound", "1"]):
+                out, err = io.StringIO(), io.StringIO()
+                start = time.monotonic()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code in (0, 1, 2, 3), argv
+                assert time.monotonic() - start < 10.0, argv
+                assert not re.search(r"^error: \w+: ", err.getvalue(), re.M), err.getvalue()

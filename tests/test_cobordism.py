@@ -1,29 +1,32 @@
 import random
+import sys
+from collections import Counter
+from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from knotforms.brieskorn import BrieskornGerm, brieskorn_seifert
-from knotforms.cobordism import (EpsForm, EpsFormError, _chi_factors,
-                                 _delta_factorization, _enumerate_hnf, _integer_roots,
-                                 _invariant_metabolisers, _orthogonal_blocks, _row_hnf,
-                                 algebraically_cobordant, eps_form_of, fox_milnor,
-                                 is_metaboliser, negate,
+from knotforms.cobordism import (EpsForm, EpsFormError, _chi_factors, _enumerate_hnf,
+                                 _direct_sum, _integer_roots, _invariant_metabolisers,
+                                 _orthogonal_blocks, _row_hnf, algebraically_cobordant,
+                                 eps_form_of, fox_milnor, is_metaboliser, negate,
                                  null_cobordance_obstructions, orthogonal_sum,
-                                 search_metaboliser, validate_eps_form)
-from knotforms.exact import Matrix, det, pencil_det_coefficients, smith_normal_form
+                                 search_metaboliser)
+from knotforms.exact import Matrix, ShapeError, det, pencil_det_coefficients, smith_normal_form
 from knotforms.laurent import Laurent, det_pencil, factor_int_poly
 from knotforms.quadratic import signature
 
-from generators import eps_forms, random_unimodular
+from generators import eps_forms, random_unimodular, square_matrices
 from oracles import (brute_force_rank1_metaboliser_absent, enumerate_hnf_unpruned,
                      inverse_gauss_jordan)
 
 A1 = Matrix([[-1, 0], [1, -1]])
-TREFOIL_FORM = validate_eps_form(A1, -1)
-HYPERBOLIC_FORM = validate_eps_form(Matrix([[0, 1], [0, 0]]), -1)
-EMPTY_FORM = validate_eps_form(Matrix([], ncols=0), -1)
+TREFOIL_FORM = EpsForm(A1, -1)
+HYPERBOLIC_FORM = EpsForm(Matrix([[0, 1], [0, 0]]), -1)
+EMPTY_FORM = EpsForm(Matrix([], ncols=0), -1)
 
 
 def upper_half(sym: Matrix) -> Matrix:
@@ -39,19 +42,47 @@ def upper_half(sym: Matrix) -> Matrix:
 
 class TestValidateEpsForm:
     def test_trefoil_valid(self):
-        assert validate_eps_form(A1, -1).rank == 2
+        assert EpsForm(A1, -1).rank == 2
 
     def test_zero_invalid(self):
         with pytest.raises(EpsFormError):
-            validate_eps_form(Matrix([[0]]), -1)
+            EpsForm(Matrix([[0]]), -1)
 
     def test_symmetric_one_invalid(self):
         with pytest.raises(EpsFormError):
-            validate_eps_form(Matrix([[1]]), 1)  # symmetrization (2)
+            EpsForm(Matrix([[1]]), 1)  # symmetrization (2)
 
     def test_bad_eps(self):
         with pytest.raises(EpsFormError):
-            validate_eps_form(Matrix([[1]]), 0)
+            EpsForm(Matrix([[1]]), 0)
+
+    def test_singular_symmetrization_rejected(self):
+        # det B = 0: T would be undefined
+        with pytest.raises(EpsFormError, match="determinant 0"):
+            EpsForm(Matrix([[0, 1], [-1, 0]]), 1)
+
+    @pytest.mark.parametrize("rows,eps,d", [([[-1]], 1, -2),
+                                            ([[0, 1], [1, 1]], 1, -4),
+                                            ([[0, 2], [0, 0]], -1, 4)])
+    def test_non_unimodular_symmetrization_rejected(self, rows, eps, d):
+        # |det B| > 1: T = B^-1 A would not be integral
+        assert det(Matrix(rows) + Matrix(rows).transpose().scale(eps)) == d
+        with pytest.raises(EpsFormError, match=f"determinant {d},"):
+            EpsForm(Matrix(rows), eps)
+
+    @given(st.sampled_from((1, 3, 5)).flatmap(square_matrices), st.sampled_from((-1, 1)))
+    def test_odd_rank_rejected(self, a, eps):
+        # B mod 2 is alternating, so det B is even at odd rank: no odd-rank
+        # eps-form exists for a search or an obstruction to handle
+        with pytest.raises(EpsFormError):
+            EpsForm(a, eps)
+
+    def test_lists_coerced_and_non_integers_rejected(self):
+        assert EpsForm([[-1, 0], [1, -1]], -1) == TREFOIL_FORM
+        with pytest.raises(TypeError):
+            EpsForm(Matrix([[Fraction(1, 2), 1], [0, 0]]), -1)
+        with pytest.raises(ShapeError):
+            EpsForm(Matrix([[0, 1]]), -1)
 
 
 class TestIsMetaboliser:
@@ -95,10 +126,6 @@ class TestSearchMetaboliser:
         result = search_metaboliser(TREFOIL_FORM, 5)
         assert result.status == "not-found-within-bound"
 
-    def test_odd_rank_definitive_no(self):
-        odd = EpsForm(matrix=Matrix([[1]]), eps=1)  # bypass validation on purpose
-        assert search_metaboliser(odd, 3).status == "no-odd-rank"
-
     def test_rank0_found_empty(self):
         result = search_metaboliser(EMPTY_FORM, 1)
         assert result.found and result.witness.basis == ()
@@ -117,7 +144,7 @@ class TestSearchMetaboliser:
             a = Matrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)],
                        ncols=n)
             try:
-                form = validate_eps_form(a, -1)
+                form = EpsForm(a, -1)
             except EpsFormError:
                 continue
             tested += 1
@@ -180,12 +207,12 @@ class TestObstructions:
                            if c.name == "signature").certificate
 
     def test_signature_additivity(self):
-        f1 = validate_eps_form(upper_half(_e8()), 1)
-        f2 = validate_eps_form(upper_half(Matrix([[0, 1], [1, 0]])), 1)
-        s1 = signature(f1.symmetrization())
-        s2 = signature(f2.symmetrization())
+        f1 = EpsForm(upper_half(_e8()), 1)
+        f2 = EpsForm(upper_half(Matrix([[0, 1], [1, 0]])), 1)
+        s1 = signature(f1.symmetrization)
+        s2 = signature(f2.symmetrization)
         diff = orthogonal_sum(f1, negate(f2))
-        assert signature(diff.symmetrization()) == s1 - s2
+        assert signature(diff.symmetrization) == s1 - s2
 
 
 def _e8() -> Matrix:
@@ -217,9 +244,61 @@ class TestAlgebraicallyCobordant:
         assert verdict.status == "cobordant"
 
     def test_eps_mismatch(self):
-        plus = validate_eps_form(upper_half(Matrix([[0, 1], [1, 0]])), 1)
+        plus = EpsForm(upper_half(Matrix([[0, 1], [1, 0]])), 1)
         with pytest.raises(EpsFormError):
             algebraically_cobordant(plus, TREFOIL_FORM, bound=1)
+
+
+@pytest.fixture()
+def stage_calls(monkeypatch):
+    """Count, per EpsForm stage, the matrices whose symmetrization is built
+    (in calls.built), and the calls to adjugate_product and factor_int_poly
+    through every knotforms binding."""
+    calls = Counter()
+    calls.built = []
+    build = EpsForm.symmetrization.func
+
+    def symmetrization(self):
+        calls.built.append(self.matrix)
+        return build(self)
+
+    stage = cached_property(symmetrization)
+    stage.__set_name__(EpsForm, "symmetrization")
+    monkeypatch.setattr(EpsForm, "symmetrization", stage)
+    for module, name in [("exact", "adjugate_product"), ("laurent", "factor_int_poly")]:
+        original = getattr(sys.modules[f"knotforms.{module}"], name)
+
+        def counted(*args, original=original, name=name):
+            calls[name] += 1
+            return original(*args)
+
+        for key, mod in list(sys.modules.items()):
+            if key.startswith("knotforms") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def _cobordance_cases():
+    rng = random.Random(909)
+    genus_two = EpsForm(Matrix([[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 1, 1], [0, 0, 0, 2]]), -1)
+    p = random_unimodular(rng, 4)
+    copy = EpsForm(p.transpose() @ genus_two.matrix @ p, -1)
+    return [(TREFOIL_FORM, TREFOIL_FORM), (TREFOIL_FORM, EMPTY_FORM),
+            (HYPERBOLIC_FORM, EMPTY_FORM), (HYPERBOLIC_FORM, TREFOIL_FORM),
+            (genus_two, TREFOIL_FORM), (genus_two, genus_two), (genus_two, copy)]
+
+
+class TestStagesComputedOnce:
+    @pytest.mark.parametrize("f1,f2", _cobordance_cases())
+    def test_algebraically_cobordant(self, f1, f2, stage_calls):
+        # the difference is built and validated once, and the battery and
+        # the search share its B, T and factorization of delta
+        verdict = algebraically_cobordant(f1, f2, bound=2)
+        matrix = _direct_sum(f1.matrix, -f2.matrix)
+        assert stage_calls.built == [matrix]
+        assert stage_calls["adjugate_product"] <= (verdict.obstruction is None)
+        blocks = _orthogonal_blocks(EpsForm(matrix, f1.eps))
+        assert stage_calls["factor_int_poly"] == len(blocks)
 
 
 def _permuted(f: EpsForm, order) -> EpsForm:
@@ -249,7 +328,7 @@ class TestIsometricStructure:
         blocks = _orthogonal_blocks(diff)
         assert len(blocks) >= 2
         assert sorted(i for block in blocks for i in block) == list(range(diff.rank))
-        merged = _delta_factorization(diff)
+        merged = diff.delta_factorization
         assert all(poly.max_exponent <= max(map(len, blocks)) for poly, _ in merged.factors)
         whole = det_pencil(diff.matrix, diff.matrix.transpose().scale(diff.eps))
         assert merged.product() == whole
@@ -291,15 +370,15 @@ class TestIsometricStructure:
 
     @given(eps_forms(4))
     @example(HYPERBOLIC_FORM)
-    @example(validate_eps_form(Matrix([[0, 0, 1, 0], [0, 0, 0, 1],
+    @example(EpsForm(Matrix([[0, 0, 1, 0], [0, 0, 0, 1],
                                        [0, 0, 1, 1], [0, 0, 0, 2]]), -1))
     def test_homogeneous_factors_multiply_to_chi_t(self, f):
-        b = f.symmetrization()
+        b = f.symmetrization
         t = inverse_gauss_jordan(b) @ f.matrix
         chi = Laurent.from_coeff_list(
             pencil_det_coefficients(Matrix.identity(f.rank), -t))
         product = Laurent.one()
-        for g, mult in _chi_factors(_delta_factorization(f), f.rank):
+        for g, mult in _chi_factors(f.delta_factorization, f.rank):
             product = product * g ** mult
         assert product in (chi, -chi)
 
@@ -348,7 +427,7 @@ class TestPrunedWalk:
     def test_later_pivot_values_kept_apart(self):
         # the second metaboliser has pivot 2 in its second row, where the
         # later rows with pivot values (1, 1) admit no compatible choice
-        f = validate_eps_form(Matrix([[0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, -1],
+        f = EpsForm(Matrix([[0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, -1],
                                       [0, 0, 0, 1, -1, 2], [0, 0, -1, 1, 0, 0],
                                       [0, 1, 1, 2, 0, -1], [0, 1, -1, 2, -1, 1]]), 1)
         expected = [((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0)),
@@ -363,13 +442,6 @@ class TestPrunedWalk:
         verdict = algebraically_cobordant(f, f, bound=1)
         assert verdict.status == "cobordant"
         assert is_metaboliser(orthogonal_sum(f, negate(f)), verdict.witness.basis)
-
-    def test_singular_symmetrization_walks_without_t(self):
-        # det B = 0: T is undefined and only A-isotropy prunes
-        f = EpsForm(matrix=Matrix([[0, 1], [-1, 0]]), eps=1)
-        assert det(f.symmetrization()) == 0
-        assert list(_enumerate_hnf(f, 2, 1, 2)) == list(enumerate_hnf_unpruned(f, 2, 1, 2))
-        assert _first_hnf_hit(f, 2, walk=_enumerate_hnf) == ((1, -2),)
 
     @given(st.integers(-4, 4), st.integers(-9, 9), st.integers(-20, 20),
            st.integers(-6, 3), st.integers(0, 8))

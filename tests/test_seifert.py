@@ -6,11 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knotforms.exact import Matrix, det, inverse
+from knotforms.invariants import Invariants
 from knotforms.laurent import Laurent, NormalizationError, conway_normalize, render_poly
 from knotforms.seifert import (NonFiberedError, SeifertMatrix, alexander_polynomial,
                                characteristic_polynomial, intersection_form,
-                               is_fibered_form, is_quasi_unipotent,
-                               is_unimodular, knot_module, monodromy)
+                               is_quasi_unipotent, knot_module, monodromy)
 
 from generators import square_matrices
 from oracles import inverse_gauss_jordan, laurent_det_cofactor
@@ -58,24 +58,24 @@ class TestIntersectionForm:
 
 class TestUnimodular:
     def test_trefoil(self):
-        assert is_unimodular(TREFOIL)
+        assert Invariants(TREFOIL).unimodular
 
     def test_zero_form(self):
-        assert not is_unimodular(SeifertMatrix(Matrix([[0]]), q=1))
+        assert not Invariants(SeifertMatrix(Matrix([[0]]), q=1)).unimodular
 
     def test_unknot(self):
-        assert is_unimodular(EMPTY)
+        assert Invariants(EMPTY).unimodular
 
 
 class TestFibered:
     def test_trefoil(self):
-        assert is_fibered_form(TREFOIL)
+        assert Invariants(TREFOIL).fibered
 
     def test_det_two(self):
-        assert not is_fibered_form(SeifertMatrix(Matrix([[2]]), q=1))
+        assert not Invariants(SeifertMatrix(Matrix([[2]]), q=1)).fibered
 
     def test_triangular(self):
-        assert is_fibered_form(SeifertMatrix(Matrix([[1, 1], [0, 1]]), q=1))
+        assert Invariants(SeifertMatrix(Matrix([[1, 1], [0, 1]]), q=1)).fibered
 
 
 class TestMonodromy:
@@ -118,7 +118,7 @@ class TestMonodromy:
         found = 0
         while found < 50:
             s = random_seifert(rng)
-            if not is_fibered_form(s) or s.rank == 0:
+            if not Invariants(s).fibered or s.rank == 0:
                 continue
             found += 1
             h = monodromy(s)
@@ -131,7 +131,7 @@ class TestMonodromy:
         found = 0
         while found < 50:
             s = random_seifert(rng)
-            if not is_fibered_form(s):
+            if not Invariants(s).fibered:
                 continue
             found += 1
             chi = characteristic_polynomial(monodromy(s))
@@ -188,7 +188,7 @@ class TestAlexander:
         found = 0
         while found < 60:
             s = random_seifert(rng)
-            if not is_unimodular(s):
+            if not Invariants(s).unimodular:
                 continue
             found += 1
             c = conway_normalize(alexander_polynomial(s))

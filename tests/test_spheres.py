@@ -6,7 +6,7 @@ from knotforms.brieskorn import BrieskornGerm, brieskorn_seifert
 from knotforms.exact import Matrix
 from knotforms.invariants import Invariants
 from knotforms.quadratic import is_even, signature
-from knotforms.seifert import SeifertMatrix, intersection_form, is_unimodular
+from knotforms.seifert import SeifertMatrix, intersection_form
 from knotforms.spheres import (bp4k2_group, bp4k_order, bp_class,
                                embeddable_spheres_group, im_j_order)
 
@@ -149,7 +149,7 @@ class TestBpClass:
             if g.milnor_number > 40:
                 continue
             s = brieskorn_seifert(g)
-            if not is_unimodular(s):
+            if not Invariants(s).unimodular:
                 continue
             seen += 1
             inter = intersection_form(s)
