@@ -19,7 +19,9 @@ within bound" is not a proof of non-existence.  The walk keeps its answer,
 the least metaboliser in the box, but T prunes it: a row of a metaboliser
 has an A-isotropic cyclic span v, Tv, T^2 v, ..., and the other rows are
 orthogonal to that span, so rows and bases failing these necessary
-conditions are never formed.
+conditions are never formed.  And T closes it: when the last row's cyclic
+span has half the rank, it spans the metaboliser over Q, which is then the
+span meet Z^n, so no earlier row is walked for that last row.
 
 Alexander polynomials are factored one orthogonal block at a time, so the
 difference of two forms never factors a polynomial of higher degree than
@@ -28,10 +30,11 @@ the larger form's rank.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
-from math import isqrt
+from math import gcd, isqrt
 from operator import add, mul
 
 from .exact import (Matrix, ShapeError, adjugate_product, det, smith_normal_form,
@@ -52,7 +55,8 @@ class EpsForm:
 
     Its cobordance stages are computed on first use and held on the form,
     so that the obstruction battery and the metaboliser search of one
-    cobordance question share them: B, T and the factorization of delta.
+    cobordance question share them: B, det B, T and the factorization of
+    delta.
     """
 
     matrix: Matrix
@@ -67,7 +71,7 @@ class EpsForm:
             raise ShapeError(f"eps-form matrix must be square, got {self.matrix.shape}")
         if not self.matrix.is_integral:
             raise TypeError("eps-form entries must be integers")
-        d = det(self.symmetrization)
+        d = self.symmetrization_det
         if d not in (1, -1):
             raise EpsFormError(
                 f"symmetrization has determinant {d}, not +-1: not an eps-form")
@@ -82,9 +86,15 @@ class EpsForm:
         return self.matrix + self.matrix.transpose().scale(self.eps)
 
     @cached_property
+    def symmetrization_det(self) -> int:
+        """det B, +-1 once construction has succeeded."""
+        return det(self.symmetrization)
+
+    @cached_property
     def isometric_structure(self) -> tuple[tuple[int, ...], ...]:
         """T = B^-1 A as integer rows: det(B) adj(B) A, since det B = +-1."""
-        d, adj_a = adjugate_product(self.symmetrization, self.matrix)
+        d, adj_a = adjugate_product(self.symmetrization, self.matrix,
+                                    self.symmetrization_det)
         return (adj_a if d == 1 else -adj_a).rows
 
     @cached_property
@@ -198,7 +208,11 @@ def search_metaboliser(f: EpsForm, bound: int) -> MetaboliserSearch:
     "not-found-within-bound" is not a proof of non-existence.  The walk
     skips only bases that no metaboliser has (rows whose cyclic span under
     T is not isotropic, and rows not orthogonal to an earlier row's cyclic
-    span), so its answer is the box's least metaboliser all the same.
+    span), so its answer is the box's least metaboliser all the same.  It
+    closes on the last row: a metaboliser L is T-invariant, so the cyclic
+    span of its last row w lies in L tensor Q, and when that span has
+    dimension rank/2 it is all of it; L is then the span meet Z^n, computed
+    from w alone instead of walking the earlier rows.
 
     T and chi_T are read from the stages held on f, so a search after the
     obstruction battery factors nothing again.
@@ -322,7 +336,7 @@ def _row_hnf(vectors) -> tuple[tuple[int, ...], ...]:
 
 def _enumerate_hnf(f: EpsForm, r: int, half: int, bound: int):
     """Yield the HNF bases of the bound box in the order of _hnf_key,
-    skipping only bases that cannot span a metaboliser.
+    skipping only bases that cannot span a metaboliser (half >= 1).
 
     A metaboliser L is T-invariant (see the module docstring), so each row
     v of its basis has an A-isotropic cyclic span v, Tv, T^2 v, ..., and
@@ -330,12 +344,26 @@ def _enumerate_hnf(f: EpsForm, r: int, half: int, bound: int):
     the first condition are never listed; after a row is chosen, the later
     rows' lists are narrowed to the second (_combine).
 
-    A row depends only on its own pivot and the later ones, so its list is
-    memoized on those, and each pivot configuration builds its lists from
-    the last row, which has the fewest free entries, stopping at the first
-    empty one.  Before a list is built, the rows after it must admit one
-    compatible choice (a first basis from _combine), else the configuration
-    yields nothing; that answer is memoized on the later pivots too.
+    The last row's list, which has the fewest free entries, is built first.
+    The last row w of an HNF basis of a pure lattice is primitive, so other
+    rows are dropped, and the rest are split by the dimension of their
+    cyclic span, read from the echelon form of w, Tw, ...  When it is half,
+    the span is all of L (tensor Q), so L is the saturation of the span
+    (the span meet Z^n), and its HNF is the only basis with last row w
+    that can be a metaboliser.  That HNF is computed at most once per row,
+    only once a pivot configuration with the span's echelon pivot columns
+    is reached, and yielded there if its pivot values match and its entries
+    lie in the box; its last row is w, since w is primitive.  Only bases
+    whose last row has a smaller span are walked, and the two streams are
+    merged in _hnf_key order, so the walk yields every metaboliser of the
+    box in the same order as without the closure.
+
+    For the walked bases a row depends only on its own pivot and the later
+    ones, so its list is memoized on those, and each pivot configuration
+    builds its lists from the last row, stopping at the first empty one.
+    Before a list is built, the rows after it must admit one compatible
+    choice (a first basis from _combine), else the configuration yields
+    nothing; that answer is memoized on the later pivots too.
     """
     a = [list(row) for row in f.matrix.rows]
     at = [list(col) for col in zip(*a)]
@@ -346,31 +374,70 @@ def _enumerate_hnf(f: EpsForm, r: int, half: int, bound: int):
              for m in products]
     memo: dict = {}
     tails: dict = {}
+    lasts: dict = {}
+    closures: dict = {}
+
+    def closed(pivot_cols, pivot_vals, full):
+        # the saturated spans of the full-span last rows in this configuration
+        out = []
+        units = max(pivot_vals) == 1
+        for row, (cols, rows) in full:
+            # the saturation has unit pivots exactly when the RREF is integral
+            if cols != pivot_cols or units != all(x[c] == 1 for x, c in zip(rows, cols)):
+                continue
+            if row not in closures:
+                basis = _saturation(cols, rows)
+                closures[row] = basis if _max_entry(basis) <= bound else None
+            basis = closures[row]
+            if basis is not None and all(b[j] == p for b, j, p in
+                                         zip(basis, pivot_cols, pivot_vals)):
+                out.append(basis)
+        return sorted(out)
+
+    def walked(pivot_cols, pivot_vals, partial):
+        lists = [partial]
+        for i in range(half - 2, -1, -1):
+            key = (pivot_cols[i:], pivot_vals[i:])
+            if len(lists) > 1:
+                tail = (pivot_cols[i + 1:], pivot_vals[i + 1:])
+                if tail not in tails:
+                    tails[tail] = next(_combine(lists[::-1], ()), None) is not None
+                if not tails[tail]:
+                    return
+            lst = memo.get(key)
+            if lst is None:
+                lst = memo[key] = [(row, _span_checks(a, at, krylov)) for row, krylov
+                                   in _isotropic_rows(a, at, t, forms, bound, *key)]
+            if not lst:
+                return
+            lists.append(lst)
+        yield from _combine(lists[::-1], ())
+
     for pivot_cols in combinations(range(r), half):
         for pivot_vals in product(range(1, bound + 1), repeat=half):
-            lists = []
-            for i in range(half - 1, -1, -1):
-                key = (pivot_cols[i:], pivot_vals[i:])
-                if len(lists) > 1:
-                    tail = (pivot_cols[i + 1:], pivot_vals[i + 1:])
-                    if tail not in tails:
-                        tails[tail] = next(_combine(lists[::-1], ()), None) is not None
-                    if not tails[tail]:
-                        break
-                lst = memo.get(key)
-                if lst is None:
-                    lst = memo[key] = _isotropic_rows(a, at, t, forms, bound, *key)
-                if not lst:
-                    break
-                lists.append(lst)
-            else:
-                yield from _combine(lists[::-1], ())
+            key = (pivot_cols[-1:], pivot_vals[-1:])
+            if key not in lasts:
+                full, partial = [], []
+                for row, krylov in _isotropic_rows(a, at, t, forms, bound, *key):
+                    if gcd(*row) != 1:
+                        continue  # the last row of a pure lattice is primitive
+                    echelon = _span_echelon(krylov)
+                    if echelon is None:
+                        partial.append((row, ()))
+                    else:
+                        full.append((row, echelon))
+                lasts[key] = full, partial
+            full, partial = lasts[key]
+            streams = [closed(pivot_cols, pivot_vals, full)]
+            if partial:
+                streams.append(walked(pivot_cols, pivot_vals, partial))
+            yield from heapq.merge(*streams)
 
 
 def _isotropic_rows(a, at, t, forms, bound, pivot_cols, pivot_vals):
     """The rows with pivot pivot_vals[0] in column pivot_cols[0] whose
-    cyclic span is A-isotropic, ascending, each with the vectors c for
-    which a later row w must have w . c = 0.
+    cyclic span is A-isotropic, ascending, each with the vectors
+    v, Tv, ..., T^(r/2 - 1) v of its span (_cyclic_span).
 
     `forms` holds S = M + M^T for M = A and M = A T, and
     Q(v) = v^T S v = 2 v^T M v.  The entries after the pivot lie in
@@ -380,7 +447,7 @@ def _isotropic_rows(a, at, t, forms, bound, pivot_cols, pivot_vals):
     the last two entries y and x: y is swept, and x is an integer root.
     """
     r = len(a)
-    jpiv, last = pivot_cols[0], len(pivot_cols) == 1
+    jpiv = pivot_cols[0]
     later = dict(zip(pivot_cols[1:], pivot_vals[1:]))
     cols = list(range(jpiv + 1, r))
     lows = [0 if j in later else -bound for j in cols]
@@ -397,8 +464,8 @@ def _isotropic_rows(a, at, t, forms, bound, pivot_cols, pivot_vals):
     steps = [[s[c][j] for s in forms for j in cols] for c in head]
     qs = [sum(v[j] * sum(map(mul, s[j], v)) for j in range(jpiv, r)) for s in forms]
     if n == 0:
-        entry = None if any(qs) else _cyclic_span(a, at, t, v, last)
-        return [entry] if entry else []
+        krylov = None if any(qs) else _cyclic_span(at, t, v)
+        return [(tuple(v), krylov)] if krylov else []
     c = cols[-1]
     if n >= 2:
         d, sweep = cols[-2], range(lows[-2], highs[-2])
@@ -420,9 +487,9 @@ def _isotropic_rows(a, at, t, forms, bound, pivot_cols, pivot_vals):
                     continue
                 row = v[:]
                 row[d], row[c] = y, x
-                entry = _cyclic_span(a, at, t, row, last)
-                if entry is not None:
-                    out.append(entry)
+                krylov = _cyclic_span(at, t, row)
+                if krylov is not None:
+                    out.append((tuple(row), krylov))
         k = len(head) - 1
         while k >= 0:
             e = head[k]
@@ -441,13 +508,12 @@ def _isotropic_rows(a, at, t, forms, bound, pivot_cols, pivot_vals):
             return out
 
 
-def _cyclic_span(a, at, t, row, last):
-    """(row, checks) when A(v, T^k v) = 0 for k < r, so that the cyclic span
-    of v = row is isotropic (T^r v is a combination of the earlier powers),
-    else None.  The checks are A T^j v and A^T T^j v for j < r/2, whose
-    orthogonality is that to the whole cyclic span: an isotropic subspace
-    has dimension at most r/2.  The last row of a basis needs none."""
-    r = len(a)
+def _cyclic_span(at, t, row):
+    """[v, Tv, ..., T^(r/2 - 1) v] for v = row when A(v, T^k v) = 0 for
+    k < r, so that the cyclic span of v is isotropic (T^r v is a combination
+    of the earlier powers), else None.  An isotropic subspace has dimension
+    at most r/2, so these powers span it whenever it has that dimension."""
+    r = len(at)
     powers = [row]
     at_v = [sum(map(mul, col, row)) for col in at]
     w = row
@@ -457,11 +523,59 @@ def _cyclic_span(a, at, t, row, last):
             return None
         if k < r // 2:
             powers.append(w)
+    return powers
+
+
+def _span_checks(a, at, krylov):
+    """A w and A^T w for the vectors w of a cyclic span: a later row is
+    orthogonal to the whole span when its dot product with each is 0 (the
+    span is isotropic, so r/2 powers hold it)."""
     checks = []
-    for w in [] if last else powers:
+    for w in krylov:
         checks.append([sum(map(mul, a_row, w)) for a_row in a])
         checks.append([sum(map(mul, col, w)) for col in at])
-    return tuple(row), checks
+    return checks
+
+
+def _span_echelon(vectors):
+    """(cols, rows): the reduced row echelon form of the rational span of
+    the integer `vectors`, each row scaled to a primitive integer vector
+    with a positive entry in its pivot column cols[i] and zeros in the other
+    pivot columns; None when the vectors are dependent (a row cancels to
+    zero)."""
+    rows = [list(v) for v in vectors]
+    done = []
+    while rows:
+        leads = [next((j for j, x in enumerate(row) if x), None) for row in rows]
+        if None in leads:
+            return None
+        i = min(range(len(rows)), key=leads.__getitem__)
+        top, c = rows.pop(i), leads[i]
+        rows = [_cancel(row, top, c) for row in rows]
+        done = [(j, _cancel(row, top, c)) for j, row in done] + [(c, top)]
+    scales = [gcd(*row) if row[c] > 0 else -gcd(*row) for c, row in done]
+    return (tuple(c for c, _ in done),
+            tuple(tuple(x // g for x in row) for g, (_, row) in zip(scales, done)))
+
+
+def _cancel(row, top, c):
+    """row less a rational multiple of top that clears column c, scaled to
+    a primitive integer vector."""
+    if not row[c]:
+        return row
+    row = [top[c] * x - row[c] * y for x, y in zip(row, top)]
+    g = gcd(*row) or 1
+    return [x // g for x in row]
+
+
+def _saturation(cols, rows) -> tuple[tuple[int, ...], ...]:
+    """Row HNF of the pure lattice (rational span) meet Z^n, from the span's
+    reduced echelon form (_span_echelon).  When every pivot entry is 1 the
+    form is integral, so the lattice is its integer span and it is the HNF;
+    otherwise the lattice is the integer kernel of the integer kernel."""
+    if all(row[c] == 1 for row, c in zip(rows, cols)):
+        return rows
+    return _row_hnf(_integer_kernel(_integer_kernel(rows)))
 
 
 def _integer_roots(a: int, b: int, c: int, lo: int, hi: int) -> list[int]:

@@ -527,10 +527,11 @@ def pencil_det_coefficients(a: Matrix, b: Matrix) -> list[int]:
     return crt_lift(residues, a.nrows + 1, bound_sq)
 
 
-def adjugate_product(m: Matrix, r: Matrix) -> tuple[int, Matrix]:
+def adjugate_product(m: Matrix, r: Matrix, d: int | None = None) -> tuple[int, Matrix]:
     """(d, Y) with d = det(m) != 0 and Y = adj(m) @ r = d * m^-1 @ r, so that
     m @ Y = d * r; integer input and output.  Raises SingularMatrixError
-    when det m = 0.
+    when det m = 0.  A caller that already holds det(m) passes it as d, and
+    it is not computed again (each prime's elimination still checks it).
 
     By Cramer's rule Y_ij is the determinant of m with column i replaced by
     column j of r, so Hadamard bounds it by the product of the column norms
@@ -540,7 +541,8 @@ def adjugate_product(m: Matrix, r: Matrix) -> tuple[int, Matrix]:
         raise ShapeError(f"cannot solve {m.shape} against {r.shape}")
     if not (m.is_integral and r.is_integral):
         raise TypeError("adjugate product needs integer matrices")
-    d = det(m)
+    if d is None:
+        d = det(m)
     if d == 0:
         raise SingularMatrixError("matrix is singular")
     n, k = r.shape

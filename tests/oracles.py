@@ -12,8 +12,10 @@ Lagrange interpolation instead of the multi-modular Hessenberg kernel,
 integer interpolation by Lagrange's formula in Fractions instead of Newton
 divided differences in integers, exact division in Z[t] by long division
 over Q, primality by Miller-Rabin instead of trial division, symplectic
-bases over F_2 on tuples instead of bitmasks, and the Hermite-basis
-metaboliser walk with no use of the isometric structure.
+bases over F_2 on tuples instead of bitmasks, the Hermite-basis
+metaboliser walk with no use of the isometric structure, and the saturation
+of a lattice by the inverse of one Smith form's column transform instead of
+the integer kernel taken twice.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from itertools import combinations, product
 from math import gcd
 
 from knotforms.cobordism import EpsForm
-from knotforms.exact import Matrix, ShapeError, SingularMatrixError, det
+from knotforms.exact import (Matrix, ShapeError, SingularMatrixError, det,
+                             smith_normal_form_with_transforms)
 from knotforms.laurent import Laurent, _poly_divmod, _trim
 from knotforms.quadratic import DegenerateFormError
 
@@ -283,6 +286,18 @@ def inverse_gauss_jordan(m: Matrix) -> Matrix:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return Matrix([row[n:] for row in a], ncols=n)
+
+
+def saturation_smith(vectors) -> list[tuple[int, ...]]:
+    """A basis of the pure lattice (rational span of the independent integer
+    `vectors`) meet Z^n.  With U K V = D in Smith form, K = U^-1 D V^-1 and
+    D has no zero on its diagonal, so K spans over Q the first rows of
+    V^-1, which span a pure lattice because V^-1 is unimodular."""
+    k = Matrix([list(v) for v in vectors], ncols=len(vectors[0]))
+    factors, _, v = smith_normal_form_with_transforms(k)
+    assert all(factors), "vectors are dependent"
+    v_inv = inverse_gauss_jordan(v)
+    return [tuple(int(x) for x in row) for row in v_inv.rows[:k.nrows]]
 
 
 def brute_force_rank1_metaboliser_absent(form_matrix: Matrix, bound: int) -> bool:

@@ -3,15 +3,17 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from knotforms.brieskorn import BrieskornGerm, brieskorn_seifert
-from knotforms.cobordism import (EpsForm, EpsFormError, _chi_factors, _enumerate_hnf,
-                                 _direct_sum, _integer_roots, _invariant_metabolisers,
-                                 _orthogonal_blocks, _row_hnf, algebraically_cobordant,
+from knotforms.cobordism import (EpsForm, EpsFormError, _chi_factors, _cyclic_span,
+                                 _direct_sum, _enumerate_hnf, _integer_roots,
+                                 _invariant_metabolisers, _orthogonal_blocks, _row_hnf,
+                                 _saturation, _span_echelon, algebraically_cobordant,
                                  eps_form_of, fox_milnor, is_metaboliser, negate,
                                  null_cobordance_obstructions, orthogonal_sum,
                                  search_metaboliser)
@@ -21,7 +23,7 @@ from knotforms.quadratic import signature
 
 from generators import eps_forms, random_unimodular, square_matrices
 from oracles import (brute_force_rank1_metaboliser_absent, enumerate_hnf_unpruned,
-                     inverse_gauss_jordan)
+                     inverse_gauss_jordan, saturation_smith)
 
 A1 = Matrix([[-1, 0], [1, -1]])
 TREFOIL_FORM = EpsForm(A1, -1)
@@ -449,3 +451,66 @@ class TestPrunedWalk:
         hi = lo + width
         assert _integer_roots(a, b, c, lo, hi) == [
             x for x in range(lo, hi) if a * x * x + b * x + c == 0]
+
+
+def _last_row_spans_half(f: EpsForm, basis) -> bool:
+    at = [list(col) for col in zip(*f.matrix.rows)]
+    return _span_echelon(_cyclic_span(at, f.isometric_structure, list(basis[-1]))) is not None
+
+
+# f (+) -f for a genus-2 f: of its three metabolisers in the bound-1 box, the
+# first two have a last row whose cyclic span has dimension 4 = rank/2, the
+# third one whose span is smaller
+MIXED_F = EpsForm(Matrix([[0, 0, 0, -1], [0, 0, -1, -3], [-1, -2, -1, -3],
+                          [-3, -6, -4, -11]]), -1)
+
+
+class TestSpanClosure:
+    @settings(max_examples=40)
+    @given(st.sampled_from((-1, 1)).flatmap(
+        lambda eps: st.tuples(eps_forms(2, eps), eps_forms(1, eps))), st.randoms())
+    def test_metabolisers_match_unpruned_walk(self, forms, rnd):
+        # f (+) -P^T f P, and (+) g (+) -g when f has genus 1 (rank <= 8),
+        # in shuffled coordinates: a closed last row and a walked one both
+        # yield their metabolisers at their place in the walk
+        f, g = forms
+        h = _with_congruent_copy(f, rnd)
+        if f.rank == 2:
+            h = orthogonal_sum(h, orthogonal_sum(g, negate(g)))
+        order = list(range(h.rank))
+        rnd.shuffle(order)
+        h = _permuted(h, order)
+        assert list(_metabolisers(h, 1, walk=_enumerate_hnf)) == list(_metabolisers(h, 1))
+
+    def test_mixed_last_rows_keep_the_unpruned_order(self):
+        f = orthogonal_sum(MIXED_F, negate(MIXED_F))
+        closed = list(_metabolisers(f, 1, walk=_enumerate_hnf))
+        assert closed == list(_metabolisers(f, 1))
+        assert [_last_row_spans_half(f, basis) for basis in closed] == [True, True, False]
+
+    @given(st.integers(1, 3).flatmap(lambda k: st.integers(k, 6).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                           min_size=k, max_size=k))), st.integers(1, 3))
+    def test_saturation_matches_smith_route(self, rows, scale):
+        rows[0] = [scale * x for x in rows[0]]
+        assume(all(smith_normal_form(Matrix(rows))))  # independent rows
+        saturated = _saturation(*_span_echelon(rows))
+        assert saturated == _row_hnf(saturation_smith(rows))
+        assert set(smith_normal_form(Matrix(saturated))) == {1}
+
+    @given(st.integers(1, 3).flatmap(lambda k: st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                           min_size=k, max_size=k))))
+    def test_span_echelon_is_the_rational_hnf(self, rows):
+        echelon = _span_echelon(rows)
+        if sum(1 for x in smith_normal_form(Matrix(rows)) if x) < len(rows):
+            assert echelon is None  # dependent rows
+            return
+        cols, reduced = echelon
+        hnf = _row_hnf(rows)
+        assert cols == tuple(next(j for j, x in enumerate(row) if x) for row in hnf)
+        for row, c in zip(reduced, cols):
+            assert row[c] > 0 and gcd(*row) == 1
+            assert all(row[j] == 0 for j in cols if j != c)
+        # the same rational span: stacking adds no rank
+        assert sum(1 for x in smith_normal_form(Matrix(rows + list(reduced))) if x) == len(rows)

@@ -155,6 +155,7 @@ class TestMultiModular:
         assert got_d == d
         assert y.is_integral and y.shape == r.shape
         assert m @ y == r.scale(d)
+        assert adjugate_product(m, r, d) == (d, y)  # a known det is taken as given
 
     def test_adjugate_product_skips_primes_dividing_det(self):
         p0, p1 = word_prime(0), word_prime(1)

@@ -1,0 +1,111 @@
+"""Compare the CLI output of this checkout with another tree on the
+perfbench corpora.
+
+    python3 tools/cli_diff.py --parent DIR --workload all|NAME --seed N --budget S
+
+The operations of each workload are built from `perfbench/corpus.py` of this
+checkout (imported, not changed) into a temporary directory, with the argv
+lists the benchmark uses.  Each argv is run as `python -m knotforms.cli` in
+a subprocess, once against this checkout's `src/` and once against DIR's
+`src/`, in that temporary directory.  Exit code, stdout and stderr are
+compared after each tree's root path is replaced by `<checkout>`.
+
+An operation that runs past S seconds in either tree counts as overran, not
+as a difference.  Prints the number of identical, differing and overrun
+operations per workload (and each difference), and exits 1 on any
+difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import corpus  # noqa: E402
+
+WORKLOADS = ("germ-ladder", "matrix-files", "cobordance")
+
+
+def build_ops(workload: str, seed: int, workdir: Path) -> list[tuple[str, list[str]]]:
+    """(name, argv) for each operation of the workload, as perfbench runs
+    them; matrix files are written into workdir."""
+    ops = []
+    if workload == "germ-ladder":
+        for spec in corpus.germ_ladder(seed):
+            ops.append((spec["name"], ["brieskorn", *map(str, spec["exponents"]),
+                                       "--format", "machine"]))
+    elif workload == "matrix-files":
+        for spec in corpus.matrix_files(seed):
+            path = workdir / spec["name"]
+            path.write_text(corpus.serialize(spec["matrix"], spec["q"]))
+            ops.append((spec["name"], ["invariants", "--format", "machine", str(path)]))
+    else:
+        for spec in corpus.cobordance_pairs(seed):
+            paths = []
+            for side in ("a", "b"):
+                path = workdir / f"{spec['name']}{side}.mat"
+                path.write_text(corpus.serialize(spec[side], spec["q"]))
+                paths.append(str(path))
+            ops.append((spec["name"], ["cobordant", *paths, "--bound",
+                                       str(corpus.COBORDANCE_BOUND), "--format", "machine"]))
+    return ops
+
+
+def run_cli(tree: Path, argv: list[str], cwd: Path, budget: float):
+    """(exit code, stdout, stderr) with tree's path normalized, or None on
+    an overrun."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "knotforms.cli", *argv], cwd=cwd,
+                              env=env, capture_output=True, text=True, timeout=budget)
+    except subprocess.TimeoutExpired:
+        return None
+    root = str(tree)
+    return (proc.returncode, proc.stdout.replace(root, "<checkout>"),
+            proc.stderr.replace(root, "<checkout>"))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True,
+                        help="root of the tree to compare against (holds src/knotforms)")
+    parser.add_argument("--workload", default="all", choices=("all",) + WORKLOADS)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--budget", type=float, default=30.0,
+                        help="seconds per operation and tree before it counts as overran")
+    args = parser.parse_args(argv)
+    parent = args.parent.resolve()
+    if not (parent / "src" / "knotforms" / "cli.py").is_file():
+        parser.error(f"{parent} has no src/knotforms/cli.py")
+    workloads = WORKLOADS if args.workload == "all" else (args.workload,)
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload in workloads:
+            workdir = Path(tmp, workload)
+            workdir.mkdir()
+            counts = {"identical": 0, "differ": 0, "overran": 0}
+            for name, op_argv in build_ops(workload, args.seed, workdir):
+                ours = run_cli(ROOT, op_argv, workdir, args.budget)
+                theirs = run_cli(parent, op_argv, workdir, args.budget)
+                if ours is None or theirs is None:
+                    counts["overran"] += 1
+                elif ours == theirs:
+                    counts["identical"] += 1
+                else:
+                    counts["differ"] += 1
+                    print(f"differ: {workload} {name}: exit {ours[0]} vs {theirs[0]}")
+            differ += counts["differ"]
+            print(f"{workload} seed={args.seed}: " +
+                  " ".join(f"{key}={value}" for key, value in counts.items()))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
