@@ -12,13 +12,15 @@ The one-variable matrix for a > 3 extrapolates the published a = 2, 3
 data; it is pinned by the requirement that det(t*P + P^T) be
 1 + t + ... + t^(a-1) up to a unit, and by the golden low-rank examples.
 
-germ_report hands the matrix to the invariant pipeline (invariants.py).
+germ_report hands the matrix to the invariant pipeline (invariants.py),
+except for the monodromy: by Sebastiani-Thom it is the Kronecker product
+of the one-variable monodromies, up to the sign (-1)^(q+1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from math import prod
 
 from .exact import Matrix, kronecker
@@ -59,6 +61,15 @@ def pham_matrix(a: int) -> Matrix:
         raise ValueError(f"exponent must be >= 2, got {a}")
     n = a - 1
     return Matrix([[1 if i == j else (-1 if i == j + 1 else 0)
+                    for j in range(n)] for i in range(n)], ncols=n)
+
+
+def pham_monodromy(a: int) -> Matrix:
+    """(P^T)^-1 P for P = pham_matrix(a): -1 below the diagonal and 1 in
+    the last column (the inverse of P^T is the upper triangle of ones).
+    The 1 x 1 matrix (1) for a = 2."""
+    n = a - 1
+    return Matrix([[1 if j == n - 1 else (-1 if i == j + 1 else 0)
                     for j in range(n)] for i in range(n)], ncols=n)
 
 
@@ -104,6 +115,21 @@ class GermReport(Invariants):
     def __init__(self, germ: BrieskornGerm):
         super().__init__(brieskorn_seifert(germ))
         self.germ = germ
+
+    @cached_property
+    def monodromy(self) -> Matrix | None:
+        """h = (-1)^(q+1) (A^T)^-1 A, from the join (Sebastiani-Thom).
+
+        A is, up to the Sakamoto sign, the Kronecker product of the P_a in
+        exponent order; since (X (x) Y)^T = X^T (x) Y^T and
+        (X (x) Y)(Z (x) W) = XZ (x) YW, (A^T)^-1 A is the Kronecker product
+        of the pham_monodromy(a), and the sign cancels.  Factors with
+        a = 2 are (1) and drop out.  None unless the form is fibered."""
+        if not self.fibered:
+            return None
+        h = reduce(kronecker, (pham_monodromy(a) for a in self.germ.exponents if a != 2),
+                   Matrix.identity(1))
+        return h if self.seifert.q % 2 else -h
 
     @cached_property
     def anomalies(self) -> tuple[str, ...]:

@@ -28,8 +28,12 @@ from .report import ReportDocument, format_table
 from .seifert import SeifertMatrix
 from .spheres import embeddable_spheres_group, im_j_order
 
-DEFAULT_RANK_WARN = 4096
-DEFAULT_RANK_LIMIT = 65536
+# `brieskorn` wall time on the germs (a, 3, 2, 2, 2), one run each on a
+# shared 2-vCPU VM with Python 3.11.7: mu = 116 0.8 s, 188 3.6 s, 256 12 s,
+# 332 36 s, 500 156 s, about mu^3.6 past 188 (det_pencil is most of it).
+# The warning starts past 12 s, the refusal past about 12 min (extrapolated).
+DEFAULT_RANK_WARN = 256
+DEFAULT_RANK_LIMIT = 768
 RANK_LIMIT_ENV = "KNOTFORMS_RANK_LIMIT"
 
 

@@ -1,10 +1,11 @@
 """Exact signatures, mod-2 quadratic refinements, Arf and KARL invariants.
 
-The signature is computed with no floating point: Descartes' rule of signs
-on the characteristic polynomial, which the multi-modular kernel of
-`exact` computes exactly.  Quadratic forms over F_2 refine nondegenerate
-alternating bilinear forms; their Arf invariant is sum q(e_i) q(f_i) over
-any symplectic basis.
+The signature is computed with no floating point, by fraction-free
+(Bareiss) elimination with symmetric pivots: the pivots are leading
+principal minors of a form congruent to the input, and Jacobi's rule reads
+the signature off their signs.  Quadratic forms over F_2 refine
+nondegenerate alternating bilinear forms; their Arf invariant is
+sum q(e_i) q(f_i) over any symplectic basis.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .exact import Matrix, ShapeError, pencil_det_coefficients
+from .exact import Matrix, ShapeError
 from .laurent import Laurent, conway_normalize
 from .seifert import SeifertMatrix, alexander_polynomial, intersection_form
 
@@ -32,23 +33,57 @@ class ParityError(ValueError):
 def signature(m: Matrix) -> int:
     """Signature of a symmetric matrix, exactly.
 
-    A symmetric matrix has only real eigenvalues, so its characteristic
-    polynomial chi(t) = det(tI - m) is real-rooted, and for a real-rooted
-    polynomial Descartes' rule of signs is exact: chi has as many positive
-    roots as its coefficient sequence has sign changes (zeros skipped), and
-    as many negative roots as that of chi(-t).  A rational m is scaled by
+    Bareiss elimination with diagonal pivots: after k steps the pivot D_k
+    is a k x k leading principal minor of a form congruent to m, and with
+    D_0 = 1 Jacobi's rule gives sigma = sum sign(D_k D_(k-1)).  When every
+    remaining diagonal entry is 0 but some m_ij is not, row and column j
+    are added to row and column i first; that congruence is unimodular, so
+    the divisions stay exact, and it puts 2 m_ij on the diagonal.  A zero
+    remainder is the radical and adds nothing.  A rational m is scaled by
     its (positive) common denominator first.
     """
     if not m.is_symmetric():
         raise ShapeError("signature is defined for symmetric matrices")
     denom = lcm(*(x.denominator for row in m.rows for x in row))
-    chi = pencil_det_coefficients(Matrix.identity(m.nrows), m.scale(-denom))
+    # u[i] holds row i of the remaining block from its diagonal entry on
+    u = [[int(x * denom) for x in row[i:]] for i, row in enumerate(m.rows)]
+    sigma, prev = 0, 1
+    while u:
+        p = next((i for i, row in enumerate(u) if row[0]), None)
+        if p is None:
+            pair = next(((i, i + c) for i, row in enumerate(u) for c, x in enumerate(row) if x),
+                        None)
+            if pair is None:
+                break
+            i, j = pair
+            col = [x + y for x, y in zip(_column(u, i), _column(u, j))]
+            col[i] = 2 * u[i][j - i]
+            p = i
+        else:
+            col = _column(u, p)
+        piv = col.pop(p)
+        sigma += 1 if (piv > 0) == (prev > 0) else -1
+        rest = []
+        for k, row in enumerate(u):
+            if k < p:
+                row = row[:p - k] + row[p - k + 1:]
+            elif k == p:
+                continue
+            tail = col[len(rest):]
+            f = tail[0]
+            if f:
+                rest.append([(piv * x - f * y) // prev for x, y in zip(row, tail)])
+            elif piv == prev:
+                rest.append(row)
+            else:
+                rest.append([piv * x // prev for x in row])
+        u, prev = rest, piv
+    return sigma
 
-    def sign_changes(coeffs):
-        signs = [c > 0 for c in coeffs if c]
-        return sum(x != y for x, y in zip(signs, signs[1:]))
 
-    return sign_changes(chi) - sign_changes([-c if k % 2 else c for k, c in enumerate(chi)])
+def _column(u: list[list[int]], j: int) -> list[int]:
+    """Column j of the symmetric matrix whose upper triangle is u."""
+    return [row[j - k] for k, row in enumerate(u[:j])] + u[j]
 
 
 def is_even(m: Matrix) -> bool:

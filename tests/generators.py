@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
+from knotforms.brieskorn import BrieskornGerm
 from knotforms.cobordism import EpsForm
 from knotforms.exact import Matrix
 
@@ -33,6 +34,19 @@ def random_unimodular(rng, n, steps=6):
         e[i][j] = c
         p = p @ Matrix(e, ncols=n)
     return p
+
+
+@st.composite
+def brieskorn_germs(draw, max_milnor: int):
+    """Germs of 1..6 exponents in 2..9, in any order, with Milnor number at
+    most max_milnor."""
+    exponents = []
+    budget = max_milnor
+    for _ in range(draw(st.integers(1, 6))):
+        a = draw(st.integers(2, min(9, budget + 1)))
+        exponents.append(a)
+        budget //= a - 1
+    return BrieskornGerm(tuple(draw(st.permutations(exponents))))
 
 
 @st.composite

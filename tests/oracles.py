@@ -4,9 +4,10 @@ Each oracle recomputes a quantity along a different route than the
 library: Bernoulli numbers by the Akiyama-Tanigawa triangle instead of the
 binomial recurrence, determinants by cofactor expansion instead of
 elimination, Smith invariant factors by gcds of minors instead of row
-reduction, signatures by floating-point eigenvalues (test-time only) and
-by congruence diagonalization over Q instead of Descartes' rule on the
-characteristic polynomial, inverses by Gauss-Jordan over Q instead of the
+reduction, signatures by floating-point eigenvalues (test-time only), by
+congruence diagonalization over Q and by Descartes' rule on the
+characteristic polynomial instead of symmetric Bareiss elimination,
+inverses by Gauss-Jordan over Q instead of the
 multi-modular adjugate, pencil determinants by Bareiss evaluation and
 Lagrange interpolation instead of the multi-modular Hessenberg kernel,
 integer interpolation by Lagrange's formula in Fractions instead of Newton
@@ -22,11 +23,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 
 from knotforms.cobordism import EpsForm
 from knotforms.exact import (Matrix, ShapeError, SingularMatrixError, det,
-                             smith_normal_form_with_transforms)
+                             pencil_det_coefficients, smith_normal_form_with_transforms)
 from knotforms.laurent import Laurent, _poly_divmod, _trim
 from knotforms.quadratic import DegenerateFormError
 
@@ -265,6 +266,28 @@ def signature_congruence(m: Matrix) -> int:
         for i in active:
             a[pivot][i] = a[i][pivot] = Fraction(0)
     return pos - neg
+
+
+def signature_descartes(m: Matrix) -> int:
+    """Signature of a symmetric matrix, exactly.
+
+    A symmetric matrix has only real eigenvalues, so its characteristic
+    polynomial chi(t) = det(tI - m) is real-rooted, and for a real-rooted
+    polynomial Descartes' rule of signs is exact: chi has as many positive
+    roots as its coefficient sequence has sign changes (zeros skipped), and
+    as many negative roots as that of chi(-t).  A rational m is scaled by
+    its (positive) common denominator first.
+    """
+    if not m.is_symmetric():
+        raise ShapeError("signature is defined for symmetric matrices")
+    denom = lcm(*(x.denominator for row in m.rows for x in row))
+    chi = pencil_det_coefficients(Matrix.identity(m.nrows), m.scale(-denom))
+
+    def sign_changes(coeffs):
+        signs = [c > 0 for c in coeffs if c]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    return sign_changes(chi) - sign_changes([-c if k % 2 else c for k, c in enumerate(chi)])
 
 
 def inverse_gauss_jordan(m: Matrix) -> Matrix:

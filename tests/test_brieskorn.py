@@ -2,17 +2,19 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
 
 from knotforms.brieskorn import (BrieskornGerm, brieskorn_seifert, germ_report,
-                                 pham_matrix, quadratic_suspension_seifert,
+                                 pham_matrix, pham_monodromy, quadratic_suspension_seifert,
                                  sakamoto_product)
-from knotforms.exact import Matrix, det
+from knotforms.exact import Matrix, det, inverse
 from knotforms.invariants import Invariants
 from knotforms.laurent import Laurent, det_pencil
 from knotforms.quadratic import is_even, karl, signature
 from knotforms.seifert import (alexander_polynomial, characteristic_polynomial,
                                intersection_form, is_quasi_unipotent, monodromy)
 
+from generators import brieskorn_germs
 from oracles import brieskorn_char_poly_numeric
 
 A1 = Matrix([[-1, 0], [1, -1]])
@@ -113,6 +115,24 @@ class TestMonodromyTheorem:
             chi = characteristic_polynomial(monodromy(s))
             coeffs = [chi.coefficient(e) for e in range(s.rank + 1)]
             assert brieskorn_char_poly_numeric(exponents, coeffs), exponents
+
+
+class TestKroneckerMonodromy:
+    def test_pham_monodromy_closed_form(self):
+        for a in range(2, 12):
+            p = pham_matrix(a)
+            assert pham_monodromy(a) == inverse(p.transpose()) @ p
+
+    @settings(max_examples=60)
+    @given(brieskorn_germs(max_milnor=64))
+    def test_matches_matrix_path(self, germ):
+        assert germ_report(germ).monodromy == monodromy(brieskorn_seifert(germ))
+
+    @pytest.mark.parametrize("exponents", [(2,), (2, 2), (5,), (2, 2, 2, 2, 3), (95, 3, 2, 2, 2)])
+    def test_fixed_germs(self, exponents):
+        # (95, 3, 2, 2, 2) is the Milnor ladder's k = 16 rung, mu = 188
+        germ = BrieskornGerm(exponents)
+        assert germ_report(germ).monodromy == monodromy(brieskorn_seifert(germ))
 
 
 class TestPermutationCovariance:

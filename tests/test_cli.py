@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotforms import cli
+from knotforms.brieskorn import BrieskornGerm, germ_report
 from knotforms.cli import main
 
 from generators import eps_forms, square_matrices
@@ -214,6 +216,25 @@ class TestBrieskorn:
         monkeypatch.setenv("KNOTFORMS_RANK_LIMIT", "8")
         assert main(["brieskorn", "2", "3", "5"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("mu, warned, code", [
+        (cli.DEFAULT_RANK_WARN, False, 0), (cli.DEFAULT_RANK_WARN + 1, True, 0),
+        (cli.DEFAULT_RANK_LIMIT, True, 0), (cli.DEFAULT_RANK_LIMIT + 1, False, 2)])
+    def test_rank_guard_thresholds(self, mu, warned, code, capsys, monkeypatch):
+        # the germ (mu + 1,) has Milnor number mu; the pipeline is replaced by
+        # the trefoil's, so only the guard runs at that size
+        seen = []
+
+        def report(germ):
+            seen.append(germ)
+            return germ_report(BrieskornGerm((2, 3)))
+
+        monkeypatch.setattr(cli, "germ_report", report)
+        assert main(["brieskorn", str(mu + 1)]) == code
+        err = capsys.readouterr().err
+        assert seen == ([BrieskornGerm((mu + 1,))] if code == 0 else [])
+        assert err.startswith(f"warning: Milnor number {mu} is large") == warned
+        assert ("exceeds the rank limit" in err) == (code == 2)
 
     def test_rank_limit_env_not_an_integer(self, capsys, monkeypatch):
         # exit 1 means "not-cobordant"; a bad setting is a usage error

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotforms.brieskorn import BrieskornGerm, brieskorn_seifert
 from knotforms.exact import Matrix, det
 from knotforms.quadratic import (DegenerateFormError, ParityError, QuadraticFormF2,
                                  arf, is_even, karl, levine_congruence_check,
                                  signature, symplectic_basis_f2)
-from knotforms.seifert import SeifertMatrix
+from knotforms.seifert import SeifertMatrix, intersection_form
 
-from generators import random_unimodular
-from oracles import float_signature, signature_congruence, symplectic_basis_f2_tuples
+from generators import brieskorn_germs, random_unimodular
+from oracles import (float_signature, signature_congruence, signature_descartes,
+                     symplectic_basis_f2_tuples)
 
 # E8 Dynkin diagram: chain 1..7 with node 8 attached to node 3
 # (arm lengths 2, 4, 1 around the trivalent node)
@@ -28,6 +30,10 @@ E8 = Matrix([
 ])
 
 HYPERBOLIC = Matrix([[0, 1], [1, 0]])
+
+
+def assert_matches_oracles(m):
+    assert signature(m) == signature_descartes(m) == signature_congruence(m)
 
 
 def random_symmetric(rng, n, lo=-4, hi=4):
@@ -77,11 +83,55 @@ class TestSignature:
         idx = [i if i < n - k else i % (n - k) if k < n else None for i in range(n)]
         m = Matrix([[0 if i is None or j is None else full[min(i, j)][max(i, j)]
                      for j in idx] for i in idx], ncols=n)
-        assert signature(m) == signature_congruence(m)
+        assert_matches_oracles(m)
 
     def test_rational(self):
         m = Matrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(-5, 7)]])
-        assert signature(m) == signature_congruence(m) == 0
+        assert signature(m) == signature_descartes(m) == signature_congruence(m) == 0
+
+    @settings(max_examples=80)
+    @given(st.integers(1, 7).flatmap(lambda n: st.lists(
+        st.lists(st.fractions(-9, 9, max_denominator=6), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    def test_rational_matches_oracles(self, full):
+        n = len(full)
+        assert_matches_oracles(Matrix([[full[min(i, j)][max(i, j)] for j in range(n)]
+                                       for i in range(n)], ncols=n))
+
+    @settings(max_examples=100)
+    @given(st.integers(2, 9).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)))
+    def test_zero_diagonal_matches_oracles(self, full):
+        # no diagonal pivot at the first step: the row-and-column fix-up runs
+        n = len(full)
+        assert_matches_oracles(Matrix([[0 if i == j else full[min(i, j)][max(i, j)]
+                                        for j in range(n)] for i in range(n)], ncols=n))
+
+    @settings(max_examples=60)
+    @given(st.lists(st.integers(-5, 5).filter(bool), min_size=1, max_size=4),
+           st.integers(0, 2), st.randoms(use_true_random=False))
+    def test_hyperbolic_sums(self, scales, zeros, rnd):
+        # sum of c * HYPERBOLIC blocks and a zero block, coordinates shuffled:
+        # every diagonal stays 0, and the fix-up runs once per block
+        n = 2 * len(scales) + zeros
+        rows = [[0] * n for _ in range(n)]
+        for b, c in enumerate(scales):
+            rows[2 * b][2 * b + 1] = rows[2 * b + 1][2 * b] = c
+        order = list(range(n))
+        rnd.shuffle(order)
+        m = Matrix([[rows[i][j] for j in order] for i in order], ncols=n)
+        assert signature(m) == 0
+        assert_matches_oracles(m)
+
+    @settings(max_examples=40)
+    @given(brieskorn_germs(max_milnor=64))
+    def test_germ_intersection_forms(self, germ):
+        # a trailing square adds a variable and keeps the Milnor number, so
+        # every drawn germ gives a symmetric (even q) intersection form
+        s = brieskorn_seifert(germ)
+        if s.q % 2:
+            s = brieskorn_seifert(BrieskornGerm(germ.exponents + (2,)))
+        assert_matches_oracles(intersection_form(s))
 
     def test_congruence_invariance(self):
         rng = random.Random(809)

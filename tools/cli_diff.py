@@ -5,10 +5,15 @@ perfbench corpora.
 
 The operations of each workload are built from `perfbench/corpus.py` of this
 checkout (imported, not changed) into a temporary directory, with the argv
-lists the benchmark uses.  Each argv is run as `python -m knotforms.cli` in
-a subprocess, once against this checkout's `src/` and once against DIR's
-`src/`, in that temporary directory.  Exit code, stdout and stderr are
-compared after each tree's root path is replaced by `<checkout>`.
+lists the benchmark uses; `all` runs those three workloads.  The
+`germ-table` workload runs only when named: `brieskorn` on germs beyond the
+benchmark's Milnor numbers (the Milnor rungs (6k-1, 3, 2, 2, 2) for
+k = 1..10, the Kervaire rows (d, 2, 2, 2, 2, 2) for odd d = 33..63, and
+(3, 5, 7), (2, 3, 7, 7), (2, 2, 2, 2, 3)); it ignores the seed.  Each argv
+is run as `python -m knotforms.cli` in a subprocess, once against this
+checkout's `src/` and once against DIR's `src/`, in that temporary
+directory.  Exit code, stdout and stderr are compared after each tree's
+root path is replaced by `<checkout>`.
 
 An operation that runs past S seconds in either tree counts as overran, not
 as a difference.  Prints the number of identical, differing and overrun
@@ -31,13 +36,20 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import corpus  # noqa: E402
 
 WORKLOADS = ("germ-ladder", "matrix-files", "cobordance")
+GERM_TABLE = ([(6 * k - 1, 3, 2, 2, 2) for k in range(1, 11)]
+              + [(d, 2, 2, 2, 2, 2) for d in range(33, 64, 2)]
+              + [(3, 5, 7), (2, 3, 7, 7), (2, 2, 2, 2, 3)])
 
 
 def build_ops(workload: str, seed: int, workdir: Path) -> list[tuple[str, list[str]]]:
     """(name, argv) for each operation of the workload, as perfbench runs
     them; matrix files are written into workdir."""
     ops = []
-    if workload == "germ-ladder":
+    if workload == "germ-table":
+        for exponents in GERM_TABLE:
+            ops.append(("-".join(["germ", *map(str, exponents)]),
+                        ["brieskorn", *map(str, exponents), "--format", "machine"]))
+    elif workload == "germ-ladder":
         for spec in corpus.germ_ladder(seed):
             ops.append((spec["name"], ["brieskorn", *map(str, spec["exponents"]),
                                        "--format", "machine"]))
@@ -76,7 +88,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True,
                         help="root of the tree to compare against (holds src/knotforms)")
-    parser.add_argument("--workload", default="all", choices=("all",) + WORKLOADS)
+    parser.add_argument("--workload", default="all",
+                        choices=("all",) + WORKLOADS + ("germ-table",))
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--budget", type=float, default=30.0,
                         help="seconds per operation and tree before it counts as overran")
