@@ -36,6 +36,10 @@ DEFAULT_RANK_WARN = 256
 DEFAULT_RANK_LIMIT = 768
 RANK_LIMIT_ENV = "KNOTFORMS_RANK_LIMIT"
 
+# |bP^(n+1)| for n = 4k - 1 has 4281 digits at n = 3307 and 4308 at n = 3311,
+# past Python's default limit of 4300 digits on int-to-str conversion.
+GROUPS_MAX_CYCLIC_N = 3307
+
 
 def _rank_limit() -> int:
     raw = os.environ.get(RANK_LIMIT_ENV)
@@ -256,6 +260,13 @@ def _cmd_groups(args) -> int:
     hi = args.n_max if args.n_max is not None else lo
     if lo < 1 or hi < lo:
         print("error: need 1 <= N_MIN <= N_MAX", file=sys.stderr)
+        return 2
+    first = max(lo, GROUPS_MAX_CYCLIC_N + 1)
+    first += (3 - first) % 4  # the first n = 3 (mod 4) past the limit
+    if first <= hi:
+        print(f"error: |bP^(n+1)| at n = {first} has more than 4300 digits, the "
+              f"limit on integer string conversion; n = 3 (mod 4) must be "
+              f"<= {GROUPS_MAX_CYCLIC_N}", file=sys.stderr)
         return 2
     headers = ["n", "G^n", "|bP^(n+1)|", "im_J(4k-1)", "provenance"]
     rows = [_group_row(n) for n in range(lo, hi + 1)]

@@ -17,9 +17,8 @@ and deterministic; the primes are proven by trial division on first use.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import count
-from math import comb, lcm, prod
+from math import lcm, prod
 from operator import mul
 
 
@@ -294,16 +293,22 @@ def smith_normal_form_with_transforms(m: Matrix) -> tuple[tuple[int, ...], Matri
     return factors, Matrix(u, ncols=nrows), Matrix(v, ncols=ncols)
 
 
-@lru_cache(maxsize=None)
-def _bernoulli_signed(n: int) -> Fraction:
-    # Standard signed Bernoulli numbers (B_1 = -1/2) via the binomial
-    # recurrence sum_{j<=n} C(n+1, j) B_j = 0.
-    if n == 0:
-        return Fraction(1)
-    s = Fraction(0)
-    for j in range(n):
-        s += comb(n + 1, j) * _bernoulli_signed(j)
-    return -s / (n + 1)
+# tangent numbers T_1, T_2, ... = 1, 2, 16, 272, ...; grown by doubling
+_TANGENT: list[int] = []
+
+
+def _tangent_number(k: int) -> int:
+    # Brent-Harvey: O(n^2) small multiples of integers for the table of n
+    if k > len(_TANGENT):
+        n = max(k, 2 * len(_TANGENT))
+        t = [1] * n
+        for j in range(1, n):
+            t[j] = j * t[j - 1]
+        for i in range(1, n):
+            for j in range(i, n):
+                t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+        _TANGENT[:] = t
+    return _TANGENT[k - 1]
 
 
 def bernoulli(k: int) -> Fraction:
@@ -312,27 +317,12 @@ def bernoulli(k: int) -> Fraction:
     B_1 = 1/6, B_2 = 1/30, B_3 = 1/42, ...; equals the absolute value of
     the standard even-index Bernoulli number at index 2k.  (To convert:
     standard B_{2k} = (-1)^{k+1} * bernoulli(k).)  k = 0 is undefined in
-    this indexing and rejected.
+    this indexing and rejected.  Computed from the k-th tangent number as
+    2k T_k / (4^k (4^k - 1)).
     """
     if k < 1:
         raise ValueError(f"Bernoulli index must be >= 1, got {k}")
-    return abs(_bernoulli_signed(2 * k))
-
-
-def von_staudt_denominator(k: int) -> int:
-    """Product of primes p with (p-1) | 2k.
-
-    By the von Staudt-Clausen theorem this is the denominator of the
-    standard Bernoulli number B_{2k}, hence of bernoulli(k).
-    """
-    if k < 1:
-        raise ValueError(f"index must be >= 1, got {k}")
-    n = 2 * k
-    product = 1
-    for p in range(2, n + 2):
-        if (n % (p - 1) == 0 if p > 1 else False) and _is_prime(p):
-            product *= p
-    return product
+    return Fraction(2 * k * _tangent_number(k), 4 ** k * (4 ** k - 1))
 
 
 def _is_prime(p: int) -> bool:

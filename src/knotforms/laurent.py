@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import gcd, isqrt
 
 from .exact import Matrix, ShapeError, _as_exact, pencil_det_coefficients
@@ -239,7 +238,8 @@ def conway_normalize(p: Laurent) -> Laurent:
 
 
 # ---------------------------------------------------------------------------
-# dense Q[t] helpers (ascending coefficient lists, no trailing zeros)
+# dense polynomial helpers (ascending coefficient lists, no trailing zeros;
+# int coefficients for Z[t], ints and Fractions for Q[t])
 
 def _trim(c: list) -> list:
     while c and c[-1] == 0:
@@ -248,22 +248,36 @@ def _trim(c: list) -> list:
 
 
 def _poly_divmod(num: list, den: list) -> tuple[list, list]:
-    # Exact division over Q; coefficients become Fractions.
-    num = [Fraction(x) for x in num]
-    den = [Fraction(x) for x in den]
+    """Quotient and remainder over Q of polynomials with int or Fraction
+    coefficients; the quotient's coefficients are Fractions."""
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    r = num
-    dlead = den[-1]
-    while len(r) >= len(den) and _trim(r):
-        shift = len(r) - len(den)
-        factor = r[-1] / dlead
-        q[shift] = factor
-        for i, dc in enumerate(den):
-            r[shift + i] -= factor * dc
-        _trim(r)
-    return _trim(q), r
+    r = list(num)
+    dn, lead = len(den) - 1, den[-1]
+    q = [0] * max(0, len(r) - dn)
+    for shift in range(len(q) - 1, -1, -1):
+        c = r[shift + dn]
+        if c:
+            c = q[shift] = Fraction(c, lead)
+            for i in range(dn):
+                r[shift + i] -= c * den[i]
+    return _trim(q), _trim(r[:dn])
+
+
+def _poly_mul(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _poly_sub(a: list, b: list) -> list:
+    out = a + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] -= y
+    return _trim(out)
 
 
 def _int_divide_exact(num: list[int], den: list[int]) -> list[int] | None:
@@ -298,19 +312,10 @@ def cyclotomic(n: int) -> Laurent:
     den = [1]
     for d in range(1, n):
         if n % d == 0:
-            den = _poly_mul_int(den, cyclotomic(d).coeff_list())
+            den = _poly_mul(den, cyclotomic(d).coeff_list())
     quotient = _int_divide_exact(num, den)
     assert quotient is not None
     return Laurent.from_coeff_list(quotient)
-
-
-def _poly_mul_int(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 def _euler_phi(n: int) -> int:
@@ -486,18 +491,57 @@ def _find_factor(coeffs: list[int]) -> tuple[list[int], list[int]] | None:
     for m in range(1, d // 2 + 1):
         # fixing the first value positive halves the search; a factor or
         # its negation divides, and we normalize afterwards
-        divisor_lists = [_divisors(values[0])] + [
+        choices = [_divisors(values[0])] + [
             [s * d0 for d0 in _divisors(v) for s in (1, -1)] for v in values[1:m + 1]]
-        for combo in product(*divisor_lists):
-            cand = _interpolate_int(points[:m + 1], combo)
-            if cand is None or len(cand) != m + 1:
-                continue
-            q = _int_divide_exact(coeffs, cand)
-            if q is not None:
-                if cand[-1] < 0:
-                    cand, q = [-c for c in cand], [-c for c in q]
-                return cand, q
+        found = _factor_with_values(coeffs, points[:m + 1], choices, [], [])
+        if found is not None:
+            return found
     return None
+
+
+def _factor_with_values(coeffs: list[int], xs: list[int], choices: list[list[int]],
+                        ys: list[int], row: list[int]) -> tuple[list[int], list[int]] | None:
+    """The first factor of coeffs of degree len(xs) - 1 whose value at each
+    xs[k] is taken from choices[k], in the order of itertools.product, given
+    the values ys already chosen at the first nodes and their divided
+    differences `row` ending at the last of them.
+
+    Depth first, one node at a time: a choice whose divided differences are
+    not all integers is dropped with every completion of it, since none of
+    those interpolates an integer polynomial.
+    """
+    k = len(ys)
+    if k == len(xs):
+        if not row[-1]:  # the leading coefficient: degree below len(xs) - 1
+            return None
+        cand = _interpolate_int(xs, ys)
+        q = _int_divide_exact(coeffs, cand)
+        if q is None:
+            return None
+        if cand[-1] < 0:
+            cand, q = [-c for c in cand], [-c for c in q]
+        return cand, q
+    for y in choices[k]:
+        nxt = _extend_divided_differences(xs, row, y)
+        if nxt is not None:
+            found = _factor_with_values(coeffs, xs, choices, ys + [y], nxt)
+            if found is not None:
+                return found
+    return None
+
+
+def _extend_divided_differences(xs: list[int], row: list[int], y: int) -> list[int] | None:
+    """The divided differences f[x_k], f[x_(k-1), x_k], ..., f[x_0, ..., x_k]
+    at the nodes xs, from `row`, those ending at x_(k-1) (k = len(row)), and
+    the value y at x_k; None at the first one that is not an integer."""
+    k = len(row)
+    out = [y]
+    for j in range(k):
+        diff, rem = divmod(out[j] - row[j], xs[k] - xs[k - j - 1])
+        if rem:
+            return None
+        out.append(diff)
+    return out
 
 
 def _interpolate_int(xs: list[int], ys) -> list[int] | None:
@@ -509,20 +553,19 @@ def _interpolate_int(xs: list[int], ys) -> list[int] | None:
     nodes are integers, and integer divided differences give an integer
     polynomial, so the first inexact division rejects the candidate.
     """
-    n = len(xs)
-    diffs = list(ys)
-    for k in range(1, n):
-        for i in range(n - 1, k - 1, -1):
-            diffs[i], rem = divmod(diffs[i] - diffs[i - 1], xs[i] - xs[i - k])
-            if rem:
-                return None
-    # Horner on the Newton form: p = diffs[0] + (t - xs[0]) (diffs[1] + ...)
+    newton, row = [], []
+    for y in ys:
+        row = _extend_divided_differences(xs, row, y)
+        if row is None:
+            return None
+        newton.append(row[-1])
+    # Horner on the Newton form: p = newton[0] + (t - xs[0]) (newton[1] + ...)
     coeffs: list[int] = []
-    for k in range(n - 1, -1, -1):
+    for k in range(len(newton) - 1, -1, -1):
         coeffs = [0] + coeffs
         for j in range(len(coeffs) - 1):
             coeffs[j] -= xs[k] * coeffs[j + 1]
-        coeffs[0] += diffs[k]
+        coeffs[0] += newton[k]
     return _trim(coeffs)
 
 
@@ -561,7 +604,7 @@ def elementary_divisors(rows) -> list[Laurent]:
 
     Returns the nontrivial members of the divisibility chain e_1 | e_2 | ...,
     each monic with nonzero constant term (Laurent units t^k stripped);
-    unit divisors are omitted, zero divisors (free rank) are kept.
+    unit divisors are omitted, zero divisors (free rank) are kept, last.
     """
     m = laurent_matrix(rows)
     size = len(m)
@@ -569,112 +612,55 @@ def elementary_divisors(rows) -> list[Laurent]:
         raise ShapeError("elementary divisors need a square matrix")
     # clearing negative exponents entry-wise is illegal; shift whole rows
     # instead (row times t^k is an elementary move over Q[t,1/t])
-    work: list[list[list[Fraction]]] = []
+    work = []
     for row in m:
         shift = min((p.min_exponent for p in row if not p.is_zero), default=0)
-        dense_row = []
-        for p in row:
-            p = p.shift(-shift)
-            if p.is_zero:
-                dense_row.append([])
-            else:
-                dense_row.append([Fraction(p.coefficient(e))
-                                  for e in range(p.max_exponent + 1)])
-        work.append(dense_row)
-    divisors = _poly_snf(work)
+        work.append([[p.coefficient(e) for e in range(shift, p.max_exponent + 1)]
+                     if not p.is_zero else [] for p in row])
     out = []
-    for dpoly in divisors:
-        if not dpoly:
-            out.append(Laurent.zero())
-            continue
-        lp = Laurent.from_coeff_list(dpoly)
-        lp = lp.shift(-lp.min_exponent)
-        lp = lp.scale(Fraction(1) / Fraction(lp.leading_coefficient))
+    for d in _poly_snf(work):
+        # monic: the quotient by the leading coefficient
+        lp = Laurent.from_coeff_list(_poly_divmod(d, d[-1:])[0] if d else [])
+        if not lp.is_zero:
+            lp = lp.shift(-lp.min_exponent)
         if lp != Laurent.one():
             out.append(lp)
     return out
 
 
-def _poly_deg(p: list) -> int:
-    return len(p) - 1
-
-
-def _poly_snf(a: list[list[list[Fraction]]]) -> list[list[Fraction]]:
-    """Smith normal form over the Euclidean domain Q[t]; diagonal returned."""
+def _poly_snf(a: list[list[list]]) -> list[list]:
+    """Diagonal of a Smith normal form of a square matrix over the Euclidean
+    domain Q[t], by Euclid's algorithm on the entries; zero entries come
+    last.  Entries are dense coefficient lists, ints until a division
+    makes Fractions; `a` is reduced in place."""
     n = len(a)
-    diag = []
     for t in range(n):
         while True:
-            best = None
-            for i in range(t, n):
-                for j in range(t, n):
-                    if a[i][j] and (best is None or
-                                    _poly_deg(a[i][j]) < _poly_deg(a[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                break
-            bi, bj = best
-            if bi != t:
-                a[t], a[bi] = a[bi], a[t]
-            if bj != t:
-                for row in a:
-                    row[t], row[bj] = row[bj], row[t]
-            done = True
+            nonzero = [(len(a[i][j]), i, j)
+                       for i in range(t, n) for j in range(t, n) if a[i][j]]
+            if not nonzero:
+                return [a[i][i] for i in range(n)]
+            _, bi, bj = min(nonzero)  # pivot of least degree
+            a[t], a[bi] = a[bi], a[t]
+            for row in a:
+                row[t], row[bj] = row[bj], row[t]
+            p = a[t][t]
             for i in range(t + 1, n):
                 if a[i][t]:
-                    q, r = _poly_divmod(a[i][t], a[t][t])
-                    if _trim([Fraction(x) for x in q]):
-                        for j in range(t, n):
-                            sub = _poly_mul_frac(q, a[t][j])
-                            a[i][j] = _poly_sub(a[i][j], sub)
-                    if a[i][t]:
-                        done = False
+                    q = _poly_divmod(a[i][t], p)[0]
+                    for j in range(t, n):
+                        a[i][j] = _poly_sub(a[i][j], _poly_mul(q, a[t][j]))
             for j in range(t + 1, n):
                 if a[t][j]:
-                    q, r = _poly_divmod(a[t][j], a[t][t])
-                    if _trim([Fraction(x) for x in q]):
-                        for i in range(t, n):
-                            sub = _poly_mul_frac(q, a[i][t])
-                            a[i][j] = _poly_sub(a[i][j], sub)
-                    if a[t][j]:
-                        done = False
-            if done:
-                offender = None
-                for i in range(t + 1, n):
-                    for j in range(t + 1, n):
-                        _, r = _poly_divmod(a[i][j], a[t][t])
-                        if r:
-                            offender = i
-                            break
-                    if offender is not None:
-                        break
-                if offender is None:
-                    break
-                for j in range(t, n):
-                    a[t][j] = _poly_add(a[t][j], a[offender][j])
-        diag.append(a[t][t] if a[t][t] else [])
-    return diag
-
-
-def _poly_mul_frac(a: list, b: list) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += Fraction(x) * Fraction(y)
-    return _trim(out)
-
-
-def _poly_add(a: list, b: list) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += Fraction(x)
-    for i, x in enumerate(b):
-        out[i] += Fraction(x)
-    return _trim(out)
-
-
-def _poly_sub(a: list, b: list) -> list[Fraction]:
-    return _poly_add(a, [-Fraction(x) for x in b])
+                    q = _poly_divmod(a[t][j], p)[0]
+                    for i in range(t, n):
+                        a[i][j] = _poly_sub(a[i][j], _poly_mul(q, a[i][t]))
+            if any(a[i][t] or a[t][i] for i in range(t + 1, n)):
+                continue  # a remainder of lower degree is the next pivot
+            # the pivot must divide the whole trailing block
+            offender = next((i for i in range(t + 1, n)
+                             if any(_poly_divmod(x, p)[1] for x in a[i][t + 1:])), None)
+            if offender is None:
+                break
+            a[t] = [_poly_sub(x, y) for x, y in zip(a[t], a[offender])]
+    return [a[i][i] for i in range(n)]

@@ -14,7 +14,7 @@ The 0 x 0 matrix is the unknot: every invariant is trivial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -122,10 +122,10 @@ def is_quasi_unipotent(h: Matrix) -> bool:
 
 @dataclass(frozen=True)
 class KnotModulePresentation:
-    """Presentation tA + (-1)^q A^T of the middle knot module over Z[t,1/t]."""
+    """The middle knot module, presented over Z[t,1/t] by tA + (-1)^q A^T,
+    and its elementary divisors over Q[t,1/t]."""
 
     seifert: SeifertMatrix
-    presentation: tuple = field(repr=False)
     divisors: tuple[Laurent, ...] = ()
 
     @property
@@ -141,10 +141,5 @@ class KnotModulePresentation:
 def knot_module(s: SeifertMatrix) -> KnotModulePresentation:
     """Elementary divisors over Q[t, 1/t] of the presentation tA + (-1)^q A^T."""
     rows = pencil(s.matrix, s.matrix.transpose().scale(s.epsilon))
-    divisors = elementary_divisors(rows)
-    return KnotModulePresentation(
-        seifert=s,
-        presentation=tuple(tuple(row) for row in rows),
-        divisors=tuple(divisors),
-    )
+    return KnotModulePresentation(seifert=s, divisors=tuple(elementary_divisors(rows)))
 

@@ -1,8 +1,9 @@
 """Independent oracles for the test suite.
 
 Each oracle recomputes a quantity along a different route than the
-library: Bernoulli numbers by the Akiyama-Tanigawa triangle instead of the
-binomial recurrence, determinants by cofactor expansion instead of
+library: Bernoulli numbers by the Akiyama-Tanigawa triangle instead of
+tangent numbers, and their denominators by the von Staudt-Clausen theorem,
+determinants by cofactor expansion instead of
 elimination, Smith invariant factors by gcds of minors instead of row
 reduction, signatures by floating-point eigenvalues (test-time only), by
 congruence diagonalization over Q and by Descartes' rule on the
@@ -12,7 +13,10 @@ multi-modular adjugate, pencil determinants by Bareiss evaluation and
 Lagrange interpolation instead of the multi-modular Hessenberg kernel,
 integer interpolation by Lagrange's formula in Fractions instead of Newton
 divided differences in integers, exact division in Z[t] by long division
-over Q, primality by Miller-Rabin instead of trial division, symplectic
+over Q, the factor search over Z[t] by interpolating every product of
+divisor choices instead of pruning node by node, elementary divisors over
+Q[t, 1/t] by a Smith form that turns every coefficient into a Fraction
+instead of keeping ints until a division makes one, primality by Miller-Rabin instead of trial division, symplectic
 bases over F_2 on tuples instead of bitmasks, the Hermite-basis
 metaboliser walk with no use of the isometric structure, and the saturation
 of a lattice by the inverse of one Smith form's column transform instead of
@@ -23,12 +27,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from knotforms.cobordism import EpsForm
 from knotforms.exact import (Matrix, ShapeError, SingularMatrixError, det,
                              pencil_det_coefficients, smith_normal_form_with_transforms)
-from knotforms.laurent import Laurent, _poly_divmod, _trim
+from knotforms.laurent import (Laurent, _divisors, _eval_int, _trim, laurent_matrix)
 from knotforms.quadratic import DegenerateFormError
 
 
@@ -44,6 +48,16 @@ def bernoulli_akiyama_tanigawa(n: int) -> Fraction:
     if n == 1:
         value = -value  # triangle yields the B_1 = +1/2 convention
     return value
+
+
+def von_staudt_denominator(k: int) -> int:
+    """Product of primes p with (p-1) | 2k.
+
+    By the von Staudt-Clausen theorem this is the denominator of the
+    standard Bernoulli number B_{2k}, hence of `exact.bernoulli(k)`.
+    """
+    n = 2 * k
+    return prod(p for p in range(2, n + 2) if n % (p - 1) == 0 and is_prime_miller_rabin(p))
 
 
 def det_cofactor(m: Matrix):
@@ -125,10 +139,152 @@ def interpolate_lagrange(xs: list[int], ys) -> list[int] | None:
 def int_divide_exact_over_q(num: list[int], den: list[int]) -> list[int] | None:
     """Quotient of integer polynomials by long division over Q in Fractions;
     None unless the remainder is zero and the quotient is integral."""
-    q, r = _poly_divmod(num, den)
+    q, r = poly_divmod_fraction(num, den)
     if r or any(x.denominator != 1 for x in q):
         return None
     return [int(x) for x in q]
+
+
+def find_factor_exhaustive(coeffs: list[int]) -> tuple[list[int], list[int]] | None:
+    """`laurent._find_factor` without pruning: the same nodes, divisor
+    choices and order, but every product of choices is interpolated in full
+    (by Lagrange's formula) and tried by long division over Q."""
+    d = len(coeffs) - 1
+    points: list[int] = []
+    values: list[int] = []
+    x = 0
+    while len(points) < d:
+        for cand in (x, -x) if x else (0,):
+            v = _eval_int(coeffs, cand)
+            if v != 0 and cand not in points:
+                points.append(cand)
+                values.append(v)
+        x += 1
+    for m in range(1, d // 2 + 1):
+        divisor_lists = [_divisors(values[0])] + [
+            [s * d0 for d0 in _divisors(v) for s in (1, -1)] for v in values[1:m + 1]]
+        for combo in product(*divisor_lists):
+            cand = interpolate_lagrange(points[:m + 1], combo)
+            if cand is None or len(cand) != m + 1:
+                continue
+            q = int_divide_exact_over_q(coeffs, cand)
+            if q is not None:
+                if cand[-1] < 0:
+                    cand, q = [-c for c in cand], [-c for c in q]
+                return cand, q
+    return None
+
+
+def poly_divmod_fraction(num: list, den: list) -> tuple[list, list]:
+    """Quotient and remainder over Q, every coefficient a Fraction."""
+    num = [Fraction(x) for x in num]
+    den = [Fraction(x) for x in den]
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
+    r = num
+    dlead = den[-1]
+    while len(r) >= len(den) and _trim(r):
+        shift = len(r) - len(den)
+        factor = r[-1] / dlead
+        q[shift] = factor
+        for i, dc in enumerate(den):
+            r[shift + i] -= factor * dc
+        _trim(r)
+    return _trim(q), r
+
+
+def _poly_mul_fraction(a: list, b: list) -> list[Fraction]:
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += Fraction(x) * Fraction(y)
+    return _trim(out)
+
+
+def _poly_add_fraction(a: list, b: list) -> list[Fraction]:
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += Fraction(x)
+    for i, x in enumerate(b):
+        out[i] += Fraction(x)
+    return _trim(out)
+
+
+def poly_snf_fraction(a: list[list[list[Fraction]]]) -> list[list[Fraction]]:
+    """Smith normal form over Q[t] on Fraction coefficient lists; diagonal
+    returned.  Pivots on an entry of least degree, clears its row and column
+    by quotients, and adds a row whose entries the pivot does not divide."""
+    n = len(a)
+    diag = []
+    for t in range(n):
+        while True:
+            best = None
+            for i in range(t, n):
+                for j in range(t, n):
+                    if a[i][j] and (best is None or
+                                    len(a[i][j]) < len(a[best[0]][best[1]])):
+                        best = (i, j)
+            if best is None:
+                break
+            bi, bj = best
+            if bi != t:
+                a[t], a[bi] = a[bi], a[t]
+            if bj != t:
+                for row in a:
+                    row[t], row[bj] = row[bj], row[t]
+            done = True
+            for i in range(t + 1, n):
+                if a[i][t]:
+                    q, _ = poly_divmod_fraction(a[i][t], a[t][t])
+                    if q:
+                        for j in range(t, n):
+                            a[i][j] = _poly_add_fraction(
+                                a[i][j], [-x for x in _poly_mul_fraction(q, a[t][j])])
+                    if a[i][t]:
+                        done = False
+            for j in range(t + 1, n):
+                if a[t][j]:
+                    q, _ = poly_divmod_fraction(a[t][j], a[t][t])
+                    if q:
+                        for i in range(t, n):
+                            a[i][j] = _poly_add_fraction(
+                                a[i][j], [-x for x in _poly_mul_fraction(q, a[i][t])])
+                    if a[t][j]:
+                        done = False
+            if done:
+                offender = next((i for i in range(t + 1, n) for j in range(t + 1, n)
+                                 if poly_divmod_fraction(a[i][j], a[t][t])[1]), None)
+                if offender is None:
+                    break
+                for j in range(t, n):
+                    a[t][j] = _poly_add_fraction(a[t][j], a[offender][j])
+        diag.append(a[t][t] if a[t][t] else [])
+    return diag
+
+
+def elementary_divisors_fraction(rows) -> list[Laurent]:
+    """Elementary divisors over Q[t, 1/t] of a square Laurent matrix from
+    `poly_snf_fraction`, normalized as `laurent.elementary_divisors` does:
+    monic, Laurent units stripped, units omitted, zero divisors kept."""
+    work = []
+    for row in laurent_matrix(rows):
+        shift = min((p.min_exponent for p in row if not p.is_zero), default=0)
+        work.append([[Fraction(p.coefficient(e)) for e in range(shift, p.max_exponent + 1)]
+                     if not p.is_zero else [] for p in row])
+    out = []
+    for dpoly in poly_snf_fraction(work):
+        if not dpoly:
+            out.append(Laurent.zero())
+            continue
+        lp = Laurent.from_coeff_list(dpoly)
+        lp = lp.shift(-lp.min_exponent).scale(1 / dpoly[-1])
+        if lp != Laurent.one():
+            out.append(lp)
+    return out
 
 
 def is_prime_miller_rabin(n: int) -> bool:

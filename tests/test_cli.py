@@ -352,6 +352,23 @@ class TestGroups:
     def test_bad_range(self, capsys):
         assert main(["groups", "9", "5"]) == 2
 
+    def test_largest_cyclic_row(self, capsys):
+        # |bP^3308| has 4281 digits, under the 4300-digit conversion limit
+        assert main(["groups", "3307", "--format", "machine"]) == 0
+        order = capsys.readouterr().out.splitlines()[-1].split("\t")[2]
+        assert len(order) == 4281
+
+    @pytest.mark.parametrize("argv", [["3311"], ["1", "5000"], ["3308", "3311"]])
+    def test_refuses_cyclic_rows_past_digit_limit(self, argv, capsys):
+        assert main(["groups", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "4300 digits" in captured.err and "n = 3311" in captured.err
+
+    def test_other_rows_past_digit_limit(self, capsys):
+        assert main(["groups", "3308", "3310"]) == 0
+        assert "3309" in capsys.readouterr().out
+
 
 class TestHandles:
     def test_trefoil(self, trefoil_file, capsys):

@@ -13,13 +13,14 @@ from knotforms.laurent import (Laurent, NormalizationError,
                                cyclotomic_indices_up_to_degree, det_pencil,
                                elementary_divisors, factor_int_poly,
                                is_product_of_cyclotomics, pencil, render_poly,
-                               _int_divide_exact, _interpolate_int, _poly_divmod,
-                               _poly_mul_int)
+                               _find_factor, _int_divide_exact, _interpolate_int,
+                               _poly_mul)
 from knotforms.cobordism import fox_milnor
 
-from oracles import (det_pencil_interpolation, int_divide_exact_over_q,
-                     interpolate_lagrange, laurent_det_cofactor)
-from generators import matrix_pairs, random_unimodular
+from oracles import (det_pencil_interpolation, elementary_divisors_fraction,
+                     find_factor_exhaustive, int_divide_exact_over_q,
+                     interpolate_lagrange, laurent_det_cofactor, poly_divmod_fraction)
+from generators import matrix_pairs, random_unimodular, square_matrices
 
 # Sigma(6k-1,3,2,2,2), k = 1..4, and Sigma(d,2,2,2,2,2), odd d = 3..31
 LADDER_GERMS = ([(6 * k - 1, 3, 2, 2, 2) for k in range(1, 5)]
@@ -51,6 +52,51 @@ def interpolation_data(draw):
     else:
         ys = draw(st.lists(st.integers(-60, 60), min_size=len(xs), max_size=len(xs)))
     return xs, ys
+
+
+@st.composite
+def knot_module_pencils(draw):
+    """Pencils tA + eps A^T with A of rank <= 6 and entries in -3..3: drawn
+    as is, with row and column j repeating row and column i (then the
+    pencil kills e_i - e_j: a zero divisor), or as a block sum B + B (a
+    non-cyclic module)."""
+    kind = draw(st.sampled_from(["plain", "repeated row", "block sum"]))
+    if kind == "block sum":
+        n = draw(st.integers(1, 3))
+        b = draw(square_matrices(n))
+        a = Matrix([list(row) + [0] * n for row in b.rows]
+                   + [[0] * n + list(row) for row in b.rows], ncols=2 * n)
+    else:
+        a = draw(square_matrices(draw(st.integers(1, 6))))
+        if kind == "repeated row" and a.nrows > 1:
+            i, j = draw(st.lists(st.integers(0, a.nrows - 1), min_size=2, max_size=2,
+                                 unique=True))
+            rows = [list(row) for row in a.rows]
+            rows[j] = list(rows[i])
+            for row in rows:
+                row[j] = row[i]
+            a = Matrix(rows, ncols=a.nrows)
+    return pencil(a, a.transpose().scale(draw(st.sampled_from([1, -1]))))
+
+
+def laurent_matrices(max_n: int):
+    """Square Laurent matrices of size 1..max_n, exponents in -3..2."""
+    entry = st.dictionaries(st.integers(-3, 2), st.integers(-2, 2), max_size=3).map(Laurent)
+    return st.integers(1, max_n).flatmap(lambda n: st.lists(
+        st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@st.composite
+def factor_products(draw):
+    """Primitive integer polynomials of degree 2..8 with positive leading
+    coefficient, as products of 1..3 random factors."""
+    p = [1]
+    for coeffs in draw(st.lists(int_polys(1, 4, bound=3), min_size=1, max_size=3)):
+        if len(p) + len(coeffs) - 2 <= 8:
+            p = _poly_mul(p, coeffs)
+    content = Laurent.from_coeff_list(p).content()
+    sign = 1 if p[-1] > 0 else -1
+    return [c // (sign * content) for c in p]
 
 
 class TestLaurentArithmetic:
@@ -248,10 +294,15 @@ class TestFactorization:
     def test_exact_division_matches_rational(self, den, other, multiply):
         # num is den * other (always divisible) or other itself, which may
         # be shorter than den
-        num = _poly_mul_int(den, other) if multiply else other
+        num = _poly_mul(den, other) if multiply else other
         assert _int_divide_exact(num, den) == int_divide_exact_over_q(num, den)
         if multiply:
             assert _int_divide_exact(num, den) == other
+
+    @settings(max_examples=150)
+    @given(factor_products())
+    def test_factor_search_matches_exhaustive(self, coeffs):
+        assert _find_factor(coeffs) == find_factor_exhaustive(coeffs)
 
     def test_higher_degree_irreducible_pair(self):
         # t^8 + t^6 + t^4 + t^2 + 1 factors into two quartics (and is also
@@ -353,9 +404,7 @@ class TestElementaryDivisors:
             divisors = [d for d in elementary_divisors(rows) if not d.is_zero]
             for p, q in zip(divisors, divisors[1:]):
                 # p | q over Q[t]: verify by polynomial division
-                from knotforms.laurent import _poly_divmod
-                _, rem = _poly_divmod([Fraction(x) for x in q.coeff_list()],
-                                      [Fraction(x) for x in p.coeff_list()])
+                _, rem = poly_divmod_fraction(q.coeff_list(), p.coeff_list())
                 assert not rem
 
     @settings(max_examples=100)
@@ -378,8 +427,13 @@ class TestElementaryDivisors:
         assert any(zeros) == det_pencil(a, b).is_zero
         nonzero = [d for d in divisors if not d.is_zero]
         for p, q in zip(nonzero, nonzero[1:]):
-            _, rem = _poly_divmod(q.coeff_list(), p.coeff_list())
+            _, rem = poly_divmod_fraction(q.coeff_list(), p.coeff_list())
             assert not rem
+
+    @settings(max_examples=200)
+    @given(st.one_of(knot_module_pencils(), laurent_matrices(3)))
+    def test_matches_fraction_oracle(self, rows):
+        assert elementary_divisors(rows) == elementary_divisors_fraction(rows)
 
     def test_zero_divisor_for_singular(self):
         rows = [[Laurent.zero(), Laurent.zero()],

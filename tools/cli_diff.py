@@ -9,7 +9,13 @@ lists the benchmark uses; `all` runs those three workloads.  The
 `germ-table` workload runs only when named: `brieskorn` on germs beyond the
 benchmark's Milnor numbers (the Milnor rungs (6k-1, 3, 2, 2, 2) for
 k = 1..10, the Kervaire rows (d, 2, 2, 2, 2, 2) for odd d = 33..63, and
-(3, 5, 7), (2, 3, 7, 7), (2, 2, 2, 2, 3)); it ignores the seed.  Each argv
+(3, 5, 7), (2, 3, 7, 7), (2, 2, 2, 2, 3)); it ignores the seed.  The
+`knot-modules` workload also runs only when named: `invariants` on seeded
+Seifert matrices of rank 1-8 unlike any in the benchmark corpus, whose knot
+modules reach the other branches of the Q[t] Smith form: random A (not
+unimodular, so the divisors have rational coefficients), A whose row and
+column j repeat row and column i (a zero divisor), and block sums B + B
+(a non-cyclic module).  Each argv
 is run as `python -m knotforms.cli` in a subprocess, once against this
 checkout's `src/` and once against DIR's `src/`, in that temporary
 directory.  Exit code, stdout and stderr are compared after each tree's
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -39,6 +46,31 @@ WORKLOADS = ("germ-ladder", "matrix-files", "cobordance")
 GERM_TABLE = ([(6 * k - 1, 3, 2, 2, 2) for k in range(1, 11)]
               + [(d, 2, 2, 2, 2, 2) for d in range(33, 64, 2)]
               + [(3, 5, 7), (2, 3, 7, 7), (2, 2, 2, 2, 3)])
+KNOT_MODULES_PER_KIND = 10
+
+
+def knot_module_matrices(seed: int) -> list[tuple[str, list[list[int]], int]]:
+    """(name, A, q) for the `knot-modules` workload, entries of A in -3..3."""
+    rng = random.Random(f"knot-modules:{seed}")
+
+    def draw(n):
+        return [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+
+    out = []
+    for i in range(KNOT_MODULES_PER_KIND):
+        a = draw(rng.randint(1, 8))
+        out.append((f"rational{i}", a, rng.randint(1, 3)))
+        a = draw(rng.randint(2, 8))
+        src, dst = rng.sample(range(len(a)), 2)
+        a[dst] = list(a[src])
+        for row in a:
+            row[dst] = row[src]
+        out.append((f"repeated{i}", a, rng.randint(1, 3)))
+        b = draw(rng.randint(1, 4))
+        zeros = [0] * len(b)
+        a = [row + zeros for row in b] + [zeros + row for row in b]
+        out.append((f"blocksum{i}", a, rng.randint(1, 3)))
+    return out
 
 
 def build_ops(workload: str, seed: int, workdir: Path) -> list[tuple[str, list[str]]]:
@@ -49,6 +81,11 @@ def build_ops(workload: str, seed: int, workdir: Path) -> list[tuple[str, list[s
         for exponents in GERM_TABLE:
             ops.append(("-".join(["germ", *map(str, exponents)]),
                         ["brieskorn", *map(str, exponents), "--format", "machine"]))
+    elif workload == "knot-modules":
+        for name, matrix, q in knot_module_matrices(seed):
+            path = workdir / f"{name}.mat"
+            path.write_text(corpus.serialize(matrix, q))
+            ops.append((name, ["invariants", "--format", "machine", str(path)]))
     elif workload == "germ-ladder":
         for spec in corpus.germ_ladder(seed):
             ops.append((spec["name"], ["brieskorn", *map(str, spec["exponents"]),
@@ -89,7 +126,7 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True,
                         help="root of the tree to compare against (holds src/knotforms)")
     parser.add_argument("--workload", default="all",
-                        choices=("all",) + WORKLOADS + ("germ-table",))
+                        choices=("all",) + WORKLOADS + ("germ-table", "knot-modules"))
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--budget", type=float, default=30.0,
                         help="seconds per operation and tree before it counts as overran")
