@@ -19,9 +19,12 @@ within bound" is not a proof of non-existence.  The walk keeps its answer,
 the least metaboliser in the box, but T prunes it: a row of a metaboliser
 has an A-isotropic cyclic span v, Tv, T^2 v, ..., and the other rows are
 orthogonal to that span, so rows and bases failing these necessary
-conditions are never formed.  And T closes it: when the last row's cyclic
-span has half the rank, it spans the metaboliser over Q, which is then the
-span meet Z^n, so no earlier row is walked for that last row.
+conditions are never formed.  And T closes it: the walk chooses rows from
+the last one back, and the joint cyclic span of the rows chosen so far lies
+in the metaboliser over Q.  A pivot column of that span outside the
+basis's pivot columns ends the branch; once the span has half the rank it
+is the metaboliser over Q, which is then the span meet Z^n, so no earlier
+row is walked.
 
 Alexander polynomials are factored one orthogonal block at a time, so the
 difference of two forms never factors a polynomial of higher degree than
@@ -30,7 +33,7 @@ the larger form's rank.
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
@@ -207,12 +210,14 @@ def search_metaboliser(f: EpsForm, bound: int) -> MetaboliserSearch:
     metaboliser is returned; only there does the bound cap the search, and
     "not-found-within-bound" is not a proof of non-existence.  The walk
     skips only bases that no metaboliser has (rows whose cyclic span under
-    T is not isotropic, and rows not orthogonal to an earlier row's cyclic
-    span), so its answer is the box's least metaboliser all the same.  It
-    closes on the last row: a metaboliser L is T-invariant, so the cyclic
-    span of its last row w lies in L tensor Q, and when that span has
-    dimension rank/2 it is all of it; L is then the span meet Z^n, computed
-    from w alone instead of walking the earlier rows.
+    T is not isotropic, rows not orthogonal to the later rows' cyclic
+    spans, and rows whose joint cyclic span with the later rows has a pivot
+    column outside the basis's), so its answer is the box's least
+    metaboliser all the same.  It closes on the joint span: a metaboliser L
+    is T-invariant, so the joint cyclic span of its rows from the last one
+    back lies in L tensor Q, and once that span has dimension rank/2 it is
+    all of it; L is then the span meet Z^n, computed from those rows alone
+    instead of walking the earlier ones.
 
     T and chi_T are read from the stages held on f, so a search after the
     obstruction battery factors nothing again.
@@ -252,49 +257,46 @@ def _invariant_metabolisers(f: EpsForm):
     squarefree; None when it has a repeated factor.
 
     The irreducible factors g_i of chi_T have pairwise independent kernels
-    V_i, and a sum of them is isotropic exactly when A vanishes between
-    every two of its summands, so the subsets of degree rank/2 are filtered
-    pairwise before the kernel of their product is taken.
+    V_i = ker g_i(T).  The powers T^0, ..., T^d for the largest factor
+    degree d are formed once, and each g_i(T) is the sum of its
+    coefficients times them.  A sum of kernels is isotropic exactly when A
+    vanishes between every two of its summands, so the subsets of degree
+    rank/2 are filtered pairwise, on A x and A^T x formed once per kernel
+    vector x.  The kernel of a product of factors is the sum of their
+    kernels over Q, so its integer points are the saturation of that sum.
     """
     chi = _chi_factors(f.delta_factorization, f.rank)
     if any(mult > 1 for _, mult in chi):
         return None
-    t = f.isometric_structure
-    kernels = [_integer_kernel(_poly_at_matrix(g, t)) for g, _ in chi]
+    n, t = f.rank, f.isometric_structure
+    powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    for _ in range(max(g.max_exponent for g, _ in chi)):
+        powers.append([[sum(map(mul, row, col)) for col in zip(*t)] for row in powers[-1]])
+    kernels = []
+    for g, _ in chi:
+        coeffs = [g.coefficient(k) for k in range(g.max_exponent + 1)]
+        kernels.append(_integer_kernel([[sum(map(mul, coeffs, entries)) for entries in zip(*rows)]
+                                        for rows in zip(*powers)]))
+    a = f.matrix.rows
+    images = [[(tuple(sum(map(mul, row, x)) for row in a),
+                tuple(sum(map(mul, col, x)) for col in zip(*a))) for x in kernel]
+              for kernel in kernels]
 
     def isotropic(i, j):
-        return all(f.value(x, y) == 0 and f.value(y, x) == 0
-                   for x in kernels[i] for y in kernels[j])
+        # A(y, x) = y . A x and A(x, y) = y . A^T x
+        return not any(sum(map(mul, y, ax)) or sum(map(mul, y, atx))
+                       for ax, atx in images[i] for y in kernels[j])
 
     k = len(chi)
     pairs = {(i, j): isotropic(i, j) for i in range(k) for j in range(i, k)}
     out = []
     for size in range(1, k + 1):
         for subset in combinations(range(k), size):
-            if (sum(chi[i][0].max_exponent for i in subset) != f.rank // 2
-                    or not all(pairs[i, i] for i in subset)
-                    or not all(pairs[i, j] for i, j in combinations(subset, 2))):
-                continue
-            if size == 1:
-                kernel = kernels[subset[0]]
-            else:
-                g = Laurent.one()
-                for i in subset:
-                    g = g * chi[i][0]
-                kernel = _integer_kernel(_poly_at_matrix(g, t))
-            out.append(_row_hnf(kernel))
-    return out
-
-
-def _poly_at_matrix(g: Laurent, m: list[list[int]]) -> list[list[int]]:
-    """g(m) by Horner's rule, for an ordinary integer polynomial g."""
-    cols = list(zip(*m))
-    n, top = len(m), g.max_exponent
-    out = [[g.coefficient(top) if i == j else 0 for j in range(n)] for i in range(n)]
-    for e in range(top - 1, -1, -1):
-        out = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in out]
-        for i, row in enumerate(out):
-            row[i] += g.coefficient(e)
+            if (sum(chi[i][0].max_exponent for i in subset) == n // 2
+                    and all(pairs[i, i] for i in subset)
+                    and all(pairs[i, j] for i, j in combinations(subset, 2))):
+                out.append(_saturation(*_span_echelon(
+                    [x for i in subset for x in kernels[i]])))
     return out
 
 
@@ -339,31 +341,32 @@ def _enumerate_hnf(f: EpsForm, r: int, half: int, bound: int):
     skipping only bases that cannot span a metaboliser (half >= 1).
 
     A metaboliser L is T-invariant (see the module docstring), so each row
-    v of its basis has an A-isotropic cyclic span v, Tv, T^2 v, ..., and
-    every other row is A- and A^T-orthogonal to that span.  Rows failing
-    the first condition are never listed; after a row is chosen, the later
-    rows' lists are narrowed to the second (_combine).
+    v of its basis has an A-isotropic cyclic span v, Tv, T^2 v, ..., and so
+    has the joint cyclic span E of any of its rows; E lies in L tensor Q.
+    Rows failing the first condition are never listed.  Each pivot
+    configuration is walked depth first from its last row towards its
+    first, carrying the exact reduced echelon form of E for the rows chosen
+    so far, extended by one cyclic span at a time (_joint_span).  A row is
+    tried only when it is A- and A^T-orthogonal to E, and then:
 
-    The last row's list, which has the fewest free entries, is built first.
+    - prune: the echelon pivot columns of L tensor Q are the HNF pivot
+      columns, so E with a pivot column outside the configuration's ends
+      the branch;
+    - close: E of dimension rank/2 is L tensor Q, so L is its saturation
+      (E meet Z^n, memoized on E), the only basis with the chosen rows that
+      can be a metaboliser; it is kept if its pivot values match, its later
+      rows are the chosen rows and its entries lie in the box;
+    - walk on: a smaller E goes on to the previous row.
+
     The last row w of an HNF basis of a pure lattice is primitive, so other
-    rows are dropped, and the rest are split by the dimension of their
-    cyclic span, read from the echelon form of w, Tw, ...  When it is half,
-    the span is all of L (tensor Q), so L is the saturation of the span
-    (the span meet Z^n), and its HNF is the only basis with last row w
-    that can be a metaboliser.  That HNF is computed at most once per row,
-    only once a pivot configuration with the span's echelon pivot columns
-    is reached, and yielded there if its pivot values match and its entries
-    lie in the box; its last row is w, since w is primitive.  Only bases
-    whose last row has a smaller span are walked, and the two streams are
-    merged in _hnf_key order, so the walk yields every metaboliser of the
-    box in the same order as without the closure.
-
-    For the walked bases a row depends only on its own pivot and the later
-    ones, so its list is memoized on those, and each pivot configuration
-    builds its lists from the last row, stopping at the first empty one.
-    Before a list is built, the rows after it must admit one compatible
-    choice (a first basis from _combine), else the configuration yields
-    nothing; that answer is memoized on the later pivots too.
+    last rows are dropped.  A row's list depends only on its own pivot and
+    the later ones and is memoized on those; the rows of a list that are
+    orthogonal to E, with their joint spans grouped by pivot columns, are
+    memoized on the list and E, so a configuration's walk shares them with
+    every configuration that has the same later pivots.  A list is built
+    only when some configuration reaches its row with E below rank/2.  A
+    configuration's bases are sorted before they are yielded, so the walk
+    yields every metaboliser of the box in the order of the unpruned one.
     """
     a = [list(row) for row in f.matrix.rows]
     at = [list(col) for col in zip(*a)]
@@ -372,66 +375,61 @@ def _enumerate_hnf(f: EpsForm, r: int, half: int, bound: int):
     # S = M + M^T for M = A and M = A T: v^T M v = v^T S v / 2
     forms = [[[x + y for x, y in zip(row, col)] for row, col in zip(m, zip(*m))]
              for m in products]
-    memo: dict = {}
-    tails: dict = {}
-    lasts: dict = {}
+    lists: dict = {}
+    branches: dict = {}
     closures: dict = {}
 
-    def closed(pivot_cols, pivot_vals, full):
-        # the saturated spans of the full-span last rows in this configuration
-        out = []
-        units = max(pivot_vals) == 1
-        for row, (cols, rows) in full:
-            # the saturation has unit pivots exactly when the RREF is integral
-            if cols != pivot_cols or units != all(x[c] == 1 for x, c in zip(rows, cols)):
-                continue
-            if row not in closures:
-                basis = _saturation(cols, rows)
-                closures[row] = basis if _max_entry(basis) <= bound else None
-            basis = closures[row]
-            if basis is not None and all(b[j] == p for b, j, p in
-                                         zip(basis, pivot_cols, pivot_vals)):
-                out.append(basis)
-        return sorted(out)
+    def grown(key, span):
+        # the rows of key's list orthogonal to span, with their joint spans,
+        # grouped by the pivot columns of the joint span
+        if (key, span) not in branches:
+            if key not in lists:
+                lists[key] = _isotropic_rows(a, at, t, forms, bound, *key)
+            checks = _span_checks(a, at, span[1])
+            groups: dict = {}
+            for row, krylov in lists[key]:
+                if any(sum(map(mul, row, c)) for c in checks):
+                    continue
+                if not span[0] and gcd(*row) != 1:
+                    continue  # the last row of a pure lattice is primitive
+                joint = _joint_span(span, krylov)
+                groups.setdefault(joint[0], []).append((row, joint))
+            branches[key, span] = list(groups.items())
+        return branches[key, span]
 
-    def walked(pivot_cols, pivot_vals, partial):
-        lists = [partial]
-        for i in range(half - 2, -1, -1):
-            key = (pivot_cols[i:], pivot_vals[i:])
-            if len(lists) > 1:
-                tail = (pivot_cols[i + 1:], pivot_vals[i + 1:])
-                if tail not in tails:
-                    tails[tail] = next(_combine(lists[::-1], ()), None) is not None
-                if not tails[tail]:
-                    return
-            lst = memo.get(key)
-            if lst is None:
-                lst = memo[key] = [(row, _span_checks(a, at, krylov)) for row, krylov
-                                   in _isotropic_rows(a, at, t, forms, bound, *key)]
-            if not lst:
-                return
-            lists.append(lst)
-        yield from _combine(lists[::-1], ())
+    def closure(span):
+        # the HNF of the saturation of span, None when it leaves the box
+        if span not in closures:
+            basis = _saturation(*span)
+            closures[span] = basis if _max_entry(basis) <= bound else None
+        return closures[span]
 
     for pivot_cols in combinations(range(r), half):
+        allowed = set(pivot_cols)
         for pivot_vals in product(range(1, bound + 1), repeat=half):
-            key = (pivot_cols[-1:], pivot_vals[-1:])
-            if key not in lasts:
-                full, partial = [], []
-                for row, krylov in _isotropic_rows(a, at, t, forms, bound, *key):
-                    if gcd(*row) != 1:
-                        continue  # the last row of a pure lattice is primitive
-                    echelon = _span_echelon(krylov)
-                    if echelon is None:
-                        partial.append((row, ()))
-                    else:
-                        full.append((row, echelon))
-                lasts[key] = full, partial
-            full, partial = lasts[key]
-            streams = [closed(pivot_cols, pivot_vals, full)]
-            if partial:
-                streams.append(walked(pivot_cols, pivot_vals, partial))
-            yield from heapq.merge(*streams)
+            units = max(pivot_vals) == 1
+            found = []
+            # (i, E, chosen): the rows after row i are chosen, of joint span E.
+            # A stack, not a recursive inner generator: that would hold the
+            # memos in a reference cycle until the cyclic collector ran.
+            stack = [(half - 1, ((), ()), ())]
+            while stack:
+                i, span, chosen = stack.pop()
+                for cols, rows in grown((pivot_cols[i:], pivot_vals[i:]), span):
+                    if not allowed.issuperset(cols):
+                        continue
+                    for row, joint in rows:
+                        later = (row,) + chosen
+                        if len(cols) < half:
+                            stack.append((i - 1, joint, later))
+                        # the saturation has unit pivots exactly when the RREF is integral
+                        elif units == all(x[c] == 1 for x, c in zip(joint[1], cols)):
+                            basis = closure(joint)
+                            if basis is not None and basis[i:] == later and all(
+                                    b[j] == p for b, j, p in
+                                    zip(basis, pivot_cols[:i], pivot_vals)):
+                                found.append(basis)
+            yield from sorted(found)
 
 
 def _isotropic_rows(a, at, t, forms, bound, pivot_cols, pivot_vals):
@@ -526,12 +524,11 @@ def _cyclic_span(at, t, row):
     return powers
 
 
-def _span_checks(a, at, krylov):
-    """A w and A^T w for the vectors w of a cyclic span: a later row is
-    orthogonal to the whole span when its dot product with each is 0 (the
-    span is isotropic, so r/2 powers hold it)."""
+def _span_checks(a, at, vectors):
+    """A w and A^T w for the vectors w spanning a subspace: a row is A- and
+    A^T-orthogonal to the subspace when its dot product with each is 0."""
     checks = []
-    for w in krylov:
+    for w in vectors:
         checks.append([sum(map(mul, a_row, w)) for a_row in a])
         checks.append([sum(map(mul, col, w)) for col in at])
     return checks
@@ -541,21 +538,42 @@ def _span_echelon(vectors):
     """(cols, rows): the reduced row echelon form of the rational span of
     the integer `vectors`, each row scaled to a primitive integer vector
     with a positive entry in its pivot column cols[i] and zeros in the other
-    pivot columns; None when the vectors are dependent (a row cancels to
-    zero)."""
-    rows = [list(v) for v in vectors]
-    done = []
-    while rows:
-        leads = [next((j for j, x in enumerate(row) if x), None) for row in rows]
-        if None in leads:
+    pivot columns; None when the vectors are dependent (one of them lies in
+    the span of those before it)."""
+    span = ((), ())
+    for v in vectors:
+        span = _echelon_add(span, v)
+        if span is None:
             return None
-        i = min(range(len(rows)), key=leads.__getitem__)
-        top, c = rows.pop(i), leads[i]
-        rows = [_cancel(row, top, c) for row in rows]
-        done = [(j, _cancel(row, top, c)) for j, row in done] + [(c, top)]
-    scales = [gcd(*row) if row[c] > 0 else -gcd(*row) for c, row in done]
-    return (tuple(c for c, _ in done),
-            tuple(tuple(x // g for x in row) for g, (_, row) in zip(scales, done)))
+    return span
+
+
+def _joint_span(span, krylov):
+    """The echelon form (_span_echelon) of the T-invariant span plus the
+    cyclic span of v, from krylov = [v, Tv, ...].  Once a power T^k v lies
+    in the sum so far, that sum is T-invariant and holds every later one."""
+    for v in krylov:
+        grown = _echelon_add(span, v)
+        if grown is None:
+            break
+        span = grown
+    return span
+
+
+def _echelon_add(span, v):
+    """The echelon form (_span_echelon) of span plus the integer vector v,
+    or None when v lies in span."""
+    cols, rows = span
+    for c, row in zip(cols, rows):
+        v = _cancel(v, row, c)
+    lead = next((j for j, x in enumerate(v) if x), None)
+    if lead is None:
+        return None
+    g = gcd(*v) if v[lead] > 0 else -gcd(*v)
+    v = tuple(x // g for x in v)
+    at = bisect(cols, lead)
+    rows = tuple(tuple(_cancel(row, v, lead)) for row in rows)
+    return cols[:at] + (lead,) + cols[at:], rows[:at] + (v,) + rows[at:]
 
 
 def _cancel(row, top, c):
@@ -594,21 +612,6 @@ def _integer_roots(a: int, b: int, c: int, lo: int, hi: int) -> list[int]:
         roots = sorted({(-b + e * root) // (2 * a) for e in (-1, 1)
                         if (-b + e * root) % (2 * a) == 0})
     return [x for x in roots if lo <= x < hi]
-
-
-def _combine(lists, chosen):
-    """Bases of one row from each list, depth first in list order.  After a
-    row is chosen the later lists keep only the rows w with w . c = 0 for
-    all of its checks, and a list left empty ends the branch."""
-    if not lists:
-        yield chosen
-        return
-    for row, checks in lists[0]:
-        rest = [[entry for entry in lst
-                 if not any(sum(map(mul, entry[0], c)) for c in checks)]
-                for lst in lists[1:]]
-        if all(rest):
-            yield from _combine(rest, chosen + (row,))
 
 
 def _orthogonal_blocks(f: EpsForm) -> list[list[int]]:

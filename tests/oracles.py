@@ -18,9 +18,12 @@ divisor choices instead of pruning node by node, elementary divisors over
 Q[t, 1/t] by a Smith form that turns every coefficient into a Fraction
 instead of keeping ints until a division makes one, primality by Miller-Rabin instead of trial division, symplectic
 bases over F_2 on tuples instead of bitmasks, the Hermite-basis
-metaboliser walk with no use of the isometric structure, and the saturation
+metaboliser walk with no use of the isometric structure, the saturation
 of a lattice by the inverse of one Smith form's column transform instead of
-the integer kernel taken twice.
+the integer kernel taken twice, and the T-invariant metabolisers of a
+squarefree chi_T with every g(T) formed by Horner's rule and the kernel of
+each product of factors taken by its own Smith form instead of saturating
+the sum of the factors' kernels.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm, prod
 
-from knotforms.cobordism import EpsForm
+from knotforms.cobordism import EpsForm, _chi_factors, _integer_kernel, _row_hnf
 from knotforms.exact import (Matrix, ShapeError, SingularMatrixError, det,
                              pencil_det_coefficients, smith_normal_form_with_transforms)
 from knotforms.laurent import (Laurent, _divisors, _eval_int, _trim, laurent_matrix)
@@ -477,6 +480,50 @@ def saturation_smith(vectors) -> list[tuple[int, ...]]:
     assert all(factors), "vectors are dependent"
     v_inv = inverse_gauss_jordan(v)
     return [tuple(int(x) for x in row) for row in v_inv.rows[:k.nrows]]
+
+
+def invariant_metabolisers_horner(f: EpsForm):
+    """Row HNFs of all metabolisers of f when chi_T is squarefree, None
+    otherwise: the integer kernels of g(T) for the products g of rank/2
+    degree over pairwise isotropic irreducible factors of chi_T, each g(T)
+    by Horner's rule (one matrix product per degree) and each kernel by the
+    Smith form of g(T)."""
+    chi = _chi_factors(f.delta_factorization, f.rank)
+    if any(mult > 1 for _, mult in chi):
+        return None
+    t = f.isometric_structure
+    kernels = [_integer_kernel(_poly_at_matrix(g, t)) for g, _ in chi]
+
+    def isotropic(i, j):
+        return all(f.value(x, y) == 0 and f.value(y, x) == 0
+                   for x in kernels[i] for y in kernels[j])
+
+    k = len(chi)
+    pairs = {(i, j): isotropic(i, j) for i in range(k) for j in range(i, k)}
+    out = []
+    for size in range(1, k + 1):
+        for subset in combinations(range(k), size):
+            if (sum(chi[i][0].max_exponent for i in subset) != f.rank // 2
+                    or not all(pairs[i, i] for i in subset)
+                    or not all(pairs[i, j] for i, j in combinations(subset, 2))):
+                continue
+            g = Laurent.one()
+            for i in subset:
+                g = g * chi[i][0]
+            out.append(_row_hnf(_integer_kernel(_poly_at_matrix(g, t))))
+    return out
+
+
+def _poly_at_matrix(g: Laurent, m) -> list[list[int]]:
+    """g(m) by Horner's rule, for an ordinary integer polynomial g."""
+    cols = list(zip(*m))
+    n, top = len(m), g.max_exponent
+    out = [[g.coefficient(top) if i == j else 0 for j in range(n)] for i in range(n)]
+    for e in range(top - 1, -1, -1):
+        out = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in out]
+        for i, row in enumerate(out):
+            row[i] += g.coefficient(e)
+    return out
 
 
 def brute_force_rank1_metaboliser_absent(form_matrix: Matrix, bound: int) -> bool:

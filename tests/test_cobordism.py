@@ -9,21 +9,22 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from knotforms import cobordism
 from knotforms.brieskorn import BrieskornGerm, brieskorn_seifert
 from knotforms.cobordism import (EpsForm, EpsFormError, _chi_factors, _cyclic_span,
-                                 _direct_sum, _enumerate_hnf, _integer_roots,
-                                 _invariant_metabolisers, _orthogonal_blocks, _row_hnf,
-                                 _saturation, _span_echelon, algebraically_cobordant,
-                                 eps_form_of, fox_milnor, is_metaboliser, negate,
-                                 null_cobordance_obstructions, orthogonal_sum,
-                                 search_metaboliser)
+                                 _direct_sum, _enumerate_hnf, _hnf_key, _integer_roots,
+                                 _invariant_metabolisers, _joint_span, _orthogonal_blocks,
+                                 _row_hnf, _saturation, _span_echelon,
+                                 algebraically_cobordant, eps_form_of, fox_milnor,
+                                 is_metaboliser, negate, null_cobordance_obstructions,
+                                 orthogonal_sum, search_metaboliser)
 from knotforms.exact import Matrix, ShapeError, det, pencil_det_coefficients, smith_normal_form
 from knotforms.laurent import Laurent, det_pencil, factor_int_poly
 from knotforms.quadratic import signature
 
 from generators import eps_forms, random_unimodular, square_matrices
 from oracles import (brute_force_rank1_metaboliser_absent, enumerate_hnf_unpruned,
-                     inverse_gauss_jordan, saturation_smith)
+                     invariant_metabolisers_horner, inverse_gauss_jordan, saturation_smith)
 
 A1 = Matrix([[-1, 0], [1, -1]])
 TREFOIL_FORM = EpsForm(A1, -1)
@@ -370,6 +371,15 @@ class TestIsometricStructure:
         else:
             assert result.status == "not-found-within-bound"
 
+    @settings(max_examples=60)
+    @given(eps_forms(4))
+    def test_invariant_metabolisers_match_horner(self, f):
+        # shared powers of T and saturated sums of kernels against Horner's
+        # rule and one Smith form per product of factors
+        expected = invariant_metabolisers_horner(f)
+        assume(expected is not None)
+        assert _invariant_metabolisers(f) == expected
+
     @given(eps_forms(4))
     @example(HYPERBOLIC_FORM)
     @example(EpsForm(Matrix([[0, 0, 1, 0], [0, 0, 0, 1],
@@ -453,14 +463,35 @@ class TestPrunedWalk:
             x for x in range(lo, hi) if a * x * x + b * x + c == 0]
 
 
-def _last_row_spans_half(f: EpsForm, basis) -> bool:
+def _closing_row(f: EpsForm, basis) -> int:
+    """The index of the row at which the joint cyclic span of the rows
+    from the last one back reaches half the rank."""
     at = [list(col) for col in zip(*f.matrix.rows)]
-    return _span_echelon(_cyclic_span(at, f.isometric_structure, list(basis[-1]))) is not None
+    span = ((), ())
+    for i in range(len(basis) - 1, -1, -1):
+        span = _joint_span(span, _cyclic_span(at, f.isometric_structure, list(basis[i])))
+        if len(span[0]) == f.rank // 2:
+            return i
+    raise AssertionError("the rows span less than half the rank")
+
+
+@pytest.fixture()
+def row_lists(monkeypatch):
+    """The (pivot columns, pivot values) of every row list the walk builds."""
+    keys = []
+    build = cobordism._isotropic_rows
+
+    def counted(*args):
+        keys.append(args[-2:])
+        return build(*args)
+
+    monkeypatch.setattr(cobordism, "_isotropic_rows", counted)
+    return keys
 
 
 # f (+) -f for a genus-2 f: of its three metabolisers in the bound-1 box, the
-# first two have a last row whose cyclic span has dimension 4 = rank/2, the
-# third one whose span is smaller
+# first two have a last row whose cyclic span has dimension 4 = rank/2; in
+# the third the joint span of the rows stays below it until the first row
 MIXED_F = EpsForm(Matrix([[0, 0, 0, -1], [0, 0, -1, -3], [-1, -2, -1, -3],
                           [-3, -6, -4, -11]]), -1)
 
@@ -482,11 +513,23 @@ class TestSpanClosure:
         h = _permuted(h, order)
         assert list(_metabolisers(h, 1, walk=_enumerate_hnf)) == list(_metabolisers(h, 1))
 
-    def test_mixed_last_rows_keep_the_unpruned_order(self):
+    def test_mixed_last_rows_keep_the_unpruned_order(self, row_lists):
         f = orthogonal_sum(MIXED_F, negate(MIXED_F))
         closed = list(_metabolisers(f, 1, walk=_enumerate_hnf))
         assert closed == list(_metabolisers(f, 1))
-        assert [_last_row_spans_half(f, basis) for basis in closed] == [True, True, False]
+        assert [_closing_row(f, basis) for basis in closed] == [3, 3, 0]
+        # the third one is closed only at its first row, so that row's list
+        # is built for its configuration
+        cols, vals = _hnf_key(closed[2])[:2]
+        assert (cols, vals) in row_lists
+
+    @settings(max_examples=20)
+    @given(eps_forms(2).filter(lambda f: f.rank == 4), st.randoms())
+    def test_rank8_sums_match_unpruned_walk(self, f, rnd):
+        # f (+) -P^T f P for a genus-2 f: every metaboliser of the bound-1
+        # box, in order, whichever row its joint span closes on
+        h = _with_congruent_copy(f, rnd)
+        assert list(_metabolisers(h, 1, walk=_enumerate_hnf)) == list(_metabolisers(h, 1))
 
     @given(st.integers(1, 3).flatmap(lambda k: st.integers(k, 6).flatmap(
         lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
@@ -514,3 +557,56 @@ class TestSpanClosure:
             assert all(row[j] == 0 for j in cols if j != c)
         # the same rational span: stacking adds no rank
         assert sum(1 for x in smith_normal_form(Matrix(rows + list(reduced))) if x) == len(rows)
+
+
+# pair p109 of the seed-1 cobordance corpus: A (+) -B for two genus-2 forms
+# with eps = +1 and the same delta; chi_T has the repeated factors x - 1 and
+# x, and no single row's cyclic span has half the rank: the joint span of the
+# rows of its metabolisers reaches it only at the first or second row
+P109 = EpsForm(_direct_sum(Matrix([[1, 1, 1, -1], [-1, 1, 1, -1], [0, 1, 1, -1], [2, 0, 0, 0]]),
+                           -Matrix([[0, 1, -1, -1], [-2, 0, 0, 1], [0, 0, 1, 1], [1, 0, 1, 0]])),
+               1)
+# its metabolisers in the bound-2 box in _hnf_key order, as listed by the walk
+# that closed only on a last row
+P109_BOX2 = [
+    ((1, 0, -2, -1, 0, 0, 0, 0), (0, 1, 0, 1, 0, 0, 0, 0),
+     (0, 0, 0, 0, 1, 0, 1, 0), (0, 0, 0, 0, 0, 0, 2, -1)),
+    ((1, 1, -2, 0, 0, 0, 0, 0), (0, 2, -2, 1, 0, 0, 0, 0),
+     (0, 0, 0, 0, 1, 0, 1, 0), (0, 0, 0, 0, 0, 0, 2, -1)),
+    ((1, 1, -1, 0, 0, 0, 0, 0), (0, 2, -1, 1, 0, 0, 0, 0),
+     (0, 0, 0, 0, 1, 0, 1, 0), (0, 0, 0, 0, 0, 0, 2, -1)),
+    ((1, 0, -2, -1, 0, 0, 0, 0), (0, 1, 0, 1, 0, 0, 0, 0),
+     (0, 0, 0, 0, 1, 2, -1, 0), (0, 0, 0, 0, 0, 0, 0, 1)),
+    ((1, 1, -2, 0, 0, 0, 0, 0), (0, 2, -2, 1, 0, 0, 0, 0),
+     (0, 0, 0, 0, 1, 2, -1, 0), (0, 0, 0, 0, 0, 0, 0, 1)),
+    ((1, 1, -1, 0, 0, 0, 0, 0), (0, 2, -1, 1, 0, 0, 0, 0),
+     (0, 0, 0, 0, 1, 2, -1, 0), (0, 0, 0, 0, 0, 0, 0, 1)),
+    ((0, 1, 0, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0, 0, 0),
+     (0, 0, 0, 0, 1, 0, 1, 0), (0, 0, 0, 0, 0, 0, 2, -1)),
+    ((0, 1, 0, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0, 0, 0),
+     (0, 0, 0, 0, 1, 2, -1, 0), (0, 0, 0, 0, 0, 0, 0, 1)),
+    ((0, 1, -1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0, 0, 0),
+     (0, 0, 0, 0, 1, 0, 1, 0), (0, 0, 0, 0, 0, 0, 2, -1)),
+    ((0, 1, -1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0, 0, 0),
+     (0, 0, 0, 0, 1, 2, -1, 0), (0, 0, 0, 0, 0, 0, 0, 1)),
+]
+
+
+class TestJointSpanClosure:
+    def test_p109_box_metabolisers(self):
+        assert _invariant_metabolisers(P109) is None  # the walk decides it
+        assert list(_metabolisers(P109, 2, walk=_enumerate_hnf)) == P109_BOX2
+        assert [_closing_row(P109, basis) for basis in P109_BOX2] == [0] * 8 + [1, 1]
+
+    @pytest.mark.parametrize("bound", (2, 3, 4))
+    def test_p109_witness(self, bound):
+        result = search_metaboliser(P109, bound)
+        assert result.found and result.witness.basis == P109_BOX2[0]
+
+    @pytest.mark.parametrize("bound,most", [(2, 20), (4, 40)])
+    def test_p109_row_lists_built(self, bound, most, row_lists):
+        # a guard on the work, counted rather than timed: rebuilding the
+        # earlier rows' lists for every pivot configuration took 127 lists
+        # at bound 2 and 1035 at bound 4
+        assert search_metaboliser(P109, bound).found
+        assert len(row_lists) <= most

@@ -1,11 +1,14 @@
 """Compare the CLI output of this checkout with another tree on the
 perfbench corpora.
 
-    python3 tools/cli_diff.py --parent DIR --workload all|NAME --seed N --budget S
+    python3 tools/cli_diff.py --parent DIR --workload all|NAME --seed N --budget S [--bound B]
 
 The operations of each workload are built from `perfbench/corpus.py` of this
 checkout (imported, not changed) into a temporary directory, with the argv
-lists the benchmark uses; `all` runs those three workloads.  The
+lists the benchmark uses; `all` runs those three workloads.  `--bound`
+sets the `cobordant` entry bound of the `cobordance` workload (default
+`corpus.COBORDANCE_BOUND`, the benchmark's): bound 1 reaches the walk's
+exhaustive unknown verdicts, bound 3 its deeper walks.  The
 `germ-table` workload runs only when named: `brieskorn` on germs beyond the
 benchmark's Milnor numbers (the Milnor rungs (6k-1, 3, 2, 2, 2) for
 k = 1..10, the Kervaire rows (d, 2, 2, 2, 2, 2) for odd d = 33..63, and
@@ -73,9 +76,11 @@ def knot_module_matrices(seed: int) -> list[tuple[str, list[list[int]], int]]:
     return out
 
 
-def build_ops(workload: str, seed: int, workdir: Path) -> list[tuple[str, list[str]]]:
+def build_ops(workload: str, seed: int, workdir: Path,
+              bound: int = corpus.COBORDANCE_BOUND) -> list[tuple[str, list[str]]]:
     """(name, argv) for each operation of the workload, as perfbench runs
-    them; matrix files are written into workdir."""
+    them but with `cobordant --bound bound`; matrix files are written into
+    workdir."""
     ops = []
     if workload == "germ-table":
         for exponents in GERM_TABLE:
@@ -102,8 +107,8 @@ def build_ops(workload: str, seed: int, workdir: Path) -> list[tuple[str, list[s
                 path = workdir / f"{spec['name']}{side}.mat"
                 path.write_text(corpus.serialize(spec[side], spec["q"]))
                 paths.append(str(path))
-            ops.append((spec["name"], ["cobordant", *paths, "--bound",
-                                       str(corpus.COBORDANCE_BOUND), "--format", "machine"]))
+            ops.append((spec["name"], ["cobordant", *paths, "--bound", str(bound),
+                                       "--format", "machine"]))
     return ops
 
 
@@ -128,6 +133,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", default="all",
                         choices=("all",) + WORKLOADS + ("germ-table", "knot-modules"))
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--bound", type=int, default=corpus.COBORDANCE_BOUND,
+                        help="entry bound of `cobordant` in the cobordance workload")
     parser.add_argument("--budget", type=float, default=30.0,
                         help="seconds per operation and tree before it counts as overran")
     args = parser.parse_args(argv)
@@ -141,7 +148,7 @@ def main(argv=None) -> int:
             workdir = Path(tmp, workload)
             workdir.mkdir()
             counts = {"identical": 0, "differ": 0, "overran": 0}
-            for name, op_argv in build_ops(workload, args.seed, workdir):
+            for name, op_argv in build_ops(workload, args.seed, workdir, args.bound):
                 ours = run_cli(ROOT, op_argv, workdir, args.budget)
                 theirs = run_cli(parent, op_argv, workdir, args.budget)
                 if ours is None or theirs is None:
@@ -152,7 +159,8 @@ def main(argv=None) -> int:
                     counts["differ"] += 1
                     print(f"differ: {workload} {name}: exit {ours[0]} vs {theirs[0]}")
             differ += counts["differ"]
-            print(f"{workload} seed={args.seed}: " +
+            bound = f" bound={args.bound}" if workload == "cobordance" else ""
+            print(f"{workload} seed={args.seed}{bound}: " +
                   " ".join(f"{key}={value}" for key, value in counts.items()))
     return 1 if differ else 0
 
