@@ -58,8 +58,8 @@ class EpsForm:
 
     Its cobordance stages are computed on first use and held on the form,
     so that the obstruction battery and the metaboliser search of one
-    cobordance question share them: B, det B, T and the factorization of
-    delta.
+    cobordance question share them: B, det B, T, delta and its
+    factorization.
     """
 
     matrix: Matrix
@@ -101,6 +101,11 @@ class EpsForm:
         return (adj_a if d == 1 else -adj_a).rows
 
     @cached_property
+    def delta(self) -> Laurent:
+        """delta = det(tA + eps A^T)."""
+        return det_pencil(self.matrix, self.matrix.transpose().scale(self.eps))
+
+    @cached_property
     def delta_factorization(self) -> Factorization:
         """Factorization of delta = det(tA + eps A^T) over Z[t], merged from
         the factorizations of the orthogonal blocks' deltas.
@@ -121,7 +126,7 @@ class EpsForm:
             for poly, mult in fact.factors:
                 counts[poly] = counts.get(poly, 0) + mult
         merged = Factorization(sign, unit_exponent, content, list(counts.items()))
-        assert merged.product() == det_pencil(self.matrix, eps_at), \
+        assert merged.product() == self.delta, \
             "per-block factorization does not multiply to delta"
         return merged
 
@@ -138,8 +143,9 @@ def eps_form_of(s: SeifertMatrix) -> EpsForm:
 
 def _direct_sum(a: Matrix, b: Matrix) -> Matrix:
     r1, r2 = a.nrows, b.nrows
-    return Matrix([list(row) + [0] * r2 for row in a.rows]
-                  + [[0] * r1 + list(row) for row in b.rows], ncols=r1 + r2)
+    rows = ([list(row) + [0] * r2 for row in a.rows]
+            + [[0] * r1 + list(row) for row in b.rows])
+    return Matrix._build(rows, r1 + r2, a.is_integral and b.is_integral)
 
 
 def orthogonal_sum(f1: EpsForm, f2: EpsForm) -> EpsForm:
@@ -162,6 +168,8 @@ class Metaboliser:
 def _basis_matrix(vectors) -> Matrix:
     vectors = [tuple(v) for v in vectors]
     width = len(vectors[0]) if vectors else 0
+    if all(isinstance(x, int) for v in vectors for x in v):
+        return Matrix._of_ints(vectors, width)
     return Matrix(vectors, ncols=width)
 
 
@@ -742,7 +750,7 @@ def null_cobordance_obstructions(f: EpsForm) -> ObstructionReport:
     fm = fox_milnor(fact)
     checks.append(Obstruction(
         name="fox-milnor", passed=fm,
-        certificate=f"delta = {render_poly(fact.product().unit_normalize())}: "
+        certificate=f"delta = {render_poly(f.delta.unit_normalize())}: "
                     f"{'factors as Q(t)Q(1/t)' if fm else 'does not factor as Q(t)Q(1/t)'}"))
     if f.eps == -1:
         arf_value = karl(SeifertMatrix(f.matrix, q=1))

@@ -6,6 +6,14 @@ fraction-free (Bareiss) elimination, and no floating point is used anywhere.
 Empty (0 x 0) matrices are legal and meaningful throughout; by the usual
 empty-product convention their determinant is 1.
 
+A value with denominator 1 is always an ``int``, never a ``Fraction``, and
+only outside data is validated: ``Matrix(rows)`` checks and normalizes
+every entry, while the matrices the library builds from integer entries
+(transposes, sums, products, Smith transforms, ...) come from the private
+``Matrix._of_ints``, which checks nothing.  Each matrix records at
+construction whether all its entries are ints, so ``is_integral`` costs
+nothing.
+
 The multi-modular kernel at the end of the module does the O(n^3) work of
 pencil determinants, characteristic polynomials and adjugate products:
 Gauss-Jordan solve and Hessenberg reduction over F_p for primes p < 2^30,
@@ -43,9 +51,10 @@ class Matrix:
 
     `rows` is stored as a tuple of row tuples.  The column count is kept
     explicitly so that r x 0 and 0 x c matrices round-trip correctly.
+    `is_integral` is True when every entry is an int (bools included).
     """
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("rows", "nrows", "ncols", "is_integral")
 
     def __init__(self, rows, ncols: int | None = None):
         rows = tuple(tuple(_as_exact(x) for x in row) for row in rows)
@@ -58,20 +67,32 @@ class Matrix:
             ncols = width
         else:
             ncols = 0 if ncols is None else ncols
+        self._set(rows, ncols, all(isinstance(x, int) for row in rows for x in row))
+
+    def _set(self, rows: tuple, ncols: int, integral: bool):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
+        object.__setattr__(self, "is_integral", integral)
+
+    @classmethod
+    def _of_ints(cls, rows, ncols: int) -> "Matrix":
+        """The matrix of rows of ints that the library built itself, each of
+        length ncols: no entry or shape is checked."""
+        m = object.__new__(cls)
+        m._set(tuple(map(tuple, rows)), ncols, True)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], ncols=n)
+        return cls._of_ints([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls([[0] * ncols for _ in range(nrows)], ncols=ncols)
+        return cls._of_ints([[0] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def diagonal(cls, entries) -> "Matrix":
@@ -86,10 +107,6 @@ class Matrix:
     @property
     def is_square(self) -> bool:
         return self.nrows == self.ncols
-
-    @property
-    def is_integral(self) -> bool:
-        return all(isinstance(x, int) for row in self.rows for x in row)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -109,15 +126,22 @@ class Matrix:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return f"Matrix([{body}])"
 
+    @staticmethod
+    def _build(rows, ncols: int, integral: bool) -> "Matrix":
+        # rows computed from exact entries: unchecked when they are known
+        # to be ints, normalized by Matrix() otherwise
+        return Matrix._of_ints(rows, ncols) if integral else Matrix(rows, ncols=ncols)
+
     def transpose(self) -> "Matrix":
-        return Matrix([[self.rows[i][j] for i in range(self.nrows)]
-                       for j in range(self.ncols)], ncols=self.nrows)
+        cols = zip(*self.rows) if self.nrows else [()] * self.ncols
+        return self._build(cols, self.nrows, self.is_integral)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ShapeError(f"cannot add {self.shape} and {other.shape}")
-        return Matrix([[a + b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.rows, other.rows)], ncols=self.ncols)
+        return self._build([[a + b for a, b in zip(r1, r2)]
+                            for r1, r2 in zip(self.rows, other.rows)],
+                           self.ncols, self.is_integral and other.is_integral)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
@@ -126,14 +150,15 @@ class Matrix:
         return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
-        return Matrix([[c * x for x in row] for row in self.rows], ncols=self.ncols)
+        return self._build([[c * x for x in row] for row in self.rows], self.ncols,
+                           self.is_integral and isinstance(c, int))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
         bt = other.transpose().rows
-        return Matrix([[sum(a * b for a, b in zip(row, col)) for col in bt]
-                       for row in self.rows], ncols=other.ncols)
+        return self._build([[sum(map(mul, row, col)) for col in bt] for row in self.rows],
+                           other.ncols, self.is_integral and other.is_integral)
 
     def apply(self, vector):
         """Matrix times column vector (a sequence), returned as a tuple."""
@@ -143,13 +168,15 @@ class Matrix:
 
     def submatrix(self, row_indices, col_indices) -> "Matrix":
         ri, ci = list(row_indices), list(col_indices)
-        return Matrix([[self.rows[i][j] for j in ci] for i in ri], ncols=len(ci))
+        return self._build([[self.rows[i][j] for j in ci] for i in ri], len(ci),
+                           self.is_integral)
 
     def is_symmetric(self) -> bool:
         return self.is_square and self == self.transpose()
 
     def entries_mod(self, n: int) -> "Matrix":
-        return Matrix([[x % n for x in row] for row in self.rows], ncols=self.ncols)
+        return self._build([[x % n for x in row] for row in self.rows], self.ncols,
+                           self.is_integral and isinstance(n, int))
 
 
 def det(m: Matrix):
@@ -215,7 +242,7 @@ def kronecker(m: Matrix, n: Matrix) -> Matrix:
                 c = m.rows[mi][mj]
                 row.extend(c * x for x in n.rows[ni])
             rows.append(row)
-    return Matrix(rows, ncols=m.ncols * n.ncols)
+    return Matrix._build(rows, m.ncols * n.ncols, m.is_integral and n.is_integral)
 
 
 def smith_normal_form(m: Matrix) -> tuple[int, ...]:
@@ -290,7 +317,7 @@ def smith_normal_form_with_transforms(m: Matrix) -> tuple[tuple[int, ...], Matri
             a[t] = [-x for x in a[t]]
             u[t] = [-x for x in u[t]]
     factors = tuple(a[i][i] for i in range(k))
-    return factors, Matrix(u, ncols=nrows), Matrix(v, ncols=ncols)
+    return factors, Matrix._of_ints(u, nrows), Matrix._of_ints(v, ncols)
 
 
 # tangent numbers T_1, T_2, ... = 1, 2, 16, 272, ...; grown by doubling
@@ -507,8 +534,8 @@ def pencil_det_coefficients(a: Matrix, b: Matrix) -> list[int]:
         raise TypeError("pencil determinant needs integer matrices")
     bound_sq = prod(sum((abs(x) + abs(y)) ** 2 for x, y in zip(ra, rb))
                     for ra, rb in zip(a.rows, b.rows))
-    if a == Matrix.identity(a.nrows):
-        # det(tI + b) is the characteristic polynomial of -b
+    if all(x == (i == j) for i, row in enumerate(a.rows) for j, x in enumerate(row)):
+        # a = I: det(tI + b) is the characteristic polynomial of -b
         def residues(p):
             return _charpoly_mod([[-x % p for x in row] for row in b.rows], p)
     else:
@@ -547,4 +574,4 @@ def adjugate_product(m: Matrix, r: Matrix, d: int | None = None) -> tuple[int, M
         return [dp * x % p for row in solved[1] for x in row]
 
     flat = crt_lift(residues, n * k, bound_sq, avoid=d)
-    return d, Matrix([flat[i * k:(i + 1) * k] for i in range(n)], ncols=k)
+    return d, Matrix._of_ints([flat[i * k:(i + 1) * k] for i in range(n)], k)

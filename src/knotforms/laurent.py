@@ -3,7 +3,11 @@
 A Laurent polynomial is a finite map exponent -> coefficient (int or
 Fraction); exponents may be negative.  "Up to unit" always means up to
 a factor +-t^k; the canonical representative has minimal exponent 0,
-nonzero constant term, and positive leading coefficient.
+nonzero constant term, and positive leading coefficient.  As in
+`exact`, a coefficient with denominator 1 is an int, and only outside
+data is checked: the polynomials built here from already normalized
+coefficients (shifts, negation, reciprocals, integer scaling, products of
+integer polynomials, integer coefficient lists) skip the checks.
 
 Also here: polynomial factorization over Z[t] by desk-scale exhaustive
 search in integer arithmetic (cyclotomic peeling, then factor
@@ -41,6 +45,15 @@ class Laurent:
                     clean[int(e)] = c
         object.__setattr__(self, "coeffs", dict(sorted(clean.items())))
 
+    @classmethod
+    def _normalized(cls, coeffs: dict) -> "Laurent":
+        """The polynomial of a map the library built itself that is already
+        ascending, free of zeros, and holds ints or Fractions of denominator
+        > 1: nothing is checked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", coeffs)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("Laurent is immutable")
 
@@ -63,6 +76,10 @@ class Laurent:
     @classmethod
     def from_coeff_list(cls, coeffs, min_exponent: int = 0) -> "Laurent":
         """Build from ascending coefficients starting at `min_exponent`."""
+        coeffs = list(coeffs)
+        if all(isinstance(c, int) for c in coeffs):
+            lo = int(min_exponent)
+            return cls._normalized({lo + i: c for i, c in enumerate(coeffs) if c})
         return cls({min_exponent + i: c for i, c in enumerate(coeffs)})
 
     @property
@@ -121,7 +138,7 @@ class Laurent:
         return Laurent(out)
 
     def __neg__(self) -> "Laurent":
-        return Laurent({e: -c for e, c in self.coeffs.items()})
+        return Laurent._normalized({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other: "Laurent") -> "Laurent":
         return self + (-other)
@@ -132,6 +149,8 @@ class Laurent:
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
+        if self.is_integral and other.is_integral:
+            return Laurent._normalized({e: out[e] for e in sorted(out) if out[e]})
         return Laurent(out)
 
     def __pow__(self, n: int) -> "Laurent":
@@ -147,15 +166,18 @@ class Laurent:
         return result
 
     def scale(self, c) -> "Laurent":
+        if c and isinstance(c, int) and self.is_integral:
+            return Laurent._normalized({e: c * x for e, x in self.coeffs.items()})
         return Laurent({e: c * x for e, x in self.coeffs.items()})
 
     def shift(self, k: int) -> "Laurent":
         """Multiply by t^k."""
-        return Laurent({e + k: c for e, c in self.coeffs.items()})
+        k = int(k)
+        return Laurent._normalized({e + k: c for e, c in self.coeffs.items()})
 
     def reciprocal(self) -> "Laurent":
         """Substitute t -> 1/t."""
-        return Laurent({-e: c for e, c in self.coeffs.items()})
+        return Laurent._normalized({-e: c for e, c in reversed(self.coeffs.items())})
 
     def __call__(self, x):
         """Exact evaluation; x must be nonzero if negative exponents occur."""
@@ -249,7 +271,9 @@ def _trim(c: list) -> list:
 
 def _poly_divmod(num: list, den: list) -> tuple[list, list]:
     """Quotient and remainder over Q of polynomials with int or Fraction
-    coefficients; the quotient's coefficients are Fractions."""
+    coefficients; a quotient coefficient is an int exactly when it is
+    integral, so integer polynomials stay in int arithmetic until a true
+    fraction appears."""
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     r = list(num)
@@ -258,7 +282,13 @@ def _poly_divmod(num: list, den: list) -> tuple[list, list]:
     for shift in range(len(q) - 1, -1, -1):
         c = r[shift + dn]
         if c:
-            c = q[shift] = Fraction(c, lead)
+            if isinstance(c, int) and isinstance(lead, int) and not c % lead:
+                c //= lead
+            else:
+                c = Fraction(c, lead)
+                if c.denominator == 1:
+                    c = c.numerator
+            q[shift] = c
             for i in range(dn):
                 r[shift + i] -= c * den[i]
     return _trim(q), _trim(r[:dn])

@@ -86,3 +86,35 @@ def eps_forms(draw, max_genus: int, eps: int | None = None):
                 a[i][g + j] = int(i == j) - eps * a[g + j][i]
     p = random_unimodular(draw(st.randoms(use_true_random=False)), n)
     return EpsForm(p.transpose() @ Matrix(a, ncols=n) @ p, eps)
+
+
+@st.composite
+def corpus_seifert_matrices(draw, max_rank: int):
+    """(A, q) drawn as the matrix-files benchmark corpus draws its files:
+    rank 2g <= max_rank, q in 1..3, A = P^T A0 P with A0 - (-1)^q A0^T the
+    standard symplectic (odd q) or hyperbolic (even q) form, the rest of A0
+    in [-1, 1], and P a signed permutation times a unit upper triangular
+    matrix with g off-diagonal entries +-1, so A is unimodular."""
+    g = draw(st.integers(1, max_rank // 2))
+    q = draw(st.integers(1, 3))
+    n = 2 * g
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            x = draw(st.integers(-1, 1))
+            if q % 2:
+                a[i][j] = a[j][i] = x
+            elif i != j:
+                a[i][j], a[j][i] = x, -x
+    for i in range(g):
+        a[i][g + i] += 1
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    upper = [[int(i == j) for j in range(n)] for i in range(n)]
+    cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for i, j in draw(st.lists(st.sampled_from(cells), min_size=g, max_size=g, unique=True)):
+        upper[i][j] = draw(st.sampled_from((1, -1)))
+    signed = Matrix([[signs[i] if perm[i] == j else 0 for j in range(n)] for i in range(n)],
+                    ncols=n)
+    p = signed @ Matrix(upper, ncols=n)
+    return p.transpose() @ Matrix(a, ncols=n) @ p, q

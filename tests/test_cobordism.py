@@ -19,7 +19,7 @@ from knotforms.cobordism import (EpsForm, EpsFormError, _chi_factors, _cyclic_sp
                                  is_metaboliser, negate, null_cobordance_obstructions,
                                  orthogonal_sum, search_metaboliser)
 from knotforms.exact import Matrix, ShapeError, det, pencil_det_coefficients, smith_normal_form
-from knotforms.laurent import Laurent, det_pencil, factor_int_poly
+from knotforms.laurent import Laurent, det_pencil, factor_int_poly, render_poly
 from knotforms.quadratic import signature
 
 from generators import eps_forms, random_unimodular, square_matrices
@@ -335,7 +335,11 @@ class TestIsometricStructure:
         assert all(poly.max_exponent <= max(map(len, blocks)) for poly, _ in merged.factors)
         whole = det_pencil(diff.matrix, diff.matrix.transpose().scale(diff.eps))
         assert merged.product() == whole
+        assert diff.delta == whole
         assert fox_milnor(merged) == fox_milnor(factor_int_poly(whole))
+        certificate = next(c.certificate for c in null_cobordance_obstructions(diff).checks
+                           if c.name == "fox-milnor")
+        assert certificate.startswith(f"delta = {render_poly(whole.unit_normalize())}: ")
 
     @settings(max_examples=40)
     @given(eps_forms(2), st.randoms())

@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from knotforms import exact
+from knotforms.cobordism import _basis_matrix, _direct_sum
 from knotforms.exact import (Matrix, ShapeError, SingularMatrixError, adjugate_product,
                              bernoulli, det, inverse, kronecker, smith_normal_form,
                              smith_normal_form_with_transforms,
@@ -267,3 +268,126 @@ class TestMatrixBasics:
     def test_apply(self):
         m = Matrix([[1, 2], [3, 4]])
         assert m.apply((1, 1)) == (3, 7)
+
+
+# int, bool or Fraction entries; halves make sums and products that are
+# integers again
+ENTRIES = st.one_of(st.integers(-4, 4), st.booleans(),
+                    st.builds(Fraction, st.integers(-4, 4), st.just(2)))
+HALVES = Matrix([[Fraction(1, 2), 1], [True, Fraction(-3, 2)]])
+
+
+def exact_matrices(nrows, ncols, entries=ENTRIES):
+    return st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows).map(lambda rows: Matrix(rows, ncols=ncols))
+
+
+def int_or_exact_of_shape(nrows, ncols):
+    return st.one_of(exact_matrices(nrows, ncols, st.integers(-4, 4)),
+                     exact_matrices(nrows, ncols))
+
+
+def int_or_exact(max_n=3):
+    """Integer or exact matrices of any shape up to max_n x max_n, empty
+    ones included."""
+    return st.tuples(st.integers(0, max_n), st.integers(0, max_n)).flatmap(
+        lambda rc: int_or_exact_of_shape(*rc))
+
+
+def square_int_or_exact(max_n=3):
+    return st.integers(0, max_n).flatmap(lambda n: int_or_exact_of_shape(n, n))
+
+
+def assert_validated(m: Matrix):
+    """m is what Matrix() builds from its rows, entry types included, and
+    its integrality flag is the per-entry scan."""
+    checked = Matrix(m.rows, ncols=m.ncols)
+    assert m == checked
+    assert isinstance(m.rows, tuple) and all(isinstance(row, tuple) for row in m.rows)
+    assert ([type(x) for row in m.rows for x in row]
+            == [type(x) for row in checked.rows for x in row])
+    assert m.is_integral == all(isinstance(x, int) for row in m.rows for x in row)
+    assert m.is_integral == checked.is_integral
+
+
+class TestUncheckedProducers:
+    """Every matrix the library builds without entry checks agrees with the
+    checked constructor, on int, Fraction, bool and mixed input."""
+
+    @given(int_or_exact())
+    @example(HALVES)
+    def test_transpose_neg(self, m):
+        assert_validated(m.transpose())
+        assert m.transpose().shape == (m.ncols, m.nrows)
+        assert_validated(-m)
+
+    @given(int_or_exact(), st.data())
+    def test_submatrix(self, m, data):
+        ri = data.draw(st.lists(st.integers(0, m.nrows - 1), max_size=3)) if m.nrows else []
+        ci = data.draw(st.lists(st.integers(0, m.ncols - 1), max_size=3)) if m.ncols else []
+        sub = m.submatrix(ri, ci)
+        assert_validated(sub)
+        assert sub.shape == (len(ri), len(ci))
+
+    @given(st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
+        lambda rc: st.tuples(int_or_exact_of_shape(*rc), int_or_exact_of_shape(*rc))))
+    @example((HALVES, HALVES))
+    def test_add_sub(self, ab):
+        a, b = ab
+        assert_validated(a + b)
+        assert_validated(a - b)
+        assert_validated(a - a)
+
+    @given(int_or_exact(), st.one_of(ENTRIES, st.builds(Fraction, st.integers(-4, 4))))
+    @example(HALVES, 2)
+    def test_scale(self, m, c):
+        assert_validated(m.scale(c))
+
+    @given(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)).flatmap(
+        lambda s: st.tuples(int_or_exact_of_shape(s[0], s[1]),
+                            int_or_exact_of_shape(s[1], s[2]))))
+    @example((HALVES, HALVES))
+    def test_matmul(self, ab):
+        a, b = ab
+        assert_validated(a @ b)
+
+    @given(int_or_exact(2), int_or_exact(2))
+    @example(HALVES, HALVES)
+    def test_kronecker(self, a, b):
+        assert_validated(kronecker(a, b))
+
+    @given(int_or_exact(), st.integers(1, 5))
+    @example(HALVES, 2)
+    def test_entries_mod(self, m, n):
+        assert_validated(m.entries_mod(n))
+
+    @given(st.integers(0, 4), st.integers(0, 4))
+    def test_identity_zero(self, r, c):
+        assert_validated(Matrix.identity(r))
+        assert_validated(Matrix.zero(r, c))
+
+    @given(st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
+        lambda rc: exact_matrices(*rc, st.integers(-4, 4))))
+    def test_smith_transforms(self, m):
+        _, u, v = smith_normal_form_with_transforms(m)
+        assert_validated(u)
+        assert_validated(v)
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        square_matrices(n), exact_matrices(n, 2, st.integers(-4, 4)))))
+    def test_adjugate_product(self, mr):
+        m, r = mr
+        assume(det(m) != 0)
+        _, y = adjugate_product(m, r)
+        assert_validated(y)
+
+    @given(square_int_or_exact(), square_int_or_exact())
+    @example(HALVES, Matrix([[1]]))
+    def test_direct_sum(self, a, b):
+        assert_validated(_direct_sum(a, b))
+
+    @given(st.integers(0, 3).flatmap(lambda n: st.lists(
+        st.lists(st.one_of(ENTRIES, st.integers(-4, 4)), min_size=n, max_size=n),
+        min_size=1, max_size=3)))
+    def test_basis_matrix(self, vectors):
+        assert_validated(_basis_matrix(vectors))

@@ -14,13 +14,14 @@ from knotforms.laurent import (Laurent, NormalizationError,
                                elementary_divisors, factor_int_poly,
                                is_product_of_cyclotomics, pencil, render_poly,
                                _find_factor, _int_divide_exact, _interpolate_int,
-                               _poly_mul)
+                               _poly_divmod, _poly_mul)
 from knotforms.cobordism import fox_milnor
 
 from oracles import (det_pencil_interpolation, elementary_divisors_fraction,
                      find_factor_exhaustive, int_divide_exact_over_q,
                      interpolate_lagrange, laurent_det_cofactor, poly_divmod_fraction)
-from generators import matrix_pairs, random_unimodular, square_matrices
+from generators import (corpus_seifert_matrices, matrix_pairs, random_unimodular,
+                        square_matrices)
 
 # Sigma(6k-1,3,2,2,2), k = 1..4, and Sigma(d,2,2,2,2,2), odd d = 3..31
 LADDER_GERMS = ([(6 * k - 1, 3, 2, 2, 2) for k in range(1, 5)]
@@ -79,6 +80,26 @@ def knot_module_pencils(draw):
     return pencil(a, a.transpose().scale(draw(st.sampled_from([1, -1]))))
 
 
+def corpus_pencils(max_rank: int):
+    """Unimodular pencils tA + eps A^T, A drawn like the matrix-files corpus."""
+    return corpus_seifert_matrices(max_rank).map(
+        lambda aq: pencil(aq[0], aq[0].transpose().scale(-1 if aq[1] % 2 else 1)))
+
+
+# int, Fraction or bool coefficients; halves and thirds make sums and
+# products that are integers again
+EXACT_COEFFS = st.one_of(st.integers(-4, 4), st.booleans(),
+                         st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3])))
+
+
+def exact_polys():
+    return st.dictionaries(st.integers(-3, 3), EXACT_COEFFS, max_size=4).map(Laurent)
+
+
+def int_laurents():
+    return st.dictionaries(st.integers(-3, 3), st.integers(-4, 4), max_size=4).map(Laurent)
+
+
 def laurent_matrices(max_n: int):
     """Square Laurent matrices of size 1..max_n, exponents in -3..2."""
     entry = st.dictionaries(st.integers(-3, 2), st.integers(-2, 2), max_size=3).map(Laurent)
@@ -129,6 +150,69 @@ class TestLaurentArithmetic:
     def test_pow(self):
         p = poly({0: 1, 1: 1})
         assert p ** 3 == poly({0: 1, 1: 3, 2: 3, 3: 1})
+
+
+def assert_normalized(p: Laurent):
+    """p is what the checking constructor builds from its coefficients:
+    equal, in the same (ascending) order, with the same types."""
+    checked = Laurent(dict(p.coeffs))
+    assert ([(e, c, type(c)) for e, c in p.coeffs.items()]
+            == [(e, c, type(c)) for e, c in checked.coeffs.items()])
+
+
+class TestUncheckedProducers:
+    """Producers that skip the coefficient checks agree with the checking
+    constructor, on int, Fraction and mixed polynomials."""
+
+    @given(exact_polys(), st.integers(-4, 4))
+    def test_shift_neg_reciprocal(self, p, k):
+        assert_normalized(p.shift(k))
+        assert_normalized(-p)
+        assert_normalized(p.reciprocal())
+        assert p.reciprocal().reciprocal() == p
+
+    @given(exact_polys(), st.one_of(EXACT_COEFFS, st.builds(Fraction, st.integers(-3, 3))))
+    def test_scale(self, p, c):
+        assert_normalized(p.scale(c))
+
+    @given(st.one_of(int_laurents(), exact_polys()), st.one_of(int_laurents(), exact_polys()))
+    def test_mul(self, p, q):
+        assert_normalized(p * q)
+        assert_normalized(p ** 2)
+
+    @given(st.lists(EXACT_COEFFS, max_size=5), st.integers(-3, 3))
+    def test_from_coeff_list(self, coeffs, lo):
+        p = Laurent.from_coeff_list(coeffs, lo)
+        assert_normalized(p)
+        assert p == Laurent({lo + i: c for i, c in enumerate(coeffs)})
+
+
+class TestPolyDivmod:
+    """Quotient coefficients are ints exactly where they are integral, and
+    match the all-Fraction oracle value for value."""
+
+    @given(st.lists(EXACT_COEFFS, max_size=6),
+           st.lists(EXACT_COEFFS, min_size=1, max_size=4).filter(lambda d: d[-1] != 0))
+    def test_matches_fraction_oracle(self, num, den):
+        while num and num[-1] == 0:
+            num.pop()
+        q, r = _poly_divmod(num, den)
+        oq, orem = poly_divmod_fraction(num, den)
+        assert q == oq and r == orem
+        assert all(isinstance(x, int) == (Fraction(x).denominator == 1) for x in q)
+
+    @given(int_polys(0, 5), int_polys(0, 3))
+    def test_integer_multiples_stay_int(self, q, den):
+        num = _poly_mul(q, den)
+        quotient, rem = _poly_divmod(num, den)
+        assert quotient == q and rem == []
+        assert all(type(x) is int for x in quotient)
+
+    def test_integral_and_fractional_quotients(self):
+        q, r = _poly_divmod([1, 2, 4], [1, 2])  # 4t^2 + 2t + 1 = (2t)(2t + 1) + 1
+        assert q == [0, 2] and r == [1] and type(q[1]) is int
+        q, _ = _poly_divmod([0, 3], [1, 2])
+        assert q == [Fraction(3, 2)]
 
 
 class TestRender:
@@ -326,6 +410,20 @@ class TestPencilDet:
         a, b = ab
         assert det_pencil(a, b) == det_pencil_interpolation(a, b)
 
+    @settings(max_examples=60)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        square_matrices(n), st.integers(0, n - 1), st.integers(0, n - 1),
+        st.sampled_from([0, 1, 2, -1]))))
+    def test_identity_and_near_identity(self, data):
+        # a = I takes the characteristic-polynomial path; changing one
+        # entry of I must take the general one
+        b, i, j, x = data
+        n = b.nrows
+        rows = [[int(r == c) for c in range(n)] for r in range(n)]
+        rows[i][j] = x
+        for a in (Matrix.identity(n), Matrix(rows, ncols=n)):
+            assert det_pencil(a, b) == laurent_det_cofactor(pencil(a, b))
+
     def test_empty(self):
         assert det_pencil(Matrix([], ncols=0), Matrix([], ncols=0)) == Laurent.one()
 
@@ -431,7 +529,7 @@ class TestElementaryDivisors:
             assert not rem
 
     @settings(max_examples=200)
-    @given(st.one_of(knot_module_pencils(), laurent_matrices(3)))
+    @given(st.one_of(knot_module_pencils(), laurent_matrices(3), corpus_pencils(8)))
     def test_matches_fraction_oracle(self, rows):
         assert elementary_divisors(rows) == elementary_divisors_fraction(rows)
 
