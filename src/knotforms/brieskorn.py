@@ -81,21 +81,22 @@ def sakamoto_product(af: Matrix, ag: Matrix, n: int, m: int) -> Matrix:
     return kronecker(af, ag).scale(sign)
 
 
-def brieskorn_seifert(germ: BrieskornGerm) -> SeifertMatrix:
-    """Left fold of the join formula over the exponents, in order.
+def _join(piece, exponents: tuple[int, ...]) -> Matrix:
+    """Kronecker product of piece(a) over the exponents in order; a = 2
+    pieces are (1) and drop out, and the empty product is (1)."""
+    factors = [piece(a) for a in exponents if a != 2]
+    return reduce(kronecker, factors) if factors else Matrix.identity(1)
 
-    At each step the accumulated germ has `vars_so_far` variables and the
-    new variable contributes its one-variable matrix (m = 0).  The matrix
-    depends on the exponent order only up to congruence; the invariants do
-    not.
-    """
-    a0, *rest = germ.exponents
-    matrix = pham_matrix(a0)
-    vars_so_far = 1
-    for a in rest:
-        matrix = sakamoto_product(matrix, pham_matrix(a), n=vars_so_far - 1, m=0)
-        vars_so_far += 1
-    return SeifertMatrix(matrix, q=germ.middle_dimension)
+
+def brieskorn_seifert(germ: BrieskornGerm) -> SeifertMatrix:
+    """The join formula over the exponents, in order.  Folding
+    sakamoto_product joins a one-variable piece to k = 1 .. N-1 variables
+    with sign (-1)^k, so the matrix is (-1)^(N(N-1)/2) times the Kronecker
+    product of the pham_matrix(a).  It depends on the exponent order only up
+    to congruence; the invariants do not."""
+    n = germ.variables
+    matrix = _join(pham_matrix, germ.exponents)
+    return SeifertMatrix(-matrix if n * (n - 1) // 2 % 2 else matrix, q=germ.middle_dimension)
 
 
 def quadratic_suspension_seifert(n: int) -> Matrix:
@@ -118,17 +119,13 @@ class GermReport(Invariants):
 
     @cached_property
     def monodromy(self) -> Matrix | None:
-        """h = (-1)^(q+1) (A^T)^-1 A, from the join (Sebastiani-Thom).
-
-        A is, up to the Sakamoto sign, the Kronecker product of the P_a in
-        exponent order; since (X (x) Y)^T = X^T (x) Y^T and
-        (X (x) Y)(Z (x) W) = XZ (x) YW, (A^T)^-1 A is the Kronecker product
-        of the pham_monodromy(a), and the sign cancels.  Factors with
-        a = 2 are (1) and drop out.  None unless the form is fibered."""
+        """h = (-1)^(q+1) (A^T)^-1 A, from the join (Sebastiani-Thom): A is
+        +-_join(pham_matrix), and (X (x) Y)^T = X^T (x) Y^T and
+        (X (x) Y)(Z (x) W) = XZ (x) YW make (A^T)^-1 A the same product of
+        the pham_monodromy(a).  None unless the form is fibered."""
         if not self.fibered:
             return None
-        h = reduce(kronecker, (pham_monodromy(a) for a in self.germ.exponents if a != 2),
-                   Matrix.identity(1))
+        h = _join(pham_monodromy, self.germ.exponents)
         return h if self.seifert.q % 2 else -h
 
     @cached_property

@@ -41,6 +41,26 @@ RANK_LIMIT_ENV = "KNOTFORMS_RANK_LIMIT"
 GROUPS_MAX_CYCLIC_N = 3307
 
 
+class CyclicOrderTooLargeError(ValueError):
+    """|bP^(n+1)| for n = 3 (mod 4) past GROUPS_MAX_CYCLIC_N has too many
+    digits to print.  Raised with n alone, so that it pickles back from a
+    --jobs worker."""
+
+    def __str__(self) -> str:
+        return (f"|bP^(n+1)| at n = {self.args[0]} has more than 4300 digits, the limit "
+                f"on integer string conversion; n = 3 (mod 4) must be "
+                f"<= {GROUPS_MAX_CYCLIC_N}")
+
+
+def _check_bp_order(inv: Invariants) -> None:
+    """Refuse a unimodular even-q form whose boundary group bP^(n+1),
+    n = 2q - 1, is cyclic of unprintable order, before inv.bp computes it
+    (the Bernoulli table behind it alone is quadratic in n)."""
+    n = 2 * inv.seifert.q - 1
+    if inv.seifert.q % 2 == 0 and n > GROUPS_MAX_CYCLIC_N and inv.unimodular:
+        raise CyclicOrderTooLargeError(n)
+
+
 def _rank_limit() -> int:
     raw = os.environ.get(RANK_LIMIT_ENV)
     if raw is None:
@@ -75,6 +95,7 @@ def invariant_report(s: SeifertMatrix) -> ReportDocument:
     doc.add("alexander_conway", inv.alexander_conway
             if inv.alexander_conway is not None else f"<error: {inv.conway_error}>")
     doc.add("elementary_divisors", list(inv.knot_module.divisors))
+    _check_bp_order(inv)
     cls = inv.bp
     if cls is None:
         doc.add("note", "intersection form not unimodular: boundary is not "
@@ -115,6 +136,7 @@ def brieskorn_report(rep: GermReport) -> ReportDocument:
     doc.add("alexander_conway", rep.alexander_conway
             if rep.alexander_conway is not None
             else "<not normalizable: boundary is not a homotopy sphere>")
+    _check_bp_order(rep)
     cls = rep.bp
     if cls is not None:
         if rep.signature is not None:
@@ -169,7 +191,7 @@ def _cmd_matrix_files(args, kind: str) -> int:
                 outputs = [f.result() for f in futures]
         else:
             outputs = [_render_file_report(p, kind, args.format) for p in args.paths]
-    except (MatrixFileError, OSError) as exc:
+    except (MatrixFileError, OSError, CyclicOrderTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write("\n".join(outputs) if len(outputs) > 1 else outputs[0])
@@ -196,6 +218,11 @@ def _cmd_brieskorn(args) -> int:
               "require q >= 1, and this germ has q = 0", file=sys.stderr)
         return 2
     rep = germ_report(germ)
+    try:
+        report = brieskorn_report(rep).render(args.format)
+    except CyclicOrderTooLargeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.emit_matrix:
         text = serialize_matrix_file(rep.seifert)
         if args.emit_matrix == "-":
@@ -207,7 +234,7 @@ def _cmd_brieskorn(args) -> int:
             except OSError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
-    sys.stdout.write(brieskorn_report(rep).render(args.format))
+    sys.stdout.write(report)
     return 0
 
 
@@ -264,9 +291,7 @@ def _cmd_groups(args) -> int:
     first = max(lo, GROUPS_MAX_CYCLIC_N + 1)
     first += (3 - first) % 4  # the first n = 3 (mod 4) past the limit
     if first <= hi:
-        print(f"error: |bP^(n+1)| at n = {first} has more than 4300 digits, the "
-              f"limit on integer string conversion; n = 3 (mod 4) must be "
-              f"<= {GROUPS_MAX_CYCLIC_N}", file=sys.stderr)
+        print(f"error: {CyclicOrderTooLargeError(first)}", file=sys.stderr)
         return 2
     headers = ["n", "G^n", "|bP^(n+1)|", "im_J(4k-1)", "provenance"]
     rows = [_group_row(n) for n in range(lo, hi + 1)]

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .exact import Matrix, det
+from .exact import Matrix
 from .laurent import Laurent, NormalizationError, conway_normalize, is_product_of_cyclotomics
 from .quadratic import levine_congruence
 from .seifert import (KnotModulePresentation, SeifertMatrix, alexander_polynomial,
@@ -32,7 +32,8 @@ class Invariants:
 
     @cached_property
     def det_intersection(self) -> int:
-        return det(self.intersection)
+        """det I = eps^n Delta(1), since I = eps (A + eps A^T)."""
+        return self.seifert.epsilon ** self.rank * sum(self.alexander_raw.coeffs.values())
 
     @property
     def unimodular(self) -> bool:
@@ -40,7 +41,8 @@ class Invariants:
 
     @cached_property
     def det_a(self) -> int:
-        return det(self.seifert.matrix)
+        """det A = eps^n Delta(0), the constant coefficient of alexander_raw."""
+        return self.seifert.epsilon ** self.rank * self.alexander_raw.coefficient(0)
 
     @property
     def fibered(self) -> bool:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import Matrix, ShapeError
-from .seifert import SeifertMatrix
+from .seifert import SeifertMatrix, intersection_form
 
 PARALLELISABLE_Q = (1, 3, 7)  # middle dimensions with trivial framing group
 
@@ -32,17 +32,13 @@ def handle_data(s: SeifertMatrix) -> HandlePresentation:
     """Attaching data of a handle presentation with Seifert matrix A.
 
     Linking numbers L(K_i, K_j) = (-1)^q (a_ij + (-1)^q a_ji) for i < j,
-    which agrees with the off-diagonal intersection form.  Framings:
-    twice the diagonal when q is even (an Euler number, hence even); the
-    diagonal mod 2 when q is odd outside 1, 3, 7; absent for q = 1, 3, 7
-    where the framing group vanishes.
+    read off the intersection form.  Framings: twice the diagonal when q
+    is even (an Euler number, hence even); the diagonal mod 2 when q is odd
+    outside 1, 3, 7; absent for q = 1, 3, 7 where the framing group
+    vanishes.
     """
-    a = s.matrix
-    sign = s.epsilon
-    linking = {}
-    for i in range(s.rank):
-        for j in range(i + 1, s.rank):
-            linking[(i, j)] = sign * (a.rows[i][j] + sign * a.rows[j][i])
+    a, inter = s.matrix, intersection_form(s).rows
+    linking = {(i, j): inter[i][j] for i in range(s.rank) for j in range(i + 1, s.rank)}
     if s.q % 2 == 0:
         framings = tuple(2 * a.rows[i][i] for i in range(s.rank))
         kind = "integer"

@@ -11,7 +11,7 @@ from knotforms.exact import Matrix, det, inverse
 from knotforms.invariants import Invariants
 from knotforms.laurent import Laurent, det_pencil
 from knotforms.quadratic import is_even, karl, signature
-from knotforms.seifert import (alexander_polynomial, characteristic_polynomial,
+from knotforms.seifert import (SeifertMatrix, alexander_polynomial, characteristic_polynomial,
                                intersection_form, is_quasi_unipotent, monodromy)
 
 from generators import brieskorn_germs
@@ -69,6 +69,16 @@ class TestSakamoto:
     def test_empty_factor(self):
         out = sakamoto_product(A1, Matrix([], ncols=0), n=1, m=0)
         assert out.shape == (0, 0)
+
+    @given(brieskorn_germs(max_milnor=64))
+    def test_brieskorn_seifert_is_the_left_fold(self, germ):
+        # the binary join, folded one exponent at a time, is the oracle
+        # for the one signed Kronecker product
+        a0, *rest = germ.exponents
+        matrix = pham_matrix(a0)
+        for k, a in enumerate(rest, start=1):
+            matrix = sakamoto_product(matrix, pham_matrix(a), n=k - 1, m=0)
+        assert brieskorn_seifert(germ) == SeifertMatrix(matrix, q=germ.middle_dimension)
 
 
 class TestBrieskornSeifert:

@@ -370,6 +370,55 @@ class TestGroups:
         assert "3309" in capsys.readouterr().out
 
 
+class TestReportsPastDigitLimit:
+    """A unimodular form with even q and n = 2q - 1 past the `groups` limit
+    is refused before its bP group order is computed, as `groups` refuses
+    the row n."""
+
+    @staticmethod
+    def hyperbolic_file(tmp_path, q):
+        path = tmp_path / f"h{q}.mat"
+        path.write_text(f"q={q} rank=2\n0 1\n0 0\n")
+        return str(path)
+
+    @pytest.mark.parametrize("argv,n", [
+        (["invariants", "{file}"], 3399),
+        (["invariants", "{file}", "--format", "machine"], 3399),
+        (["invariants", "{file}", "{file}", "--jobs", "2"], 3399),
+        (["brieskorn", "3", "5", *["2"] * 1699], 3399),
+        (["brieskorn", "3", "5", *["2"] * 1655, "--emit-matrix", "-"], 3311)])
+    def test_refused(self, argv, n, tmp_path, capsys):
+        argv = [a.format(file=self.hyperbolic_file(tmp_path, 1700)) for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert main(["groups", str(n)]) == 2
+        assert captured.err == capsys.readouterr().err
+        assert captured.err.startswith(f"error: |bP^(n+1)| at n = {n} has more than 4300 digits")
+
+    def test_one_bad_file_of_several(self, tmp_path, capsys):
+        paths = [self.hyperbolic_file(tmp_path, 2), self.hyperbolic_file(tmp_path, 1656)]
+        assert main(["invariants", *paths]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_boundary_prints_order(self, tmp_path, capsys):
+        # n = 2 * 1654 - 1 = 3307 is the largest cyclic row groups prints
+        assert main(["invariants", self.hyperbolic_file(tmp_path, 1654),
+                     "--format", "machine"]) == 0
+        out = capsys.readouterr().out
+        assert main(["groups", "3307", "--format", "machine"]) == 0
+        order = capsys.readouterr().out.splitlines()[-1].split("\t")[2]
+        assert f"\nbp_group=Z/{order}\n" in out
+
+    @pytest.mark.parametrize("text", ["q=1701 rank=2\n0 1\n-1 0\n",  # odd q
+                                      "q=1700 rank=1\n1\n"])  # not unimodular
+    def test_other_forms_untouched(self, text, tmp_path, capsys):
+        path = tmp_path / "s.mat"
+        path.write_text(text)
+        assert main(["invariants", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestHandles:
     def test_trefoil(self, trefoil_file, capsys):
         assert main(["handles", trefoil_file]) == 0
