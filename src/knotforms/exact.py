@@ -14,12 +14,16 @@ every entry, while the matrices the library builds from integer entries
 construction whether all its entries are ints, so ``is_integral`` costs
 nothing.
 
-The multi-modular kernel at the end of the module does the O(n^3) work of
-pencil determinants, characteristic polynomials and adjugate products:
-Gauss-Jordan solve and Hessenberg reduction over F_p for primes p < 2^30,
-combined by the Chinese remainder theorem under a proven (Hadamard-type)
-coefficient bound and lifted to the symmetric range.  The result is exact
-and deterministic; the primes are proven by trial division on first use.
+Pencil determinants det(t*A + B) (characteristic polynomials among them)
+and adjugate products adj(M) R take one of two kernels, by rank alone.  Up
+to rank 8, fraction-free elimination over Z: Bareiss determinants at n + 1
+integer nodes with exact Newton interpolation, and Bareiss's Gauss-Jordan
+form of [M | R].  Above it, the multi-modular kernel at the end of the
+module does the O(n^3) work: Gauss-Jordan solve and Hessenberg reduction
+over F_p for primes p < 2^30, combined by the Chinese remainder theorem
+under a proven (Hadamard-type) coefficient bound and lifted to the
+symmetric range.  Both are exact and deterministic; the primes are proven
+by trial division on first use.
 """
 
 from __future__ import annotations
@@ -188,8 +192,6 @@ def det(m: Matrix):
     if not m.is_square:
         raise ShapeError(f"determinant of non-square {m.shape} matrix")
     n = m.nrows
-    if n == 0:
-        return 1
     if m.is_integral:
         return _det_bareiss([list(row) for row in m.rows])
     denom = lcm(*(x.denominator for row in m.rows for x in row))
@@ -218,7 +220,7 @@ def _det_bareiss(a: list[list[int]]) -> int:
                 row_i[j] = (akk * row_i[j] - aik * row_k[j]) // prev
             row_i[k] = 0
         prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return sign * a[n - 1][n - 1] if n else 1
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -521,17 +523,53 @@ def _pencil_det_mod(a: list[list[int]], b: list[list[int]], p: int) -> list[int]
     return _shift_mod(s_coeffs, c, p)
 
 
+# ---------------------------------------------------------------------------
+# pencil determinants and adjugate products, by rank alone: fraction-free
+# elimination over Z up to _FRACTION_FREE_MAX_RANK, multi-modular above it
+#
+# Up to that rank fraction-free elimination is faster than two or more
+# primes of modular elimination plus the CRT; above it the n + 1
+# determinants of a pencil cost O(n^4) big-int operations and lose.  Per
+# call, multi-modular against fraction-free (CPython 3.11, one core of a
+# 2-vCPU Xeon VM): pencils of random unimodular Seifert matrices
+# 0.062 / 0.022 ms at n = 2 and 0.86 / 0.38 ms at n = 8, adjugates
+# 0.12 / 0.036 ms at n = 4; germ pencils 1.0 / 1.5 ms at n = 12 and
+# 9.1 / 39 ms at n = 30.
+_FRACTION_FREE_MAX_RANK = 8
+
+
 def pencil_det_coefficients(a: Matrix, b: Matrix) -> list[int]:
     """Ascending coefficients c_0 .. c_n of det(t*a + b) for square integer
     a, b of equal size n; the list has exactly n + 1 entries.
 
-    Each |c_k| is at most max over |t| = 1 of |det(ta + b)|, hence at most
-    the Hadamard bound prod_i || |a_i| + |b_i| ||_2 over the rows.
+    Up to rank _FRACTION_FREE_MAX_RANK the determinant is evaluated by
+    Bareiss elimination at n + 1 small integer nodes and interpolated
+    exactly; above it the multi-modular kernel computes it.
     """
     if a.shape != b.shape or not a.is_square:
         raise ShapeError("pencil determinant needs equal square shapes")
     if not (a.is_integral and b.is_integral):
         raise TypeError("pencil determinant needs integer matrices")
+    if a.nrows <= _FRACTION_FREE_MAX_RANK:
+        return _pencil_det_fraction_free(a, b)
+    return _pencil_det_multimodular(a, b)
+
+
+def _pencil_det_fraction_free(a: Matrix, b: Matrix) -> list[int]:
+    # det(x a + b) at the n + 1 integers x of smallest size, then Newton
+    # interpolation, which must come out integral
+    n = a.nrows
+    xs = range(-((n + 1) // 2), n // 2 + 1)
+    ys = [_det_bareiss([[x * u + v for u, v in zip(ra, rb)]
+                        for ra, rb in zip(a.rows, b.rows)]) for x in xs]
+    coeffs = _interpolate_int(xs, ys)
+    assert coeffs is not None, "pencil interpolation is not exact"
+    return coeffs + [0] * (n + 1 - len(coeffs))
+
+
+def _pencil_det_multimodular(a: Matrix, b: Matrix) -> list[int]:
+    # Each |c_k| is at most max over |t| = 1 of |det(ta + b)|, hence at most
+    # the Hadamard bound prod_i || |a_i| + |b_i| ||_2 over the rows.
     bound_sq = prod(sum((abs(x) + abs(y)) ** 2 for x, y in zip(ra, rb))
                     for ra, rb in zip(a.rows, b.rows))
     if all(x == (i == j) for i, row in enumerate(a.rows) for j, x in enumerate(row)):
@@ -544,20 +582,103 @@ def pencil_det_coefficients(a: Matrix, b: Matrix) -> list[int]:
     return crt_lift(residues, a.nrows + 1, bound_sq)
 
 
+def _extend_divided_differences(xs: list[int], row: list[int], y: int) -> list[int] | None:
+    """The divided differences f[x_k], f[x_(k-1), x_k], ..., f[x_0, ..., x_k]
+    at the nodes xs, from `row`, those ending at x_(k-1) (k = len(row)), and
+    the value y at x_k; None at the first one that is not an integer."""
+    k = len(row)
+    out = [y]
+    for j in range(k):
+        diff, rem = divmod(out[j] - row[j], xs[k] - xs[k - j - 1])
+        if rem:
+            return None
+        out.append(diff)
+    return out
+
+
+def _interpolate_int(xs: list[int], ys) -> list[int] | None:
+    """Coefficients of the polynomial of degree < len(xs) through the points
+    (xs[i], ys[i]) at distinct integer nodes, trailing zeros dropped, or
+    None unless all of them are integers.
+
+    Newton divided differences: those of an integer polynomial at integer
+    nodes are integers, and integer divided differences give an integer
+    polynomial, so the first inexact division rejects the candidate.
+    """
+    newton, row = [], []
+    for y in ys:
+        row = _extend_divided_differences(xs, row, y)
+        if row is None:
+            return None
+        newton.append(row[-1])
+    # Horner on the Newton form: p = newton[0] + (t - xs[0]) (newton[1] + ...)
+    coeffs: list[int] = []
+    for k in range(len(newton) - 1, -1, -1):
+        coeffs = [0] + coeffs
+        for j in range(len(coeffs) - 1):
+            coeffs[j] -= xs[k] * coeffs[j + 1]
+        coeffs[0] += newton[k]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
 def adjugate_product(m: Matrix, r: Matrix, d: int | None = None) -> tuple[int, Matrix]:
     """(d, Y) with d = det(m) != 0 and Y = adj(m) @ r = d * m^-1 @ r, so that
     m @ Y = d * r; integer input and output.  Raises SingularMatrixError
     when det m = 0.  A caller that already holds det(m) passes it as d, and
-    it is not computed again (each prime's elimination still checks it).
+    it is not computed again; the elimination still checks it.
 
-    By Cramer's rule Y_ij is the determinant of m with column i replaced by
-    column j of r, so Hadamard bounds it by the product of the column norms
-    of m times the largest column norm of r.
+    Up to rank _FRACTION_FREE_MAX_RANK, Y comes from fraction-free
+    Gauss-Jordan elimination on [m | r]; above it from the multi-modular
+    kernel.
     """
     if not m.is_square or m.nrows != r.nrows:
         raise ShapeError(f"cannot solve {m.shape} against {r.shape}")
     if not (m.is_integral and r.is_integral):
         raise TypeError("adjugate product needs integer matrices")
+    if d == 0:
+        raise SingularMatrixError("matrix is singular")
+    if m.nrows <= _FRACTION_FREE_MAX_RANK:
+        return _adjugate_fraction_free(m, r, d)
+    return _adjugate_multimodular(m, r, d)
+
+
+def _adjugate_fraction_free(m: Matrix, r: Matrix, d: int | None) -> tuple[int, Matrix]:
+    # Bareiss's Gauss-Jordan form: after the step on column c every row holds
+    # (c+1)-minors of [m | r] with its rows permuted, so each division by the
+    # previous pivot is exact, and the last step leaves [det(m) I | adj(m) r]
+    # of the permuted system.  Cleared columns are dropped from the working
+    # rows.
+    n, k = r.shape
+    a = [list(mr) + list(rr) for mr, rr in zip(m.rows, r.rows)]
+    sign = prev = 1
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][0]), None)
+        if piv is None:
+            raise SingularMatrixError("matrix is singular")
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            sign = -sign
+        prow = a[col]
+        p = prow[0]
+        tail = a[col] = prow[1:]
+        for i in range(n):
+            if i != col:
+                row = a[i]
+                f = row[0]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row[1:], tail)]
+        prev = p
+    got = sign * prev
+    assert d is None or got == d, "given determinant is wrong"
+    rows = a if sign == 1 else [[-x for x in row] for row in a]
+    return got, Matrix._of_ints(rows, k)
+
+
+def _adjugate_multimodular(m: Matrix, r: Matrix, d: int | None) -> tuple[int, Matrix]:
+    # By Cramer's rule Y_ij is the determinant of m with column i replaced by
+    # column j of r, so Hadamard bounds it by the product of the column norms
+    # of m times the largest column norm of r.
     if d is None:
         d = det(m)
     if d == 0:

@@ -51,7 +51,7 @@ class Invariants:
     @cached_property
     def monodromy(self) -> Matrix | None:
         """The open-book monodromy; None unless the form is fibered."""
-        return monodromy(self.seifert) if self.fibered else None
+        return monodromy(self.seifert, self.det_a) if self.fibered else None
 
     @cached_property
     def alexander_raw(self) -> Laurent:

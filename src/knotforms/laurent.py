@@ -12,10 +12,10 @@ integer polynomials, integer coefficient lists) skip the checks.
 Also here: polynomial factorization over Z[t] by desk-scale exhaustive
 search in integer arithmetic (cyclotomic peeling, then factor
 interpolation for each degree from 1 to half the degree), cyclotomic
-polynomials, determinants of integer pencils t*A + B by the multi-modular
-Hessenberg kernel of `exact` (O(n^3) per prime, CRT under a proven
-coefficient bound), and elementary divisors of square matrices over
-Q[t, 1/t].
+polynomials, determinants of integer pencils t*A + B by the kernels of
+`exact` (fraction-free evaluation and interpolation up to rank 8, the
+multi-modular Hessenberg kernel above it), and elementary divisors of
+square matrices over Q[t, 1/t].
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .exact import Matrix, ShapeError, _as_exact, pencil_det_coefficients
+from .exact import (Matrix, ShapeError, _as_exact, _extend_divided_differences,
+                    _interpolate_int, pencil_det_coefficients)
 
 
 class NormalizationError(ValueError):
@@ -560,45 +561,6 @@ def _factor_with_values(coeffs: list[int], xs: list[int], choices: list[list[int
     return None
 
 
-def _extend_divided_differences(xs: list[int], row: list[int], y: int) -> list[int] | None:
-    """The divided differences f[x_k], f[x_(k-1), x_k], ..., f[x_0, ..., x_k]
-    at the nodes xs, from `row`, those ending at x_(k-1) (k = len(row)), and
-    the value y at x_k; None at the first one that is not an integer."""
-    k = len(row)
-    out = [y]
-    for j in range(k):
-        diff, rem = divmod(out[j] - row[j], xs[k] - xs[k - j - 1])
-        if rem:
-            return None
-        out.append(diff)
-    return out
-
-
-def _interpolate_int(xs: list[int], ys) -> list[int] | None:
-    """Coefficients of the polynomial of degree < len(xs) through the points
-    (xs[i], ys[i]) at distinct integer nodes, or None unless all of them
-    are integers.
-
-    Newton divided differences: those of an integer polynomial at integer
-    nodes are integers, and integer divided differences give an integer
-    polynomial, so the first inexact division rejects the candidate.
-    """
-    newton, row = [], []
-    for y in ys:
-        row = _extend_divided_differences(xs, row, y)
-        if row is None:
-            return None
-        newton.append(row[-1])
-    # Horner on the Newton form: p = newton[0] + (t - xs[0]) (newton[1] + ...)
-    coeffs: list[int] = []
-    for k in range(len(newton) - 1, -1, -1):
-        coeffs = [0] + coeffs
-        for j in range(len(coeffs) - 1):
-            coeffs[j] -= xs[k] * coeffs[j + 1]
-        coeffs[0] += newton[k]
-    return _trim(coeffs)
-
-
 # ---------------------------------------------------------------------------
 # matrices of Laurent polynomials
 
@@ -616,15 +578,17 @@ def pencil(a: Matrix, b: Matrix) -> list[list[Laurent]]:
 
 
 def det_pencil(a: Matrix, b: Matrix) -> Laurent:
-    """det(t*a + b) for integer matrices, in O(n^3) word operations per prime.
+    """det(t*a + b) for integer matrices (see exact.pencil_det_coefficients).
 
-    For each prime p < 2^30, with the smallest c in 0..n making c*a + b
-    invertible mod p, the result is det(c*a + b) times the reversed
-    Hessenberg characteristic polynomial of (c*a + b)^-1 a, Taylor-shifted
-    to t = s + c; if no such c exists the pencil vanishes mod p (p > n).
-    The residues are combined by CRT under a Hadamard bound on the
-    coefficients and re-checked at one extra prime (see
-    exact.pencil_det_coefficients).
+    Up to rank 8: Bareiss determinants of x*a + b at the n + 1 integers x
+    of smallest size, interpolated in Newton form, which must come out
+    integral.  Above it, in O(n^3) word operations per prime: for each
+    prime p < 2^30, with the smallest c in 0..n making c*a + b invertible
+    mod p, det(c*a + b) times the reversed Hessenberg characteristic
+    polynomial of (c*a + b)^-1 a, Taylor-shifted to t = s + c (if no such c
+    exists the pencil vanishes mod p, as p > n); the residues are combined
+    by CRT under a Hadamard bound on the coefficients and re-checked at one
+    extra prime.
     """
     return Laurent.from_coeff_list(pencil_det_coefficients(a, b))
 

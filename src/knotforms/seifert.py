@@ -60,16 +60,18 @@ def intersection_form(s: SeifertMatrix) -> Matrix:
     return (a + a.transpose().scale(s.epsilon)).scale(s.epsilon)
 
 
-def monodromy(s: SeifertMatrix) -> Matrix:
+def monodromy(s: SeifertMatrix, det_a: int | None = None) -> Matrix:
     """h = (-1)^(q+1) (A^T)^(-1) A; integral whenever det A = +-1.
 
     Computed as -eps * Y / det A from the integer matrix
-    Y = adj(A^T) A, which exact.adjugate_product reconstructs by CRT, so
-    rational monodromies (det A != 0, +-1) come out exact as well.
+    Y = adj(A^T) A, which exact.adjugate_product computes exactly, so
+    rational monodromies (det A != 0, +-1) come out exact as well.  A
+    caller that already holds det A passes it as det_a, and it is not
+    computed again (the elimination still checks it).
     """
     a = s.matrix
     try:
-        d, y = adjugate_product(a.transpose(), a)
+        d, y = adjugate_product(a.transpose(), a, det_a)
     except SingularMatrixError:
         raise NonFiberedError("det A = 0: no open-book monodromy") from None
     return y.scale(-s.epsilon * d if d in (1, -1) else Fraction(-s.epsilon, d))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -8,13 +9,15 @@ from hypothesis import strategies as st
 from knotforms import exact
 from knotforms.cobordism import _basis_matrix, _direct_sum
 from knotforms.exact import (Matrix, ShapeError, SingularMatrixError, adjugate_product,
-                             bernoulli, det, inverse, kronecker, smith_normal_form,
-                             smith_normal_form_with_transforms,
+                             bernoulli, det, inverse, kronecker, pencil_det_coefficients,
+                             smith_normal_form, smith_normal_form_with_transforms,
                              word_prime)
+from knotforms.laurent import Laurent, pencil
 
-from generators import square_matrices
+from generators import random_unimodular, square_matrices
 from oracles import (bernoulli_akiyama_tanigawa, det_cofactor, inverse_gauss_jordan,
-                     is_prime_miller_rabin, snf_via_minor_gcds, von_staudt_denominator)
+                     is_prime_miller_rabin, laurent_det_cofactor, snf_via_minor_gcds,
+                     von_staudt_denominator)
 
 
 def random_matrix(rng, n, m=None, lo=-5, hi=5):
@@ -162,9 +165,124 @@ class TestMultiModular:
         p0, p1 = word_prime(0), word_prime(1)
         m = Matrix([[p0 * p1, 1], [0, 1]])
         r = Matrix([[1, 2], [3, 4]])
-        d, y = adjugate_product(m, r)
-        assert d == p0 * p1
-        assert m @ y == r.scale(d)
+        for kernel in (adjugate_product, exact._adjugate_multimodular):
+            d, y = kernel(m, r, None)
+            assert d == p0 * p1
+            assert m @ y == r.scale(d)
+
+
+def dependent_last_column(m: Matrix, w: list[int]) -> Matrix:
+    """m with its last column replaced by the combination w of the others."""
+    return Matrix([row[:-1] + (sum(map(mul, w, row)),) for row in m.rows], ncols=m.ncols)
+
+
+@st.composite
+def kernel_pencils(draw, max_n: int):
+    """(a, b) of size 0..max_n with entries up to 3 or up to 10^6 in size: at
+    random, with a singular a, an identically zero pencil (the last column
+    of a and b the same combination of the others), or a = I."""
+    n = draw(st.integers(0, max_n))
+    bound = draw(st.sampled_from([3, 10 ** 6]))
+    a, b = draw(square_matrices(n, -bound, bound)), draw(square_matrices(n, -bound, bound))
+    kind = draw(st.sampled_from(["random", "singular", "zero", "identity"]))
+    if kind == "identity":
+        a = Matrix.identity(n)
+    elif kind != "random" and n:
+        w = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+        a = dependent_last_column(a, w)
+        if kind == "zero":
+            b = dependent_last_column(b, w)
+    return a, b
+
+
+@st.composite
+def kernel_adjugates(draw, max_n: int):
+    """(m, r), m of size 0..max_n (singular about a quarter of the time), r
+    with 0..3 columns."""
+    n = draw(st.integers(0, max_n))
+    bound = draw(st.sampled_from([3, 10 ** 6]))
+    m = draw(square_matrices(n, -bound, bound))
+    if n and draw(st.integers(0, 3)) == 0:
+        m = dependent_last_column(m, draw(st.lists(st.integers(-3, 3), min_size=n - 1,
+                                                   max_size=n - 1)))
+    k = draw(st.integers(0, 3))
+    r = draw(st.lists(st.lists(st.integers(-bound, bound), min_size=k, max_size=k),
+                      min_size=n, max_size=n))
+    return m, Matrix(r, ncols=k)
+
+
+class TestKernelsByRank:
+    """Pencil determinants and adjugate products run fraction-free elimination
+    up to rank 8 and the multi-modular kernel above it; each kernel is the
+    other's oracle at every rank."""
+
+    @settings(max_examples=150)
+    @given(kernel_pencils(10))
+    @example((Matrix([], ncols=0), Matrix([], ncols=0)))
+    @example((Matrix([[0]]), Matrix([[0]])))
+    @example((Matrix([[3]]), Matrix([[-5]])))
+    def test_pencil_kernels_agree(self, ab):
+        a, b = ab
+        small = exact._pencil_det_fraction_free(a, b)
+        assert len(small) == a.nrows + 1
+        assert small == exact._pencil_det_multimodular(a, b)
+        assert pencil_det_coefficients(a, b) == small
+        if a.nrows <= 5:
+            assert Laurent.from_coeff_list(small) == laurent_det_cofactor(pencil(a, b))
+
+    def test_pencil_coefficients_beyond_two_words(self):
+        # the symmetric lift must bring back the negative coefficients, and
+        # the interpolation their size
+        rng = random.Random(34)
+        for n in (4, 8, 9, 10):
+            a, b = (random_matrix(rng, n, lo=-10 ** 6, hi=10 ** 6) for _ in range(2))
+            small = exact._pencil_det_fraction_free(a, b)
+            assert small == exact._pencil_det_multimodular(a, b)
+            assert max(map(abs, small)) > 2 ** 60 and min(small) < 0
+
+    @settings(max_examples=150)
+    @given(kernel_adjugates(10))
+    @example((Matrix([], ncols=0), Matrix.zero(0, 2)))
+    @example((Matrix([[0]]), Matrix([[1]])))
+    def test_adjugate_kernels_agree(self, mr):
+        m, r = mr
+        kernels = (exact._adjugate_fraction_free, exact._adjugate_multimodular)
+        d = det(m)
+        if d == 0:
+            for kernel in kernels:
+                with pytest.raises(SingularMatrixError):
+                    kernel(m, r, None)
+            with pytest.raises(SingularMatrixError):
+                adjugate_product(m, r)
+            return
+        got = exact._adjugate_fraction_free(m, r, None)
+        assert got[0] == d and got[1].shape == r.shape
+        assert m @ got[1] == r.scale(d)
+        assert exact._adjugate_multimodular(m, r, None) == got
+        assert adjugate_product(m, r) == adjugate_product(m, r, d) == got
+        for kernel in kernels:
+            assert kernel(m, r, d) == got
+            with pytest.raises(AssertionError):
+                kernel(m, r, 2 * d)  # a wrong determinant is caught
+
+    def test_rank_selects_the_kernel(self, monkeypatch):
+        rng = random.Random(35)
+        cases = [(random_unimodular(rng, n), random_matrix(rng, n)) for n in range(10)]
+        expected = [(exact._pencil_det_multimodular(m, r),
+                     exact._adjugate_multimodular(m, r, None)) for m, r in cases]
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("crt_lift reached")
+
+        monkeypatch.setattr(exact, "crt_lift", refuse)
+        for (m, r), (coeffs, adj) in zip(cases[:9], expected):
+            assert pencil_det_coefficients(m, r) == coeffs
+            assert adjugate_product(m, r) == adj
+        m, r = cases[9]
+        with pytest.raises(RuntimeError, match="crt_lift reached"):
+            pencil_det_coefficients(m, r)
+        with pytest.raises(RuntimeError, match="crt_lift reached"):
+            adjugate_product(m, r)
 
 
 class TestKronecker:

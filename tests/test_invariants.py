@@ -10,7 +10,6 @@ from knotforms.cli import main
 from knotforms.exact import Matrix, det
 from knotforms.invariants import Invariants
 from knotforms.quadratic import karl, levine_congruence_check, signature
-from knotforms.matrixfile import parse_matrix_file
 from knotforms.seifert import (SeifertMatrix, characteristic_polynomial, intersection_form,
                                is_quasi_unipotent, monodromy)
 from knotforms.spheres import bp_class
@@ -19,6 +18,12 @@ from generators import square_matrices
 
 LADDER = [(6 * k - 1, 3, 2, 2, 2) for k in range(1, 5)] + [
     (d, 2, 2, 2, 2, 2) for d in range(3, 32, 2)]
+
+# five trefoils summed: fibered, and of rank 10, past the fraction-free
+# kernels of exact, where an adjugate without its determinant runs exact.det
+TREFOIL_SUM_10 = "q=1 rank=10\n" + "".join(
+    " ".join("-1" if j == i else "1" if j == i - 1 and i % 2 else "0" for j in range(10)) + "\n"
+    for i in range(10))
 
 
 class TestCharPoly:
@@ -101,8 +106,8 @@ def calls(monkeypatch):
 
 
 class TestOneComputationPerInvariant:
-    """det A and det I are read off the one Alexander polynomial, so no
-    report calls exact.det on I, and a germ report calls it not at all."""
+    """det A and det I are read off the one Alexander polynomial and handed
+    to the stages that need them, so no report calls exact.det."""
 
     @pytest.mark.parametrize("exponents", [("2", "3", "5"), ("5", "3", "2", "2", "2"),
                                            ("3", "2", "2", "2", "2", "2"), ("2", "2")])
@@ -113,18 +118,17 @@ class TestOneComputationPerInvariant:
         assert not calls.det_args
 
     @pytest.mark.parametrize("text", ["q=1 rank=2\n-1 0\n1 -1\n", "q=3 rank=2\n2 1\n0 1\n",
-                                      "q=2 rank=2\n0 1\n0 0\n", "q=1 rank=1\n-1\n"])
+                                      "q=2 rank=2\n0 1\n0 0\n", "q=1 rank=1\n-1\n",
+                                      TREFOIL_SUM_10])
     def test_file_report(self, text, calls, tmp_path, capsys):
         path = tmp_path / "s.mat"
         path.write_text(text)
         assert main(["invariants", str(path)]) == 0
         assert calls["det_pencil"] == 1
         assert calls["karl"] <= 1 and calls["signature"] <= 1
-        # the only det left is that of A^T inside seifert.monodromy, and
-        # only for a fibered form
-        s = parse_matrix_file(text)
-        fibered = det(s.matrix) in (1, -1)
-        assert calls.det_args == (Counter({s.matrix.transpose(): 1}) if fibered else Counter())
+        # seifert.monodromy is handed the det A read off Delta, so not even
+        # a fibered form's report computes a determinant
+        assert not calls.det_args
 
     def test_germ_report_object_reads_stages_once(self, calls):
         rep = germ_report(BrieskornGerm((2, 2, 2, 2, 2, 3)))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from knotforms import exact
 from knotforms.brieskorn import BrieskornGerm, brieskorn_seifert
 from knotforms.exact import Matrix
 from knotforms.laurent import (Laurent, NormalizationError,
@@ -29,6 +30,15 @@ LADDER_GERMS = ([(6 * k - 1, 3, 2, 2, 2) for k in range(1, 5)]
 
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def det_pencil_multimodular(a: Matrix, b: Matrix) -> Laurent:
+    """det_pencil by the multi-modular kernel, which det_pencil runs only
+    above rank 8."""
+    return Laurent.from_coeff_list(exact._pencil_det_multimodular(a, b))
+
+
+PENCIL_KERNELS = (det_pencil, det_pencil_multimodular)
 
 
 def poly(d):
@@ -422,7 +432,8 @@ class TestPencilDet:
         rows = [[int(r == c) for c in range(n)] for r in range(n)]
         rows[i][j] = x
         for a in (Matrix.identity(n), Matrix(rows, ncols=n)):
-            assert det_pencil(a, b) == laurent_det_cofactor(pencil(a, b))
+            for kernel in PENCIL_KERNELS:
+                assert kernel(a, b) == laurent_det_cofactor(pencil(a, b))
 
     def test_empty(self):
         assert det_pencil(Matrix([], ncols=0), Matrix([], ncols=0)) == Laurent.one()
@@ -446,7 +457,8 @@ class TestPencilDet:
         b = Matrix.diagonal([0, -1, 1])
         for _ in range(10):
             p, q = random_unimodular(rng, 3), random_unimodular(rng, 3)
-            assert det_pencil(p @ a @ q, p @ b @ q) == poly({1: -1, 2: 1})
+            for kernel in PENCIL_KERNELS:
+                assert kernel(p @ a @ q, p @ b @ q) == poly({1: -1, 2: 1})
 
     def test_identically_zero(self):
         rng = random.Random(32)
@@ -457,7 +469,8 @@ class TestPencilDet:
                     for _ in range(2))
             a = Matrix([row + [sum(map(int.__mul__, w, row))] for row in a], ncols=n)
             b = Matrix([row + [sum(map(int.__mul__, w, row))] for row in b], ncols=n)
-            assert det_pencil(a, b).is_zero
+            for kernel in PENCIL_KERNELS:
+                assert kernel(a, b).is_zero
 
     def test_large_entries(self):
         # coefficients beyond 2^60 need at least three primes below 2^30,
@@ -468,6 +481,7 @@ class TestPencilDet:
                     for _ in range(2))
             got = det_pencil(Matrix(a), Matrix(b))
             assert got == det_pencil_interpolation(Matrix(a), Matrix(b))
+            assert got == det_pencil_multimodular(Matrix(a), Matrix(b))
             assert max(map(abs, got.coeffs.values())) > 2 ** 60
             assert min(got.coeffs.values()) < 0
 
