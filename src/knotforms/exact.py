@@ -15,15 +15,15 @@ construction whether all its entries are ints, so ``is_integral`` costs
 nothing.
 
 Pencil determinants det(t*A + B) (characteristic polynomials among them)
-and adjugate products adj(M) R take one of two kernels, by rank alone.  Up
-to rank 8, fraction-free elimination over Z: Bareiss determinants at n + 1
-integer nodes with exact Newton interpolation, and Bareiss's Gauss-Jordan
-form of [M | R].  Above it, the multi-modular kernel at the end of the
-module does the O(n^3) work: Gauss-Jordan solve and Hessenberg reduction
-over F_p for primes p < 2^30, combined by the Chinese remainder theorem
-under a proven (Hadamard-type) coefficient bound and lifted to the
-symmetric range.  Both are exact and deterministic; the primes are proven
-by trial division on first use.
+take one of two kernels, by rank alone.  Up to rank 8, Bareiss
+determinants at n + 1 integer nodes with exact Newton interpolation.
+Above it, the multi-modular kernel does the O(n^3) work: Gauss-Jordan
+solve and Hessenberg reduction over F_p for primes p < 2^30, combined
+by the Chinese remainder theorem under a proven (Hadamard-type)
+coefficient bound and lifted to the symmetric range.  Adjugate products
+adj(M) R (and with them inverses) come from Bareiss's fraction-free
+Gauss-Jordan form of [M | R] at every rank.  All of it is exact and
+deterministic; the primes are proven by trial division on first use.
 """
 
 from __future__ import annotations
@@ -387,17 +387,18 @@ def word_prime(k: int) -> int:
     return _word_primes[k]
 
 
-def crt_lift(residues, size: int, bound_sq: int, avoid: int = 1) -> list[int]:
+def crt_lift(residues, size: int, bound_sq: int) -> list[int]:
     """The integers v_0 .. v_{size-1}, each with v_i^2 <= bound_sq, from
-    `residues(p)`, the list of v_i mod p.
+    `residues(p)`, the list of v_i mod p, which must be defined at every
+    word prime.
 
-    Primes dividing `avoid` are skipped.  Primes are taken until their
-    product M exceeds twice the bound H = sqrt(bound_sq), so the symmetric
-    lift into (-M/2, M/2] is the only candidate; the loop never stops early
-    on a result that merely looks stable.  One further prime, not used by
-    the lift, re-checks the result.
+    Primes are taken in order until their product M exceeds twice the
+    bound H = sqrt(bound_sq), so the symmetric lift into (-M/2, M/2] is the
+    only candidate; the loop never stops early on a result that merely
+    looks stable.  One further prime, not used by the lift, re-checks the
+    result.
     """
-    primes = (p for p in map(word_prime, count()) if avoid % p)
+    primes = map(word_prime, count())
     values = [0] * size
     modulus = 1
     p = next(primes)
@@ -524,17 +525,18 @@ def _pencil_det_mod(a: list[list[int]], b: list[list[int]], p: int) -> list[int]
 
 
 # ---------------------------------------------------------------------------
-# pencil determinants and adjugate products, by rank alone: fraction-free
-# elimination over Z up to _FRACTION_FREE_MAX_RANK, multi-modular above it
+# pencil determinants, by rank alone: fraction-free elimination over Z up
+# to _FRACTION_FREE_MAX_RANK, multi-modular above it; adjugate products,
+# fraction-free at every rank
 #
-# Up to that rank fraction-free elimination is faster than two or more
-# primes of modular elimination plus the CRT; above it the n + 1
-# determinants of a pencil cost O(n^4) big-int operations and lose.  Per
-# call, multi-modular against fraction-free (CPython 3.11, one core of a
-# 2-vCPU Xeon VM): pencils of random unimodular Seifert matrices
-# 0.062 / 0.022 ms at n = 2 and 0.86 / 0.38 ms at n = 8, adjugates
-# 0.12 / 0.036 ms at n = 4; germ pencils 1.0 / 1.5 ms at n = 12 and
-# 9.1 / 39 ms at n = 30.
+# Up to that rank the n + 1 Bareiss determinants of a pencil are faster
+# than two or more primes of modular elimination plus the CRT; above it
+# they cost O(n^4) big-int operations and lose.  Per call, multi-modular
+# against fraction-free (CPython 3.11, one core of a 2-vCPU Xeon VM):
+# pencils of random unimodular Seifert matrices 0.062 / 0.022 ms at n = 2
+# and 0.86 / 0.38 ms at n = 8; germ pencils 1.0 / 1.5 ms at n = 12 and
+# 9.1 / 39 ms at n = 30.  An adjugate product is one elimination, O(n^3)
+# big-int operations on minors, and needs no such limit.
 _FRACTION_FREE_MAX_RANK = 8
 
 
@@ -626,12 +628,15 @@ def _interpolate_int(xs: list[int], ys) -> list[int] | None:
 def adjugate_product(m: Matrix, r: Matrix, d: int | None = None) -> tuple[int, Matrix]:
     """(d, Y) with d = det(m) != 0 and Y = adj(m) @ r = d * m^-1 @ r, so that
     m @ Y = d * r; integer input and output.  Raises SingularMatrixError
-    when det m = 0.  A caller that already holds det(m) passes it as d, and
-    it is not computed again; the elimination still checks it.
+    when det m = 0.  A caller that already holds det(m) may pass it as d:
+    the elimination yields det(m) anyway, and a given d is checked against
+    it.
 
-    Up to rank _FRACTION_FREE_MAX_RANK, Y comes from fraction-free
-    Gauss-Jordan elimination on [m | r]; above it from the multi-modular
-    kernel.
+    Bareiss's fraction-free Gauss-Jordan form of [m | r], at every rank:
+    after the step on column c every row holds (c+1)-minors of [m | r] with
+    its rows permuted, so each division by the previous pivot is exact,
+    and the last step leaves [det(m) I | adj(m) r] of the permuted system.
+    Cleared columns are dropped from the working rows.
     """
     if not m.is_square or m.nrows != r.nrows:
         raise ShapeError(f"cannot solve {m.shape} against {r.shape}")
@@ -639,17 +644,6 @@ def adjugate_product(m: Matrix, r: Matrix, d: int | None = None) -> tuple[int, M
         raise TypeError("adjugate product needs integer matrices")
     if d == 0:
         raise SingularMatrixError("matrix is singular")
-    if m.nrows <= _FRACTION_FREE_MAX_RANK:
-        return _adjugate_fraction_free(m, r, d)
-    return _adjugate_multimodular(m, r, d)
-
-
-def _adjugate_fraction_free(m: Matrix, r: Matrix, d: int | None) -> tuple[int, Matrix]:
-    # Bareiss's Gauss-Jordan form: after the step on column c every row holds
-    # (c+1)-minors of [m | r] with its rows permuted, so each division by the
-    # previous pivot is exact, and the last step leaves [det(m) I | adj(m) r]
-    # of the permuted system.  Cleared columns are dropped from the working
-    # rows.
     n, k = r.shape
     a = [list(mr) + list(rr) for mr, rr in zip(m.rows, r.rows)]
     sign = prev = 1
@@ -667,32 +661,14 @@ def _adjugate_fraction_free(m: Matrix, r: Matrix, d: int | None) -> tuple[int, M
             if i != col:
                 row = a[i]
                 f = row[0]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(row[1:], tail)]
+                if f:
+                    a[i] = [(p * x - f * y) // prev for x, y in zip(row[1:], tail)]
+                elif p == prev:
+                    a[i] = row[1:]
+                else:
+                    a[i] = [p * x // prev for x in row[1:]]
         prev = p
     got = sign * prev
     assert d is None or got == d, "given determinant is wrong"
     rows = a if sign == 1 else [[-x for x in row] for row in a]
     return got, Matrix._of_ints(rows, k)
-
-
-def _adjugate_multimodular(m: Matrix, r: Matrix, d: int | None) -> tuple[int, Matrix]:
-    # By Cramer's rule Y_ij is the determinant of m with column i replaced by
-    # column j of r, so Hadamard bounds it by the product of the column norms
-    # of m times the largest column norm of r.
-    if d is None:
-        d = det(m)
-    if d == 0:
-        raise SingularMatrixError("matrix is singular")
-    n, k = r.shape
-    bound_sq = (prod(sum(x * x for x in col) for col in m.transpose().rows)
-                * max((sum(x * x for x in col) for col in r.transpose().rows), default=0))
-
-    def residues(p):
-        solved = _solve_mod([[x % p for x in row] for row in m.rows],
-                            [[x % p for x in row] for row in r.rows], p)
-        assert solved is not None and solved[0] == d % p
-        dp = solved[0]
-        return [dp * x % p for row in solved[1] for x in row]
-
-    flat = crt_lift(residues, n * k, bound_sq, avoid=d)
-    return d, Matrix._of_ints([flat[i * k:(i + 1) * k] for i in range(n)], k)

@@ -65,9 +65,9 @@ def monodromy(s: SeifertMatrix, det_a: int | None = None) -> Matrix:
 
     Computed as -eps * Y / det A from the integer matrix
     Y = adj(A^T) A, which exact.adjugate_product computes exactly, so
-    rational monodromies (det A != 0, +-1) come out exact as well.  A
-    caller that already holds det A passes it as det_a, and it is not
-    computed again (the elimination still checks it).
+    rational monodromies (det A != 0, +-1) come out exact as well.  The
+    elimination yields det A along with Y; a caller that already holds
+    det A may pass it as det_a, and it is checked against that.
     """
     a = s.matrix
     try:

@@ -9,7 +9,7 @@ reduction, signatures by floating-point eigenvalues (test-time only), by
 congruence diagonalization over Q and by Descartes' rule on the
 characteristic polynomial instead of symmetric Bareiss elimination,
 inverses by Gauss-Jordan over Q instead of the
-multi-modular adjugate, pencil determinants by Bareiss evaluation and
+fraction-free adjugate over Z, pencil determinants by Bareiss evaluation and
 Lagrange interpolation instead of the multi-modular Hessenberg kernel,
 integer interpolation by Lagrange's formula in Fractions instead of Newton
 divided differences in integers, exact division in Z[t] by long division

@@ -20,7 +20,7 @@ LADDER = [(6 * k - 1, 3, 2, 2, 2) for k in range(1, 5)] + [
     (d, 2, 2, 2, 2, 2) for d in range(3, 32, 2)]
 
 # five trefoils summed: fibered, and of rank 10, past the fraction-free
-# kernels of exact, where an adjugate without its determinant runs exact.det
+# pencil kernel of exact; the monodromy's adjugate runs no exact.det at any rank
 TREFOIL_SUM_10 = "q=1 rank=10\n" + "".join(
     " ".join("-1" if j == i else "1" if j == i - 1 and i % 2 else "0" for j in range(10)) + "\n"
     for i in range(10))

@@ -12,7 +12,11 @@ exhaustive unknown verdicts, bound 3 its deeper walks.  The
 `germ-table` workload runs only when named: `brieskorn` on germs beyond the
 benchmark's Milnor numbers (the Milnor rungs (6k-1, 3, 2, 2, 2) for
 k = 1..10, the Kervaire rows (d, 2, 2, 2, 2, 2) for odd d = 33..63, and
-(3, 5, 7), (2, 3, 7, 7), (2, 2, 2, 2, 3)); it ignores the seed.  The
+(3, 5, 7), (2, 3, 7, 7), (2, 2, 2, 2, 3)), and `invariants` on the
+Seifert matrix file of each of those germs with Milnor number at most 68,
+written by this checkout's `brieskorn --emit-matrix` while the operations
+are built, so that the monodromy adjugate is compared at ranks past the
+benchmark's; it ignores the seed.  The
 `knot-modules` workload also runs only when named: `invariants` on seeded
 Seifert matrices of rank 1-8 unlike any in the benchmark corpus, whose knot
 modules reach the other branches of the Q[t] Smith form: random A (not
@@ -38,6 +42,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from math import prod
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -84,8 +89,12 @@ def build_ops(workload: str, seed: int, workdir: Path,
     ops = []
     if workload == "germ-table":
         for exponents in GERM_TABLE:
-            ops.append(("-".join(["germ", *map(str, exponents)]),
-                        ["brieskorn", *map(str, exponents), "--format", "machine"]))
+            name = "-".join(["germ", *map(str, exponents)])
+            ops.append((name, ["brieskorn", *map(str, exponents), "--format", "machine"]))
+            if prod(a - 1 for a in exponents) <= 68:
+                path = workdir / f"{name}.mat"
+                emit_matrix(exponents, path)
+                ops.append((f"{name}.mat", ["invariants", "--format", "machine", str(path)]))
     elif workload == "knot-modules":
         for name, matrix, q in knot_module_matrices(seed):
             path = workdir / f"{name}.mat"
@@ -110,6 +119,13 @@ def build_ops(workload: str, seed: int, workdir: Path,
             ops.append((spec["name"], ["cobordant", *paths, "--bound", str(bound),
                                        "--format", "machine"]))
     return ops
+
+
+def emit_matrix(exponents: tuple[int, ...], path: Path) -> None:
+    """Write the germ's Seifert matrix file with this checkout's CLI."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run([sys.executable, "-m", "knotforms.cli", "brieskorn", *map(str, exponents),
+                    "--emit-matrix", str(path)], env=env, stdout=subprocess.DEVNULL, check=True)
 
 
 def run_cli(tree: Path, argv: list[str], cwd: Path, budget: float):
