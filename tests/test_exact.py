@@ -148,8 +148,6 @@ class TestMultiModular:
             lambda k: st.lists(st.lists(st.integers(-9, 9), min_size=k, max_size=k),
                                min_size=n, max_size=n).map(
                 lambda rows: Matrix(rows, ncols=k))))))
-    # det is the product of the two largest word primes
-    @example((Matrix([[word_prime(0) * word_prime(1), 1], [0, 1]]), Matrix([[1, 2], [3, 4]])))
     def test_adjugate_product(self, mr):
         m, r = mr
         d = det(m)
@@ -162,6 +160,17 @@ class TestMultiModular:
         assert y.is_integral and y.shape == r.shape
         assert m @ y == r.scale(d)
         assert adjugate_product(m, r, d) == (d, y)  # a right det is accepted
+
+    def test_adjugate_product_skips_primes_dividing_det(self):
+        # det = p0 * p1 would make a multi-modular kernel drop both primes;
+        # the fraction-free kernel takes it like any other det
+        p0, p1 = word_prime(0), word_prime(1)
+        m = Matrix([[p0 * p1, 1], [0, 1]])
+        r = Matrix([[1, 2], [3, 4]])
+        for known in (None, p0 * p1):
+            d, y = adjugate_product(m, r, known)
+            assert d == p0 * p1
+            assert m @ y == r.scale(d)
 
 
 def dependent_last_column(m: Matrix, w: list[int]) -> Matrix:
