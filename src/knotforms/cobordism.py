@@ -26,9 +26,9 @@ basis's pivot columns ends the branch; once the span has half the rank it
 is the metaboliser over Q, which is then the span meet Z^n, so no earlier
 row is walked.
 
-Alexander polynomials are factored one orthogonal block at a time, so the
-difference of two forms never factors a polynomial of higher degree than
-the larger form's rank.
+delta = det(tA + eps A^T) is one pencil per orthogonal block, factored
+block by block, and det B is read off it as delta(1): a difference of two
+forms takes no pencil wider than the larger form's largest block.
 """
 
 from __future__ import annotations
@@ -37,10 +37,10 @@ from bisect import bisect
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from operator import add, mul
 
-from .exact import (Matrix, ShapeError, adjugate_product, det, smith_normal_form,
+from .exact import (Matrix, ShapeError, adjugate_product, smith_normal_form,
                     smith_normal_form_with_transforms)
 from .laurent import Factorization, Laurent, det_pencil, factor_int_poly, render_poly
 from .quadratic import karl, signature
@@ -58,8 +58,8 @@ class EpsForm:
 
     Its cobordance stages are computed on first use and held on the form,
     so that the obstruction battery and the metaboliser search of one
-    cobordance question share them: B, det B, T, delta and its
-    factorization.
+    cobordance question share them: the blocks' deltas, whose product
+    delta gives det B = delta(1) on construction, its factorization, B, T.
     """
 
     matrix: Matrix
@@ -74,7 +74,7 @@ class EpsForm:
             raise ShapeError(f"eps-form matrix must be square, got {self.matrix.shape}")
         if not self.matrix.is_integral:
             raise TypeError("eps-form entries must be integers")
-        d = self.symmetrization_det
+        d = sum(self.delta.coeffs.values())
         if d not in (1, -1):
             raise EpsFormError(
                 f"symmetrization has determinant {d}, not +-1: not an eps-form")
@@ -89,37 +89,34 @@ class EpsForm:
         return self.matrix + self.matrix.transpose().scale(self.eps)
 
     @cached_property
-    def symmetrization_det(self) -> int:
-        """det B, +-1 once construction has succeeded."""
-        return det(self.symmetrization)
-
-    @cached_property
     def isometric_structure(self) -> tuple[tuple[int, ...], ...]:
-        """T = B^-1 A as integer rows: det(B) adj(B) A, since det B = +-1."""
+        """T = B^-1 A as integer rows: det(B) adj(B) A for det B = delta(1)
+        = +-1, which adjugate_product checks against its elimination of B."""
         d, adj_a = adjugate_product(self.symmetrization, self.matrix,
-                                    self.symmetrization_det)
+                                    sum(self.delta.coeffs.values()))
         return (adj_a if d == 1 else -adj_a).rows
 
     @cached_property
+    def block_deltas(self) -> list[Laurent]:
+        """det(tA + eps A^T) of each orthogonal block, in the order of
+        _orthogonal_blocks: the only pencils the form takes."""
+        eps_at = self.matrix.transpose().scale(self.eps)
+        return [det_pencil(self.matrix.submatrix(block, block), eps_at.submatrix(block, block))
+                for block in _orthogonal_blocks(self)]
+
+    @cached_property
     def delta(self) -> Laurent:
-        """delta = det(tA + eps A^T)."""
-        return det_pencil(self.matrix, self.matrix.transpose().scale(self.eps))
+        """delta = det(tA + eps A^T), the product of the blocks' deltas."""
+        return prod(self.block_deltas, start=Laurent.one())
 
     @cached_property
     def delta_factorization(self) -> Factorization:
-        """Factorization of delta = det(tA + eps A^T) over Z[t], merged from
-        the factorizations of the orthogonal blocks' deltas.
-
-        delta is the product of the blocks' deltas and factorization is
-        unique, so each block is factored on its own and the multiplicities
-        are summed; the merged product is checked against delta of the
-        whole form.
-        """
-        eps_at = self.matrix.transpose().scale(self.eps)
+        """Factorization of delta over Z[t]: each block's delta is factored
+        on its own and, factorization being unique, the multiplicities are
+        summed; the merged product is checked against delta."""
         sign, unit_exponent, content, counts = 1, 0, 1, {}
-        for block in _orthogonal_blocks(self):
-            fact = factor_int_poly(det_pencil(self.matrix.submatrix(block, block),
-                                              eps_at.submatrix(block, block)))
+        for block_delta in self.block_deltas:
+            fact = factor_int_poly(block_delta)
             sign *= fact.sign
             unit_exponent += fact.unit_exponent
             content *= fact.content

@@ -1,9 +1,9 @@
 """The on-disk Seifert-matrix format.
 
 A matrix file is plain text: optional comment lines starting with '#', a
-header "q=<int> rank=<int>", then exactly `rank` rows of `rank`
-whitespace-separated integers.  Serialization and parsing round-trip
-bit-exactly.
+header "q=<int> rank=<int>", each field once, then exactly `rank` rows of
+`rank` whitespace-separated integers.  An integer is an optional sign and
+ASCII digits.  Serialization and parsing round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -24,6 +24,15 @@ class MatrixFileError(ValueError):
         return (MatrixFileError, (self.line, self.message))
 
 
+def _integer(token: str) -> int:
+    """int(token) for an optional sign and ASCII digits; ValueError for any
+    other token, such as '1_0' or non-ASCII digits, which int() takes."""
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 def parse_matrix_file(text: str) -> SeifertMatrix:
     header = None
     header_line = 0
@@ -42,13 +51,15 @@ def parse_matrix_file(text: str) -> SeifertMatrix:
                 if "=" not in part:
                     raise MatrixFileError(lineno, f"malformed header field {part!r}")
                 key, _, value = part.partition("=")
+                if key in fields:
+                    raise MatrixFileError(lineno, f"repeated header field {key!r}")
                 fields[key] = value
             if set(fields) != {"q", "rank"}:
                 raise MatrixFileError(
                     lineno, f"header must be 'q=<int> rank=<int>', got {line!r}")
             try:
-                q = int(fields["q"])
-                rank = int(fields["rank"])
+                q = _integer(fields["q"])
+                rank = _integer(fields["rank"])
             except ValueError:
                 raise MatrixFileError(lineno, f"non-integer header values in {line!r}")
             if q < 1:
@@ -57,7 +68,7 @@ def parse_matrix_file(text: str) -> SeifertMatrix:
                 raise MatrixFileError(lineno, f"rank must be >= 0, got {rank}")
             continue
         try:
-            row = [int(tok) for tok in line.split()]
+            row = [_integer(tok) for tok in line.split()]
         except ValueError:
             raise MatrixFileError(lineno, f"non-integer matrix entry in {line!r}")
         if len(row) != rank:

@@ -11,6 +11,7 @@ q is even, the Arf-type KARL invariant when q is odd.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .exact import bernoulli
@@ -57,7 +58,7 @@ def im_j_order(k: int) -> int:
     the denominator of B_k / 4k in lowest terms."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return (bernoulli(k) / (4 * k)).denominator
+    return (bernoulli(k) * Fraction(1, 4 * k)).denominator
 
 
 def bp4k_order(k: int) -> int:
@@ -66,7 +67,7 @@ def bp4k_order(k: int) -> int:
     if k < 2:
         raise ValueError(
             f"k must be >= 2 (the dimension-4 group is not covered), got {k}")
-    num = (4 * bernoulli(k) / k).numerator
+    num = (4 * bernoulli(k) * Fraction(1, k)).numerator
     return 2 ** (2 * k - 2) * (2 ** (2 * k - 1) - 1) * num
 
 

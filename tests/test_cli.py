@@ -58,6 +58,14 @@ class TestInvariants:
         err = capsys.readouterr().err
         assert "line 3" in err
 
+    @pytest.mark.parametrize("text,line", [("q=1 q=2 rank=2\n-1 0\n1 -1\n", 1),
+                                           ("q=1 rank=2\n-1 0\n1_0 -1\n", 3)])
+    def test_repeated_field_or_underscore_entry_exit_2(self, tmp_path, capsys, text, line):
+        bad = tmp_path / "bad.mat"
+        bad.write_text(text)
+        assert main(["invariants", str(bad)]) == 2
+        assert f"line {line}:" in capsys.readouterr().err
+
     def test_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(TREFOIL))
         assert main(["invariants", "-"]) == 0

@@ -64,14 +64,25 @@ class TestValidateEpsForm:
         with pytest.raises(EpsFormError, match="determinant 0"):
             EpsForm(Matrix([[0, 1], [-1, 0]]), 1)
 
-    @pytest.mark.parametrize("rows,eps,d", [([[-1]], 1, -2),
-                                            ([[0, 1], [1, 1]], 1, -4),
-                                            ([[0, 2], [0, 0]], -1, 4)])
+    @pytest.mark.parametrize("rows,eps,d", [
+        ([[-1]], 1, -2), ([[0, 1], [1, 1]], 1, -4), ([[0, 2], [0, 0]], -1, 4),
+        ([[0, 0], [2, 0]], -1, 4),  # a zero row: delta = 4t
+        ([[0, 0], [0, 1]], -1, 0),  # a zero row and column: delta = 0
+        ([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], -1, 0)])
     def test_non_unimodular_symmetrization_rejected(self, rows, eps, d):
-        # |det B| > 1: T = B^-1 A would not be integral
+        # |det B| != 1: T = B^-1 A would not be integral
         assert det(Matrix(rows) + Matrix(rows).transpose().scale(eps)) == d
         with pytest.raises(EpsFormError, match=f"determinant {d},"):
             EpsForm(Matrix(rows), eps)
+
+    @given(st.integers(1, 4).flatmap(square_matrices), st.sampled_from((-1, 1)))
+    def test_error_names_det_b(self, a, eps):
+        # det B is read off the blocks' pencils as delta(1); the message
+        # names the same determinant as Bareiss's elimination of B
+        d = det(a + a.transpose().scale(eps))
+        assume(d not in (1, -1))
+        with pytest.raises(EpsFormError, match=f"determinant {d},"):
+            EpsForm(a, eps)
 
     @given(st.sampled_from((1, 3, 5)).flatmap(square_matrices), st.sampled_from((-1, 1)))
     def test_odd_rank_rejected(self, a, eps):
@@ -255,10 +266,12 @@ class TestAlgebraicallyCobordant:
 @pytest.fixture()
 def stage_calls(monkeypatch):
     """Count, per EpsForm stage, the matrices whose symmetrization is built
-    (in calls.built), and the calls to adjugate_product and factor_int_poly
-    through every knotforms binding."""
+    (in calls.built), and the calls to adjugate_product, factor_int_poly,
+    det_pencil and det through every knotforms binding, with their
+    arguments (in calls.args)."""
     calls = Counter()
     calls.built = []
+    calls.args = {}
     build = EpsForm.symmetrization.func
 
     def symmetrization(self):
@@ -268,11 +281,14 @@ def stage_calls(monkeypatch):
     stage = cached_property(symmetrization)
     stage.__set_name__(EpsForm, "symmetrization")
     monkeypatch.setattr(EpsForm, "symmetrization", stage)
-    for module, name in [("exact", "adjugate_product"), ("laurent", "factor_int_poly")]:
+    for module, name in [("exact", "adjugate_product"), ("laurent", "factor_int_poly"),
+                         ("laurent", "det_pencil"), ("exact", "det")]:
         original = getattr(sys.modules[f"knotforms.{module}"], name)
+        calls.args[name] = []
 
         def counted(*args, original=original, name=name):
             calls[name] += 1
+            calls.args[name].append(args)
             return original(*args)
 
         for key, mod in list(sys.modules.items()):
@@ -294,14 +310,21 @@ def _cobordance_cases():
 class TestStagesComputedOnce:
     @pytest.mark.parametrize("f1,f2", _cobordance_cases())
     def test_algebraically_cobordant(self, f1, f2, stage_calls):
-        # the difference is built and validated once, and the battery and
-        # the search share its B, T and factorization of delta
+        # f1, f2 and the difference are validated from their blocks'
+        # pencils, the only pencils taken; B is built for the difference
+        # alone, when the signature or the search needs it, and the battery
+        # and the search share its B, T and factorization of delta
+        f1, f2 = EpsForm(f1.matrix, f1.eps), EpsForm(f2.matrix, f2.eps)
         verdict = algebraically_cobordant(f1, f2, bound=2)
+        widths = sorted(a.nrows for a, _ in stage_calls.args["det_pencil"])
         matrix = _direct_sum(f1.matrix, -f2.matrix)
-        assert stage_calls.built == [matrix]
+        assert stage_calls.built == [matrix] * (f1.eps == 1 or verdict.obstruction is None)
         assert stage_calls["adjugate_product"] <= (verdict.obstruction is None)
+        assert stage_calls["det"] == 0
         blocks = _orthogonal_blocks(EpsForm(matrix, f1.eps))
         assert stage_calls["factor_int_poly"] == len(blocks)
+        assert widths == sorted(len(block) for block in
+                                _orthogonal_blocks(f1) + _orthogonal_blocks(f2) + blocks)
 
 
 def _permuted(f: EpsForm, order) -> EpsForm:
@@ -336,6 +359,8 @@ class TestIsometricStructure:
         whole = det_pencil(diff.matrix, diff.matrix.transpose().scale(diff.eps))
         assert merged.product() == whole
         assert diff.delta == whole
+        for f in (f1, f2, diff):
+            assert f.delta(1) == det(f.symmetrization) in (1, -1)
         assert fox_milnor(merged) == fox_milnor(factor_int_poly(whole))
         certificate = next(c.certificate for c in null_cobordance_obstructions(diff).checks
                            if c.name == "fox-milnor")

@@ -8,9 +8,6 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "knotforms"
 MATH_ALLOWED = {"gcd", "isqrt", "lcm", "prod"}
-# true divisions of Fractions, by their source text
-DIVISIONS_ALLOWED = {("spheres.py", "bernoulli(k) / (4 * k)"),
-                     ("spheres.py", "4 * bernoulli(k) / k")}
 
 
 def float_hazards(path: Path) -> list[str]:
@@ -33,21 +30,13 @@ def float_hazards(path: Path) -> list[str]:
                 if alias.name not in MATH_ALLOWED:
                     flag(node, f"from math import {alias.name}")
         elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
-            text = ast.get_source_segment(source, node)
-            if (path.name, text) not in DIVISIONS_ALLOWED:
-                flag(node, f"true division {text}")
+            flag(node, f"true division {ast.get_source_segment(source, node)}")
     return found
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_float_hazards(path):
     assert float_hazards(path) == []
-
-
-def test_allowlisted_divisions_exist():
-    # the allowlist names only divisions the library still makes
-    for name, text in DIVISIONS_ALLOWED:
-        assert text in (SRC / name).read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("snippet", ["x = 0.5", "y = float(3)", "z = round(a)",

@@ -57,6 +57,32 @@ class TestParse:
         with pytest.raises(MatrixFileError):
             parse_matrix_file("q=0 rank=0\n")
 
+    @pytest.mark.parametrize("header", ["q=1 q=2 rank=2", "q=2 rank=2 rank=2",
+                                        "rank=2 q=1 rank=3"])
+    def test_repeated_header_field_reports_line(self, header):
+        with pytest.raises(MatrixFileError, match="repeated header field") as exc:
+            parse_matrix_file(f"# c\n{header}\n-1 0\n1 -1\n")
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0661", "\uff11", "\u00b2", "+-1", "--1",
+                                       "+", "-", "0x1", "1e2", "1.0", "\u0661\u0660"])
+    def test_non_ascii_integer_entry_reports_line(self, token):
+        with pytest.raises(MatrixFileError, match="non-integer matrix entry") as exc:
+            parse_matrix_file(f"q=1 rank=2\n-1 0\n1 {token}\n")
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("header", ["q=1_0 rank=0", "q=1 rank=\u0660", "q= rank=0",
+                                        "q=+-1 rank=0"])
+    def test_non_ascii_integer_header_reports_line(self, header):
+        with pytest.raises(MatrixFileError, match="non-integer header") as exc:
+            parse_matrix_file(f"\n{header}\n")
+        assert exc.value.line == 2
+
+    def test_signed_ascii_integers_accepted(self):
+        s = parse_matrix_file("q=+1 rank=+2\n-1 +0\n+1 -01\n")
+        assert s.q == 1
+        assert s.matrix == Matrix([[-1, 0], [1, -1]])
+
 
 class TestRoundTrip:
     def test_round_trip(self):
