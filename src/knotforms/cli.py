@@ -43,8 +43,7 @@ GROUPS_MAX_CYCLIC_N = 3307
 
 class CyclicOrderTooLargeError(ValueError):
     """|bP^(n+1)| for n = 3 (mod 4) past GROUPS_MAX_CYCLIC_N has too many
-    digits to print.  Raised with n alone, so that it pickles back from a
-    --jobs worker."""
+    digits to print."""
 
     def __str__(self) -> str:
         return (f"|bP^(n+1)| at n = {self.args[0]} has more than 4300 digits, the limit "
@@ -178,23 +177,12 @@ def _render_file_report(path: str, kind: str, mode: str) -> str:
 
 
 def _cmd_matrix_files(args, kind: str) -> int:
-    outputs: list[str] = []
     try:
-        if args.jobs > 1 and len(args.paths) > 1 and "-" not in args.paths:
-            # imported here: the process pool costs memory and import time
-            # on every run, and only --jobs uses it; no more workers than
-            # files, since a fork pool starts them all at the first submit
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=min(args.jobs, len(args.paths))) as pool:
-                futures = [pool.submit(_render_file_report, p, kind, args.format)
-                           for p in args.paths]
-                outputs = [f.result() for f in futures]
-        else:
-            outputs = [_render_file_report(p, kind, args.format) for p in args.paths]
+        outputs = [_render_file_report(p, kind, args.format) for p in args.paths]
     except (MatrixFileError, OSError, CyclicOrderTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write("\n".join(outputs) if len(outputs) > 1 else outputs[0])
+    sys.stdout.write("\n".join(outputs))
     return 0
 
 
@@ -316,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv = sub.add_parser("invariants", help="invariant report for matrix files")
     p_inv.add_argument("paths", nargs="+", metavar="FILE",
                        help="matrix files; '-' reads stdin")
-    p_inv.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers for multiple files")
     add_format(p_inv)
 
     p_br = sub.add_parser("brieskorn", help="invariants of an exponent tuple")
@@ -344,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_h = sub.add_parser("handles", help="handle-presentation data for matrix files")
     p_h.add_argument("paths", nargs="+", metavar="FILE")
-    p_h.add_argument("--jobs", type=int, default=1)
     add_format(p_h)
 
     return parser

@@ -1,7 +1,8 @@
 """Algebraic knot cobordism: eps-forms, metabolisers, slice obstructions.
 
 An eps-form is a square integer matrix A whose eps-symmetrization
-B = A + eps*A^T is unimodular; `EpsForm` refuses anything else, so every
+B = A + eps*A^T is unimodular; `EpsForm` refuses anything else (the sums
+and negations built here from checked forms are not rechecked), so every
 form here has even rank (B mod 2 is alternating and nondegenerate) and an
 integral isometric structure T = B^-1 A.  It is null-cobordant when A
 vanishes on a pure half-rank sublattice (a metaboliser); two forms are
@@ -27,8 +28,8 @@ is the metaboliser over Q, which is then the span meet Z^n, so no earlier
 row is walked.
 
 delta = det(tA + eps A^T) is one pencil per orthogonal block, factored
-block by block, and det B is read off it as delta(1): a difference of two
-forms takes no pencil wider than the larger form's largest block.
+block by block, and det B is read off it as delta(1).  Sums and negations
+carry their summands' block pencils: a difference takes none of its own.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ class EpsFormError(ValueError):
 @dataclass(frozen=True)
 class EpsForm:
     """An eps-form, checked on construction: eps = +-1, A square with
-    integer entries (lists are coerced to a Matrix), det B = +-1.
+    integer entries (lists are coerced to a Matrix), det B = +-1; forms
+    built from checked forms by `_of_blocks` are not rechecked.
 
     Its cobordance stages are computed on first use and held on the form,
     so that the obstruction battery and the metaboliser search of one
@@ -78,6 +80,16 @@ class EpsForm:
         if d not in (1, -1):
             raise EpsFormError(
                 f"symmetrization has determinant {d}, not +-1: not an eps-form")
+
+    @classmethod
+    def _of_blocks(cls, matrix: Matrix, eps: int, block_deltas: list[Laurent]) -> "EpsForm":
+        """A form built from checked forms, holding its blocks' deltas in
+        the order of _orthogonal_blocks: nothing is checked."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "matrix", matrix)
+        object.__setattr__(f, "eps", eps)
+        object.__setattr__(f, "block_deltas", block_deltas)
+        return f
 
     @property
     def rank(self) -> int:
@@ -146,13 +158,17 @@ def _direct_sum(a: Matrix, b: Matrix) -> Matrix:
 
 
 def orthogonal_sum(f1: EpsForm, f2: EpsForm) -> EpsForm:
+    """f1 (+) f2: det B is multiplicative, and its blocks are f1's, then f2's."""
     if f1.eps != f2.eps:
         raise EpsFormError("orthogonal sum of forms with different eps")
-    return EpsForm(_direct_sum(f1.matrix, f2.matrix), f1.eps)
+    return EpsForm._of_blocks(_direct_sum(f1.matrix, f2.matrix), f1.eps,
+                              f1.block_deltas + f2.block_deltas)
 
 
 def negate(f: EpsForm) -> EpsForm:
-    return EpsForm(-f.matrix, f.eps)
+    """-f, with f's block deltas: a block's B is unimodular and alternating
+    mod 2, so the block has even rank and the delta of -A_b is delta_b."""
+    return EpsForm._of_blocks(-f.matrix, f.eps, f.block_deltas)
 
 
 @dataclass(frozen=True)
@@ -776,7 +792,7 @@ def algebraically_cobordant(f1: EpsForm, f2: EpsForm, bound: int) -> CobordanceV
     """
     if f1.eps != f2.eps:
         raise EpsFormError("cobordance needs forms of the same eps")
-    difference = EpsForm(_direct_sum(f1.matrix, -f2.matrix), f1.eps)
+    difference = orthogonal_sum(f1, negate(f2))
     report = null_cobordance_obstructions(difference)
     if not report.all_pass:
         return CobordanceVerdict(status="not-cobordant",

@@ -574,14 +574,7 @@ def _pencil_det_multimodular(a: Matrix, b: Matrix) -> list[int]:
     # the Hadamard bound prod_i || |a_i| + |b_i| ||_2 over the rows.
     bound_sq = prod(sum((abs(x) + abs(y)) ** 2 for x, y in zip(ra, rb))
                     for ra, rb in zip(a.rows, b.rows))
-    if all(x == (i == j) for i, row in enumerate(a.rows) for j, x in enumerate(row)):
-        # a = I: det(tI + b) is the characteristic polynomial of -b
-        def residues(p):
-            return _charpoly_mod([[-x % p for x in row] for row in b.rows], p)
-    else:
-        def residues(p):
-            return _pencil_det_mod(a.rows, b.rows, p)
-    return crt_lift(residues, a.nrows + 1, bound_sq)
+    return crt_lift(lambda p: _pencil_det_mod(a.rows, b.rows, p), a.nrows + 1, bound_sq)
 
 
 def _extend_divided_differences(xs: list[int], row: list[int], y: int) -> list[int] | None:

@@ -18,11 +18,6 @@ class MatrixFileError(ValueError):
         self.line = line
         self.message = message
 
-    def __reduce__(self):
-        # two-argument exceptions need explicit pickling support (the
-        # parallel CLI transports parse errors across processes)
-        return (MatrixFileError, (self.line, self.message))
-
 
 def _integer(token: str) -> int:
     """int(token) for an optional sign and ASCII digits; ValueError for any

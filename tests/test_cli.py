@@ -1,4 +1,3 @@
-import concurrent.futures
 import contextlib
 import io
 import re
@@ -96,13 +95,16 @@ class TestInvariants:
         assert "alexander_conway=t^-1 - 1 + t" in out
         assert "karl=1" in out
 
-    def test_jobs_ordered_output(self, trefoil_file, unknot_file, capsys):
-        main(["invariants", trefoil_file, unknot_file])
-        serial = capsys.readouterr().out
-        main(["invariants", "--jobs", "2", trefoil_file, unknot_file])
-        parallel = capsys.readouterr().out
-        assert parallel == serial
-        assert serial.index(trefoil_file) < serial.index(unknot_file)
+    @pytest.mark.parametrize("command", ["invariants", "handles"])
+    def test_batch_ordered_output(self, command, trefoil_file, unknot_file, capsys):
+        # a batch is the per-file reports in argv order, joined by a blank line
+        paths = [unknot_file, trefoil_file, unknot_file]
+        reports = []
+        for path in paths:
+            assert main([command, path]) == 0
+            reports.append(capsys.readouterr().out)
+        assert main([command, *paths]) == 0
+        assert capsys.readouterr().out == "\n".join(reports)
 
     @pytest.mark.parametrize("fmt", ["text", "machine"])
     @pytest.mark.parametrize("name", ["trefoil", "unknot", "e8_q2", "e8_q4", "trefoil_q3",
@@ -114,43 +116,14 @@ class TestInvariants:
         assert main(["invariants", "--format", fmt, f"invariants_{name}.mat"]) == 0
         assert capsys.readouterr().out == (GOLDEN / f"invariants_{name}.{fmt}").read_text()
 
-    def test_jobs_parse_error_exit_2(self, trefoil_file, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["invariants", "handles"])
+    def test_batch_parse_error_exit_2(self, command, trefoil_file, tmp_path, capsys):
         bad = tmp_path / "bad.mat"
         bad.write_text("q=1 rank=1\nx\n")
-        assert main(["invariants", "--jobs", "2", trefoil_file, str(bad)]) == 2
-        assert "line 2" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", ["invariants", "handles"])
-    def test_jobs_capped_at_file_count(self, command, trefoil_file, unknot_file, capsys,
-                                       monkeypatch):
-        # a fork pool starts all its workers at the first submit, so the
-        # pool is replaced by one that records its size and runs inline
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        paths = [trefoil_file, unknot_file, trefoil_file]
-        assert main([command, *paths]) == 0
-        sequential = capsys.readouterr().out
-        assert main([command, "--jobs", "4096", *paths]) == 0
-        assert capsys.readouterr().out == sequential
-        assert main([command, "--jobs", "2", *paths]) == 0
-        assert capsys.readouterr().out == sequential
-        assert sizes == [3, 2]
+        assert main([command, trefoil_file, str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert "line 2" in captured.err
+        assert captured.out == ""
 
 
 class TestBrieskorn:
@@ -392,7 +365,7 @@ class TestReportsPastDigitLimit:
     @pytest.mark.parametrize("argv,n", [
         (["invariants", "{file}"], 3399),
         (["invariants", "{file}", "--format", "machine"], 3399),
-        (["invariants", "{file}", "{file}", "--jobs", "2"], 3399),
+        (["invariants", "{file}", "{file}"], 3399),
         (["brieskorn", "3", "5", *["2"] * 1699], 3399),
         (["brieskorn", "3", "5", *["2"] * 1655, "--emit-matrix", "-"], 3311)])
     def test_refused(self, argv, n, tmp_path, capsys):
@@ -454,6 +427,13 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["cobordant", "only-one"])
         assert exc.value.code == 2
+
+    def test_no_jobs_option(self, trefoil_file, capsys):
+        # reports are computed in one process; --jobs is not an option
+        with pytest.raises(SystemExit) as exc:
+            main(["invariants", "--jobs", "2", trefoil_file])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_parser_reused_across_calls(self, trefoil_file, capsys):
         # main keeps one parser per process: a usage error leaves no state

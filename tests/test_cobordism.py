@@ -310,10 +310,10 @@ def _cobordance_cases():
 class TestStagesComputedOnce:
     @pytest.mark.parametrize("f1,f2", _cobordance_cases())
     def test_algebraically_cobordant(self, f1, f2, stage_calls):
-        # f1, f2 and the difference are validated from their blocks'
-        # pencils, the only pencils taken; B is built for the difference
-        # alone, when the signature or the search needs it, and the battery
-        # and the search share its B, T and factorization of delta
+        # f1 and f2 are validated from their blocks' pencils, the only
+        # pencils taken: the difference carries theirs.  B is built for the
+        # difference alone, when the signature or the search needs it, and
+        # the battery and the search share its B, T and factorization of delta
         f1, f2 = EpsForm(f1.matrix, f1.eps), EpsForm(f2.matrix, f2.eps)
         verdict = algebraically_cobordant(f1, f2, bound=2)
         widths = sorted(a.nrows for a, _ in stage_calls.args["det_pencil"])
@@ -321,10 +321,9 @@ class TestStagesComputedOnce:
         assert stage_calls.built == [matrix] * (f1.eps == 1 or verdict.obstruction is None)
         assert stage_calls["adjugate_product"] <= (verdict.obstruction is None)
         assert stage_calls["det"] == 0
-        blocks = _orthogonal_blocks(EpsForm(matrix, f1.eps))
+        blocks = _orthogonal_blocks(f1) + _orthogonal_blocks(f2)
         assert stage_calls["factor_int_poly"] == len(blocks)
-        assert widths == sorted(len(block) for block in
-                                _orthogonal_blocks(f1) + _orthogonal_blocks(f2) + blocks)
+        assert widths == sorted(len(block) for block in blocks)
 
 
 def _permuted(f: EpsForm, order) -> EpsForm:
@@ -365,6 +364,25 @@ class TestIsometricStructure:
         certificate = next(c.certificate for c in null_cobordance_obstructions(diff).checks
                            if c.name == "fox-milnor")
         assert certificate.startswith(f"delta = {render_poly(whole.unit_normalize())}: ")
+
+    @given(st.sampled_from((-1, 1)).flatmap(lambda eps: st.tuples(
+        *[st.one_of(st.just(EpsForm(Matrix([], ncols=0), eps)), eps_forms(2, eps))] * 2)),
+        st.randoms())
+    def test_difference_matches_checked_form(self, forms, rnd):
+        # a sum or negation holds its summands' block deltas unchecked; the
+        # checked form of the same matrix takes its own pencils
+        f, g = forms
+        order = list(range(g.rank))
+        rnd.shuffle(order)
+        g = _permuted(g, order)
+        diff = orthogonal_sum(f, negate(g))
+        checked = EpsForm(_direct_sum(f.matrix, -g.matrix), f.eps)
+        assert diff.matrix == checked.matrix and diff.eps == checked.eps
+        assert diff.block_deltas == checked.block_deltas
+        assert diff.delta == checked.delta
+        assert diff.delta_factorization.product() == checked.delta_factorization.product()
+        assert diff.isometric_structure == checked.isometric_structure
+        assert negate(f).block_deltas == EpsForm(-f.matrix, f.eps).block_deltas
 
     @settings(max_examples=40)
     @given(eps_forms(2), st.randoms())

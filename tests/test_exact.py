@@ -15,9 +15,9 @@ from knotforms.exact import (Matrix, ShapeError, SingularMatrixError, adjugate_p
 from knotforms.laurent import Laurent, pencil
 
 from generators import random_unimodular, square_matrices
-from oracles import (bernoulli_akiyama_tanigawa, det_cofactor, inverse_gauss_jordan,
-                     is_prime_miller_rabin, laurent_det_cofactor, snf_via_minor_gcds,
-                     von_staudt_denominator)
+from oracles import (bernoulli_akiyama_tanigawa, det_cofactor, det_pencil_interpolation,
+                     inverse_gauss_jordan, is_prime_miller_rabin, laurent_det_cofactor,
+                     snf_via_minor_gcds, von_staudt_denominator)
 
 
 def random_matrix(rng, n, m=None, lo=-5, hi=5):
@@ -251,6 +251,18 @@ class TestKernelsByRank:
             small = exact._pencil_det_fraction_free(a, b)
             assert small == exact._pencil_det_multimodular(a, b)
             assert max(map(abs, small)) > 2 ** 60 and min(small) < 0
+
+    @pytest.mark.parametrize("n", [9, 10, 12])
+    def test_identity_pencils_past_fraction_free_rank(self, n):
+        # det(tI + b) on the multi-modular kernel: for strictly upper
+        # triangular and zero b, c = 0 is singular and c = 1 is taken
+        rng = random.Random(36 + n)
+        upper = Matrix([[rng.randint(-5, 5) if j > i else 0 for j in range(n)]
+                        for i in range(n)], ncols=n)
+        identity = Matrix.identity(n)
+        for b in (upper, Matrix.zero(n, n), random_matrix(rng, n)):
+            assert (Laurent.from_coeff_list(pencil_det_coefficients(identity, b))
+                    == det_pencil_interpolation(identity, b))
 
     @settings(max_examples=150)
     @given(kernel_adjugates(16))

@@ -22,10 +22,13 @@ Seifert matrices of rank 1-8 unlike any in the benchmark corpus, whose knot
 modules reach the other branches of the Q[t] Smith form: random A (not
 unimodular, so the divisors have rational coefficients), A whose row and
 column j repeat row and column i (a zero divisor), and block sums B + B
-(a non-cyclic module).  Each argv
-is run as `python -m knotforms.cli` in a subprocess, once against this
-checkout's `src/` and once against DIR's `src/`, in that temporary
-directory.  Exit code, stdout and stderr are compared after each tree's
+(a non-cyclic module).  The `batches` workload runs only when named too:
+every other argv names one file, so it compares multi-file output, with
+one `invariants` and one `handles` argv over all the `matrix-files` files
+of the seed and one `invariants` argv over the `knot-modules` files.
+Each argv is run as `python -m knotforms.cli` in a subprocess, once
+against this checkout's `src/` and once against DIR's `src/`, in that
+temporary directory.  Exit code, stdout and stderr are compared after each tree's
 root path is replaced by `<checkout>`.
 
 An operation that runs past S seconds in either tree counts as overran, not
@@ -100,6 +103,11 @@ def build_ops(workload: str, seed: int, workdir: Path,
             path = workdir / f"{name}.mat"
             path.write_text(corpus.serialize(matrix, q))
             ops.append((name, ["invariants", "--format", "machine", str(path)]))
+    elif workload == "batches":
+        for command, source in (("invariants", "matrix-files"), ("handles", "matrix-files"),
+                                ("invariants", "knot-modules")):
+            paths = [argv[-1] for _, argv in build_ops(source, seed, workdir)]
+            ops.append((f"{command}-{source}", [command, "--format", "machine", *paths]))
     elif workload == "germ-ladder":
         for spec in corpus.germ_ladder(seed):
             ops.append((spec["name"], ["brieskorn", *map(str, spec["exponents"]),
@@ -147,7 +155,7 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True,
                         help="root of the tree to compare against (holds src/knotforms)")
     parser.add_argument("--workload", default="all",
-                        choices=("all",) + WORKLOADS + ("germ-table", "knot-modules"))
+                        choices=("all",) + WORKLOADS + ("germ-table", "knot-modules", "batches"))
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--bound", type=int, default=corpus.COBORDANCE_BOUND,
                         help="entry bound of `cobordant` in the cobordance workload")
