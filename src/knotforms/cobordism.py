@@ -27,9 +27,19 @@ basis's pivot columns ends the branch; once the span has half the rank it
 is the metaboliser over Q, which is then the span meet Z^n, so no earlier
 row is walked.
 
+The walk sieves its rows by two quadratic forms before it takes a cyclic
+span.  Since B^T = eps B, T^T B = eps A^T = B (I - T), so the numbers
+c_m = v^T B T^m v obey c_m = eps sum_i C(m, i) (-1)^i c_i.  An isotropic
+cyclic span has c_m = 0 for m >= 1; c_1 = v^T A v is the first form.  For
+eps = +1 the second is c_2 = v^T A T v; for eps = -1, c_0 = 0 and
+c_2 = c_1, so the second is c_3 = v^T A T^2 v, the first condition that
+c_1 does not imply.
+
 delta = det(tA + eps A^T) is one pencil per orthogonal block, factored
-block by block, and det B is read off it as delta(1).  Sums and negations
-carry their summands' block pencils: a difference takes none of its own.
+block by block (each distinct block polynomial once), and det B is read
+off it as delta(1).  Sums and negations carry their summands' block
+pencils: a difference takes none of its own.  Fox-Milnor is refuted from
+delta(-1) alone when |delta(-1)| is not a square.
 """
 
 from __future__ import annotations
@@ -123,12 +133,15 @@ class EpsForm:
 
     @cached_property
     def delta_factorization(self) -> Factorization:
-        """Factorization of delta over Z[t]: each block's delta is factored
-        on its own and, factorization being unique, the multiplicities are
-        summed; the merged product is checked against delta."""
-        sign, unit_exponent, content, counts = 1, 0, 1, {}
+        """Factorization of delta over Z[t]: each distinct block delta is
+        factored once (a difference repeats its summands' block deltas) and,
+        factorization being unique, the multiplicities are summed; the
+        merged product is checked against delta."""
+        sign, unit_exponent, content, counts, facts = 1, 0, 1, {}, {}
         for block_delta in self.block_deltas:
-            fact = factor_int_poly(block_delta)
+            if block_delta not in facts:
+                facts[block_delta] = factor_int_poly(block_delta)
+            fact = facts[block_delta]
             sign *= fact.sign
             unit_exponent += fact.unit_exponent
             content *= fact.content
@@ -364,7 +377,10 @@ def _enumerate_hnf(f: EpsForm, r: int, half: int, bound: int):
     A metaboliser L is T-invariant (see the module docstring), so each row
     v of its basis has an A-isotropic cyclic span v, Tv, T^2 v, ..., and so
     has the joint cyclic span E of any of its rows; E lies in L tensor Q.
-    Rows failing the first condition are never listed.  Each pivot
+    Rows failing the first condition are never listed: the box is sieved by
+    v^T A v = 0 and by v^T A T v = 0 (eps = +1) or v^T A T^2 v = 0
+    (eps = -1, where v^T A T v = v^T A v: see the module docstring) before
+    the cyclic span is taken.  Each pivot
     configuration is walked depth first from its last row towards its
     first, carrying the exact reduced echelon form of E for the rows chosen
     so far, extended by one cyclic span at a time (_joint_span).  A row is
@@ -392,10 +408,7 @@ def _enumerate_hnf(f: EpsForm, r: int, half: int, bound: int):
     a = [list(row) for row in f.matrix.rows]
     at = [list(col) for col in zip(*a)]
     t = f.isometric_structure
-    products = [a, [[sum(map(mul, row, col)) for col in zip(*t)] for row in a]]
-    # S = M + M^T for M = A and M = A T: v^T M v = v^T S v / 2
-    forms = [[[x + y for x, y in zip(row, col)] for row, col in zip(m, zip(*m))]
-             for m in products]
+    forms = _isotropy_forms(a, t, f.eps)
     lists: dict = {}
     branches: dict = {}
     closures: dict = {}
@@ -453,17 +466,32 @@ def _enumerate_hnf(f: EpsForm, r: int, half: int, bound: int):
             yield from sorted(found)
 
 
+def _isotropy_forms(a, t, eps):
+    """S = M + M^T for M = A and M = A T (eps = +1) or A T^2 (eps = -1),
+    so that v^T S v = 2 c_m for c_m = v^T A T^(m-1) v, m = 1 and 2 or 3.
+    For eps = -1, c_2 = c_1 (see the module docstring): A T would filter
+    nothing that A does not."""
+    m = a
+    for _ in range(1 if eps == 1 else 2):
+        m = [[sum(map(mul, row, col)) for col in zip(*t)] for row in m]
+    return [[[x + y for x, y in zip(row, col)] for row, col in zip(p, zip(*p))]
+            for p in (a, m)]
+
+
 def _isotropic_rows(a, at, t, forms, bound, pivot_cols, pivot_vals):
     """The rows with pivot pivot_vals[0] in column pivot_cols[0] whose
     cyclic span is A-isotropic, ascending, each with the vectors
     v, Tv, ..., T^(r/2 - 1) v of its span (_cyclic_span).
 
-    `forms` holds S = M + M^T for M = A and M = A T, and
-    Q(v) = v^T S v = 2 v^T M v.  The entries after the pivot lie in
+    `forms` (_isotropy_forms) holds S = M + M^T for M = A and for M = A T
+    (eps = +1) or A T^2 (eps = -1), and Q(v) = v^T S v = 2 v^T M v: for
+    eps = -1, v^T A T v = v^T A v (see the module docstring), so A T would
+    reject no row that A keeps.  The entries after the pivot lie in
     [-bound, bound], and in [0, p) above a later pivot p.  An odometer
     steps all but the last two of them, keeping Q and (S v)_c for the free
     columns c at O(r) a step.  Q(v + y e_d + x e_c) is then a quadratic in
-    the last two entries y and x: y is swept, and x is an integer root.
+    the last two entries y and x: y is swept, the first form's discriminant
+    in x must be a square, and x is an integer root.
     """
     r = len(a)
     jpiv = pivot_cols[0]
@@ -499,8 +527,12 @@ def _isotropic_rows(a, at, t, forms, bound, pivot_cols, pivot_vals):
                for i, q in enumerate(qs)]
         (q, qd, qc), (dd, cd, cc) = lin[0], coeffs[0]
         for y in sweep:
-            for x in _integer_roots(cc, qc + y * cd, q + y * (qd + y * dd),
-                                    lows[-1], highs[-1]):
+            lin_x, const = qc + y * cd, q + y * (qd + y * dd)
+            if cc:  # an integer root needs a square discriminant
+                disc = lin_x * lin_x - 4 * cc * const
+                if disc < 0 or isqrt(disc) ** 2 != disc:
+                    continue
+            for x in _integer_roots(cc, lin_x, const, lows[-1], highs[-1]):
                 if any(q1 + y * (qd1 + y * dd1) + x * (qc1 + y * cd1 + x * cc1)
                        for (q1, qd1, qc1), (dd1, cd1, cc1) in zip(lin[1:], coeffs[1:])):
                     continue
@@ -712,6 +744,13 @@ def fox_milnor(fact: Factorization) -> bool:
     return True
 
 
+def _square_at_minus_one(p: Laurent) -> bool:
+    """Is |p(-1)| a perfect square?  Every +-t^k c^2 Q(t) Q(1/t) is +- a
+    square at -1, so False refutes Fox-Milnor with no factoring."""
+    return _isqrt_exact(abs(sum(c if e % 2 == 0 else -c
+                                for e, c in p.coeffs.items()))) is not None
+
+
 def _reciprocal_normalized(p: Laurent) -> Laurent:
     return p.reciprocal().unit_normalize()
 
@@ -746,12 +785,15 @@ def null_cobordance_obstructions(f: EpsForm) -> ObstructionReport:
     """Battery of necessary conditions for null-cobordance.
 
     Vanishing signature of the symmetrization when eps = +1; the
-    Fox-Milnor factorization condition on det(tA + eps A^T), read from the
-    form's per-block factorization; and a vanishing Arf invariant when
-    eps = -1 (a cobordism invariant of odd-dimensional knots).  Each check
-    carries a human-readable certificate.  All-pass does not prove
-    null-cobordance.  (The rank is even for every eps-form, so rank parity
-    is no check.)
+    Fox-Milnor factorization condition on delta = det(tA + eps A^T), read
+    from the form's per-block factorization, or refuted with no factoring
+    when |delta(-1)|, the product of the held block deltas at -1, is not a
+    perfect square (every +-t^k c^2 Q(t) Q(1/t) is +- a square at -1); and
+    a vanishing Arf invariant when eps = -1 (a cobordism invariant of
+    odd-dimensional knots).  Each check carries a human-readable
+    certificate, the same whichever way Fox-Milnor is refuted.  All-pass
+    does not prove null-cobordance.  (The rank is even for every eps-form,
+    so rank parity is no check.)
     """
     checks = []
     if f.eps == 1:
@@ -759,8 +801,7 @@ def null_cobordance_obstructions(f: EpsForm) -> ObstructionReport:
         checks.append(Obstruction(
             name="signature", passed=sig == 0,
             certificate=f"signature of symmetrization = {sig}"))
-    fact = f.delta_factorization
-    fm = fox_milnor(fact)
+    fm = _square_at_minus_one(f.delta) and fox_milnor(f.delta_factorization)
     checks.append(Obstruction(
         name="fox-milnor", passed=fm,
         certificate=f"delta = {render_poly(f.delta.unit_normalize())}: "

@@ -3,7 +3,8 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import comb, gcd, isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -11,10 +12,12 @@ from hypothesis import strategies as st
 
 from knotforms import cobordism
 from knotforms.brieskorn import BrieskornGerm, brieskorn_seifert
+from knotforms.cli import main
 from knotforms.cobordism import (EpsForm, EpsFormError, _chi_factors, _cyclic_span,
                                  _direct_sum, _enumerate_hnf, _hnf_key, _integer_roots,
-                                 _invariant_metabolisers, _joint_span, _orthogonal_blocks,
-                                 _row_hnf, _saturation, _span_echelon,
+                                 _invariant_metabolisers, _isotropic_rows, _isotropy_forms,
+                                 _joint_span, _orthogonal_blocks, _row_hnf, _saturation,
+                                 _span_echelon, _square_at_minus_one,
                                  algebraically_cobordant, eps_form_of, fox_milnor,
                                  is_metaboliser, negate, null_cobordance_obstructions,
                                  orthogonal_sum, search_metaboliser)
@@ -24,7 +27,10 @@ from knotforms.quadratic import signature
 
 from generators import eps_forms, random_unimodular, square_matrices
 from oracles import (brute_force_rank1_metaboliser_absent, enumerate_hnf_unpruned,
-                     invariant_metabolisers_horner, inverse_gauss_jordan, saturation_smith)
+                     invariant_metabolisers_horner, inverse_gauss_jordan, isotropic_rows_box,
+                     saturation_smith)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 A1 = Matrix([[-1, 0], [1, -1]])
 TREFOIL_FORM = EpsForm(A1, -1)
@@ -198,6 +204,32 @@ class TestFoxMilnor:
         # content 2 is not a perfect square
         assert not fox_milnor(factor_int_poly(Laurent({0: -2, 1: 2})))
 
+    @given(st.lists(st.integers(-3, 3), min_size=1, max_size=4).filter(any),
+           st.integers(1, 4), st.integers(-3, 3), st.sampled_from((1, -1)))
+    def test_square_at_minus_one_passes_products(self, coeffs, c, k, sign):
+        # +-t^k c^2 Q(t) Q(1/t) passes Fox-Milnor, so the test at -1 must
+        # not refute it
+        q = Laurent.from_coeff_list(coeffs)
+        p = Laurent({k: sign * c * c}) * q * q.reciprocal()
+        assert fox_milnor(factor_int_poly(p))
+        assert _square_at_minus_one(p)
+
+    @given(st.sampled_from((-1, 1)).flatmap(
+        lambda eps: st.tuples(eps_forms(2, eps), eps_forms(2, eps))))
+    def test_square_at_minus_one_on_differences(self, forms):
+        # the test at -1 refutes only what factoring refutes, and the report
+        # is the one that factoring every delta gives, certificate and all
+        f1, f2 = forms
+        diff = orthogonal_sum(f1, negate(f2))
+        factored = fox_milnor(factor_int_poly(diff.delta))
+        if not _square_at_minus_one(diff.delta):
+            assert not factored
+        report = null_cobordance_obstructions(diff)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cobordism, "_square_at_minus_one", lambda p: True)
+            assert null_cobordance_obstructions(orthogonal_sum(f1, negate(f2))) == report
+        assert next(c.passed for c in report.checks if c.name == "fox-milnor") == factored
+
 
 class TestObstructions:
     def test_trefoil_fails(self):
@@ -219,6 +251,10 @@ class TestObstructions:
         assert named["signature"] is False
         assert "8" in next(c for c in report.checks
                            if c.name == "signature").certificate
+        # delta(-1) = det(A^T - A) is a square for eps = +1, so Fox-Milnor
+        # is refuted by factoring the irreducible, self-reciprocal delta
+        assert _square_at_minus_one(form.delta)
+        assert named["fox-milnor"] is False
 
     def test_signature_additivity(self):
         f1 = EpsForm(upper_half(_e8()), 1)
@@ -322,8 +358,49 @@ class TestStagesComputedOnce:
         assert stage_calls["adjugate_product"] <= (verdict.obstruction is None)
         assert stage_calls["det"] == 0
         blocks = _orthogonal_blocks(f1) + _orthogonal_blocks(f2)
-        assert stage_calls["factor_int_poly"] == len(blocks)
+        # each distinct block delta is factored once, and none when
+        # |delta(-1)| is not a square, which refutes Fox-Milnor unfactored
+        at_minus_one = abs(f1.delta(-1) * f2.delta(-1))
+        distinct = len(set(f1.block_deltas + f2.block_deltas))
+        square = isqrt(at_minus_one) ** 2 == at_minus_one
+        assert stage_calls["factor_int_poly"] == distinct * square
         assert widths == sorted(len(block) for block in blocks)
+
+
+@pytest.fixture()
+def cyclic_spans(monkeypatch):
+    """The number of cyclic spans the metaboliser walk takes."""
+    calls = Counter()
+    build = cobordism._cyclic_span
+
+    def counted(*args):
+        calls["_cyclic_span"] += 1
+        return build(*args)
+
+    monkeypatch.setattr(cobordism, "_cyclic_span", counted)
+    return calls
+
+
+class TestGoldenWork:
+    # guards on the work of the golden cobordant runs, counted rather than
+    # timed
+
+    def _run(self, name, monkeypatch, capsys):
+        monkeypatch.chdir(GOLDEN)
+        main(["cobordant", f"cobordant_{name}_a.mat", f"cobordant_{name}_b.mat"])
+        assert capsys.readouterr().out == (GOLDEN / f"cobordant_{name}.text").read_text()
+
+    def test_repeated_genus3_walk_spans(self, cyclic_spans, monkeypatch, capsys):
+        # with A T in place of A T^2 for eps = -1, 228 rows reached the
+        # cyclic span to keep 2
+        self._run("repeated_genus3_q1", monkeypatch, capsys)
+        assert cyclic_spans["_cyclic_span"] <= 20
+
+    @pytest.mark.parametrize("name", ["fox_milnor", "genus3_fox_milnor"])
+    def test_fox_milnor_refuted_unfactored(self, name, stage_calls, monkeypatch, capsys):
+        # |delta(-1)| is not a square: nothing is factored
+        self._run(name, monkeypatch, capsys)
+        assert stage_calls["factor_int_poly"] == 0
 
 
 def _permuted(f: EpsForm, order) -> EpsForm:
@@ -501,6 +578,43 @@ class TestPrunedWalk:
         verdict = algebraically_cobordant(f, f, bound=1)
         assert verdict.status == "cobordant"
         assert is_metaboliser(orthogonal_sum(f, negate(f)), verdict.witness.basis)
+
+    @given(eps_forms(4), st.lists(st.integers(-3, 3), min_size=8, max_size=8))
+    def test_isotropy_numbers_recurrence(self, f, entries):
+        # c_m = v^T B T^m v obeys c_m = eps sum_i C(m, i) (-1)^i c_i, since
+        # T^T B = B (I - T); so c_2 = c_1 when eps = -1
+        v = entries[:f.rank]
+
+        def at_v(m):
+            return sum(x * mij * y for x, row in zip(v, m.rows) for mij, y in zip(row, v))
+
+        t = Matrix(f.isometric_structure)
+        c, power = [], Matrix.identity(f.rank)
+        for _ in range(f.rank + 2):
+            c.append(at_v(f.symmetrization @ power))
+            power = power @ t
+        for m, cm in enumerate(c):
+            assert cm == f.eps * sum(comb(m, i) * (-1) ** i * c[i] for i in range(m + 1))
+        if f.eps == -1:
+            assert at_v(f.matrix @ t) == at_v(f.matrix)
+
+    @settings(max_examples=60)
+    @given(eps_forms(4), st.sampled_from((1, 2)), st.data())
+    def test_isotropic_rows_match_box_oracle(self, f, bound, data):
+        # the two quadratic filters drop only rows whose cyclic span is not
+        # isotropic; rank 8 sweeps the bound-1 box only (5^7 rows at bound 2)
+        assume(f.rank <= 6 or bound == 1)
+        half = f.rank // 2
+        pivot_cols = sorted(data.draw(st.permutations(range(f.rank)))[:half])
+        i = data.draw(st.integers(0, half - 1))
+        pivot_vals = data.draw(st.lists(st.integers(1, bound), min_size=half - i,
+                                        max_size=half - i))
+        a = [list(row) for row in f.matrix.rows]
+        at = [list(col) for col in zip(*a)]
+        t = f.isometric_structure
+        rows = _isotropic_rows(a, at, t, _isotropy_forms(a, t, f.eps), bound,
+                               tuple(pivot_cols[i:]), tuple(pivot_vals))
+        assert rows == isotropic_rows_box(f, bound, pivot_cols[i:], pivot_vals)
 
     @given(st.integers(-4, 4), st.integers(-9, 9), st.integers(-20, 20),
            st.integers(-6, 3), st.integers(0, 8))
