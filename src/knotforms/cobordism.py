@@ -11,21 +11,31 @@ cobordant when the orthogonal difference is null-cobordant.
 Metabolisers are decided from T: every metaboliser L is T-invariant (TL
 lies in the B-orthogonal of L, which is L), and every T-invariant
 half-dimensional rational subspace on which A vanishes meets Z^n in a
-metaboliser.  When the characteristic polynomial of T is squarefree, the
-T-invariant subspaces are the kernels of its divisors, so enumerating them
-decides metaboliser existence with no entry bound.  Only when it has a
-repeated factor does the search fall back to an exhaustive walk over
-Hermite-normal-form bases with bounded entries; that fallback's "not found
-within bound" is not a proof of non-existence.  The walk keeps its answer,
-the least metaboliser in the box, but T prunes it: a row of a metaboliser
-has an A-isotropic cyclic span v, Tv, T^2 v, ..., and the other rows are
-orthogonal to that span, so rows and bases failing these necessary
-conditions are never formed.  And T closes it: the walk chooses rows from
-the last one back, and the joint cyclic span of the rows chosen so far lies
-in the metaboliser over Q.  A pivot column of that span outside the
-basis's pivot columns ends the branch; once the span has half the rank it
-is the metaboliser over Q, which is then the span meet Z^n, so no earlier
-row is walked.
+metaboliser.  On a T-invariant subspace E, A(v, e) = B(v, Te) and
+A(e, v) = eps (B(v, e) - B(v, Te)), so A vanishes between v and E both
+ways exactly when B(v, E) = 0.  And since T^T B = B (I - T) (below),
+B(g(T) x, y) = B(x, g(I - T) y): the kernel of g(T) is B-orthogonal to
+the kernel of every factor prime to its mirror g*(x) = +-g(1 - x).
+
+When the characteristic polynomial chi_T of T is squarefree, the
+T-invariant subspaces are the sums of the kernels of its factors, and B
+pairs each kernel only with its mirror's.  A metaboliser then holds one
+kernel of each mirror pair, so one exists exactly when no factor is its
+own mirror, and that is the Fox-Milnor condition: a squarefree chi_T that
+passes the obstruction battery always has a metaboliser, built with no
+entry bound.  Only when chi_T has a repeated factor does the search fall
+back to an exhaustive walk over Hermite-normal-form bases with bounded
+entries; that fallback's "not found within bound" is not a proof of
+non-existence.  The walk keeps its answer, the least metaboliser in the
+box, but T prunes it: a row of a metaboliser has an A-isotropic cyclic
+span v, Tv, T^2 v, ..., and the other rows are B-orthogonal to that span
+(one B product per spanning vector), so rows and bases failing these
+necessary conditions are never formed.  And T closes it: the walk chooses
+rows from the last one back, and the joint cyclic span of the rows chosen
+so far lies in the metaboliser over Q.  A pivot column of that span
+outside the basis's pivot columns ends the branch; once the span has half
+the rank it is the metaboliser over Q, which is then the span meet Z^n,
+so no earlier row is walked.
 
 The walk sieves its rows by two quadratic forms before it takes a cyclic
 span.  Since B^T = eps B, T^T B = eps A^T = B (I - T), so the numbers
@@ -235,16 +245,18 @@ def search_metaboliser(f: EpsForm, bound: int) -> MetaboliserSearch:
     (pivot columns, pivot values, rows).
 
     When the characteristic polynomial chi_T of T = B^-1 A is squarefree,
-    every metaboliser is the integer kernel of g(T) for a divisor g of
-    chi_T of degree rank/2, so all of them are listed: the least one in the
-    box is returned, else the one with the smallest entries, and
-    "not-found-within-bound" then means there is none at all.
+    every metaboliser is the integer kernel of g(T) for a g holding one
+    factor of each mirror pair (g and g*(x) = +-g(1 - x)), so all of them
+    are built: the least one in the box is returned, else the one with the
+    smallest entries.  There is none exactly when a factor is its own
+    mirror, which Fox-Milnor refutes, so after a passing battery the search
+    always finds a witness.
 
     Otherwise the box is walked exhaustively in that order and the first
     metaboliser is returned; only there does the bound cap the search, and
     "not-found-within-bound" is not a proof of non-existence.  The walk
     skips only bases that no metaboliser has (rows whose cyclic span under
-    T is not isotropic, rows not orthogonal to the later rows' cyclic
+    T is not isotropic, rows not B-orthogonal to the later rows' cyclic
     spans, and rows whose joint cyclic span with the later rows has a pivot
     column outside the basis's), so its answer is the box's least
     metaboliser all the same.  It closes on the joint span: a metaboliser L
@@ -288,20 +300,30 @@ def _hnf_key(basis):
 
 def _invariant_metabolisers(f: EpsForm):
     """Hermite normal forms of all metabolisers of f when chi_T is
-    squarefree; None when it has a repeated factor.
+    squarefree ([] when a factor is its own mirror); None when chi_T has a
+    repeated factor.
 
-    The irreducible factors g_i of chi_T have pairwise independent kernels
-    V_i = ker g_i(T).  The powers T^0, ..., T^d for the largest factor
-    degree d are formed once, and each g_i(T) is the sum of its
-    coefficients times them.  A sum of kernels is isotropic exactly when A
-    vanishes between every two of its summands, so the subsets of degree
-    rank/2 are filtered pairwise, on A x and A^T x formed once per kernel
-    vector x.  The kernel of a product of factors is the sum of their
-    kernels over Q, so its integer points are the saturation of that sum.
+    A metaboliser is the saturated sum of one kernel ker g(T) of each
+    mirror pair (module docstring): a factor of delta and its reciprocal,
+    whose images in chi_T are mirrors, and the x - 1 of the t-power and the
+    x of the degree drop.  The sums come in the lexicographic order of their
+    factors' indices into _chi_factors.  The powers T^0, ..., T^d for the
+    largest factor degree d are formed once, and each g(T) is the sum of
+    its coefficients times them.
     """
-    chi = _chi_factors(f.delta_factorization, f.rank)
+    fact = f.delta_factorization
+    chi = _chi_factors(fact, f.rank)
     if any(mult > 1 for _, mult in chi):
         return None
+    polys = [poly for poly, _ in fact.factors]
+    shift = 1 if fact.unit_exponent else 0  # chi: [x - 1], delta's factors, [x]
+    pairs = [(0, len(chi) - 1)] if shift else []
+    for i, poly in enumerate(polys):
+        j = polys.index(_reciprocal_normalized(poly))
+        if j == i:
+            return []
+        if i < j:
+            pairs.append((i + shift, j + shift))
     n, t = f.rank, f.isometric_structure
     powers = [[[int(i == j) for j in range(n)] for i in range(n)]]
     for _ in range(max(g.max_exponent for g, _ in chi)):
@@ -311,27 +333,10 @@ def _invariant_metabolisers(f: EpsForm):
         coeffs = [g.coefficient(k) for k in range(g.max_exponent + 1)]
         kernels.append(_integer_kernel([[sum(map(mul, coeffs, entries)) for entries in zip(*rows)]
                                         for rows in zip(*powers)]))
-    a = f.matrix.rows
-    images = [[(tuple(sum(map(mul, row, x)) for row in a),
-                tuple(sum(map(mul, col, x)) for col in zip(*a))) for x in kernel]
-              for kernel in kernels]
-
-    def isotropic(i, j):
-        # A(y, x) = y . A x and A(x, y) = y . A^T x
-        return not any(sum(map(mul, y, ax)) or sum(map(mul, y, atx))
-                       for ax, atx in images[i] for y in kernels[j])
-
-    k = len(chi)
-    pairs = {(i, j): isotropic(i, j) for i in range(k) for j in range(i, k)}
-    out = []
-    for size in range(1, k + 1):
-        for subset in combinations(range(k), size):
-            if (sum(chi[i][0].max_exponent for i in subset) == n // 2
-                    and all(pairs[i, i] for i in subset)
-                    and all(pairs[i, j] for i, j in combinations(subset, 2))):
-                out.append(_saturation(*_span_echelon(
-                    [x for i in subset for x in kernels[i]])))
-    return out
+    # pairs ascend by their first index, so product lists the choices in the
+    # lexicographic order of their sorted indices
+    return [_saturation(*_span_echelon([x for i in choice for x in kernels[i]]))
+            for choice in product(*pairs)]
 
 
 def _integer_kernel(m: list[list[int]]) -> list[tuple[int, ...]]:
@@ -383,8 +388,9 @@ def _enumerate_hnf(f: EpsForm, r: int, half: int, bound: int):
     the cyclic span is taken.  Each pivot
     configuration is walked depth first from its last row towards its
     first, carrying the exact reduced echelon form of E for the rows chosen
-    so far, extended by one cyclic span at a time (_joint_span).  A row is
-    tried only when it is A- and A^T-orthogonal to E, and then:
+    so far, extended by one cyclic span at a time (_joint_span).  A row v is
+    tried only when B(v, w) = 0 for each spanning vector w of E, which for
+    the T-invariant E is A(v, E) = A(E, v) = 0 (module docstring), and then:
 
     - prune: the echelon pivot columns of L tensor Q are the HNF pivot
       columns, so E with a pivot column outside the configuration's ends
@@ -407,6 +413,7 @@ def _enumerate_hnf(f: EpsForm, r: int, half: int, bound: int):
     """
     a = [list(row) for row in f.matrix.rows]
     at = [list(col) for col in zip(*a)]
+    b = f.symmetrization.rows
     t = f.isometric_structure
     forms = _isotropy_forms(a, t, f.eps)
     lists: dict = {}
@@ -419,10 +426,10 @@ def _enumerate_hnf(f: EpsForm, r: int, half: int, bound: int):
         if (key, span) not in branches:
             if key not in lists:
                 lists[key] = _isotropic_rows(a, at, t, forms, bound, *key)
-            checks = _span_checks(a, at, span[1])
+            checks = [[sum(map(mul, b_row, w)) for b_row in b] for w in span[1]]
             groups: dict = {}
             for row, krylov in lists[key]:
-                if any(sum(map(mul, row, c)) for c in checks):
+                if any(sum(map(mul, row, c)) for c in checks):  # B(row, w)
                     continue
                 if not span[0] and gcd(*row) != 1:
                     continue  # the last row of a pure lattice is primitive
@@ -532,6 +539,8 @@ def _isotropic_rows(a, at, t, forms, bound, pivot_cols, pivot_vals):
                 disc = lin_x * lin_x - 4 * cc * const
                 if disc < 0 or isqrt(disc) ** 2 != disc:
                     continue
+            elif lin_x and const % lin_x:  # and a linear one lin_x | const
+                continue
             for x in _integer_roots(cc, lin_x, const, lows[-1], highs[-1]):
                 if any(q1 + y * (qd1 + y * dd1) + x * (qc1 + y * cd1 + x * cc1)
                        for (q1, qd1, qc1), (dd1, cd1, cc1) in zip(lin[1:], coeffs[1:])):
@@ -575,16 +584,6 @@ def _cyclic_span(at, t, row):
         if k < r // 2:
             powers.append(w)
     return powers
-
-
-def _span_checks(a, at, vectors):
-    """A w and A^T w for the vectors w spanning a subspace: a row is A- and
-    A^T-orthogonal to the subspace when its dot product with each is 0."""
-    checks = []
-    for w in vectors:
-        checks.append([sum(map(mul, a_row, w)) for a_row in a])
-        checks.append([sum(map(mul, col, w)) for col in at])
-    return checks
 
 
 def _span_echelon(vectors):

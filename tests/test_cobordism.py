@@ -536,6 +536,42 @@ class TestIsometricStructure:
             smith_normal_form(m)
 
 
+class TestMirrorPairing:
+    @given(eps_forms(4))
+    def test_delta_is_eps_reciprocal(self, f):
+        # delta(t) = (eps t)^n delta(1/t) with n even: the coefficients of t^k
+        # and t^(n - k) agree, so the t-power equals the degree drop
+        delta = f.delta
+        assert all(delta.coefficient(f.rank - e) == c for e, c in delta.coeffs.items())
+        assert f.delta_factorization.unit_exponent == f.rank - delta.max_exponent
+
+    @settings(max_examples=150)
+    @given(st.one_of(eps_forms(4), st.sampled_from((-1, 1)).flatmap(
+        lambda eps: st.tuples(eps_forms(2, eps), eps_forms(2, eps)).map(
+            lambda forms: orthogonal_sum(forms[0], negate(forms[1]))))))
+    def test_squarefree_metaboliser_exactly_when_battery_passes(self, f):
+        # a squarefree chi_T has a metaboliser exactly when no factor is its
+        # own mirror, which the battery's Fox-Milnor check decides; there is
+        # then one metaboliser per choice of a kernel from each mirror pair
+        found = _invariant_metabolisers(f)
+        assume(found is not None)
+        chi = _chi_factors(f.delta_factorization, f.rank)
+        assert bool(found) == null_cobordance_obstructions(f).all_pass
+        if found:
+            assert len(chi) % 2 == 0 and len(found) == 2 ** (len(chi) // 2)
+
+    def test_hyperbolic_pairs_t_power_with_degree_drop(self):
+        # delta = t: ker(T - I) from the t-power, then ker T from the drop
+        assert _invariant_metabolisers(HYPERBOLIC_FORM) == [((0, 1),), ((1, 0),)]
+
+    def test_trefoil_factor_is_its_own_mirror(self):
+        assert _invariant_metabolisers(TREFOIL_FORM) == []  # 1 - t + t^2
+
+    def test_trefoil_difference_is_not_squarefree(self):
+        diff = orthogonal_sum(TREFOIL_FORM, negate(TREFOIL_FORM))
+        assert _invariant_metabolisers(diff) is None
+
+
 def _with_congruent_copy(f: EpsForm, rnd) -> EpsForm:
     p = random_unimodular(rnd, f.rank)
     return orthogonal_sum(f, negate(EpsForm(matrix=p.transpose() @ f.matrix @ p, eps=f.eps)))
