@@ -37,13 +37,19 @@ outside the basis's pivot columns ends the branch; once the span has half
 the rank it is the metaboliser over Q, which is then the span meet Z^n,
 so no earlier row is walked.
 
-The walk sieves its rows by two quadratic forms before it takes a cyclic
-span.  Since B^T = eps B, T^T B = eps A^T = B (I - T), so the numbers
-c_m = v^T B T^m v obey c_m = eps sum_i C(m, i) (-1)^i c_i.  An isotropic
-cyclic span has c_m = 0 for m >= 1; c_1 = v^T A v is the first form.  For
-eps = +1 the second is c_2 = v^T A T v; for eps = -1, c_0 = 0 and
-c_2 = c_1, so the second is c_3 = v^T A T^2 v, the first condition that
-c_1 does not imply.
+The walk tests a row's cyclic span by Q_A(w) = w^T A w on powers of T.
+Since B^T = eps B, T^T B = eps A^T = B (I - T), so the numbers
+c_m = v^T B T^m v obey c_m = eps sum_i C(m, i) (-1)^i c_i, and
+A(T^i v, T^j v) = sum_k C(i, k) (-1)^k c_(j+1+k).  When c_1 ... c_(2j)
+vanish, Q_A(T^j v) = (-1)^j c_(2j+1); when c_0 ... c_(2j-1) vanish,
+(T^j v)^T B (T^j v) = (-1)^j c_(2j), which is 2 Q_A(T^j v) for eps = +1.
+The recurrence fixes every c_m with eps (-1)^m = -1 from the lower ones,
+so by induction c_1 ... c_(r-1) vanish exactly when Q_A(T^j v) = 0 for
+j < r/2, and then by Cayley-Hamilton so does every c_m, m >= 1: for either
+sign, the cyclic span of v is A-isotropic exactly when Q_A vanishes on
+v, Tv, ..., T^(r/2 - 1) v.  The walk sieves its box rows by the first two
+of these, v^T A v = 0 and v^T T^T A T v = 0, before it takes a cyclic
+span.
 
 delta = det(tA + eps A^T) is one pencil per orthogonal block, factored
 block by block (each distinct block polynomial once), and det B is read
@@ -383,9 +389,8 @@ def _enumerate_hnf(f: EpsForm, r: int, half: int, bound: int):
     v of its basis has an A-isotropic cyclic span v, Tv, T^2 v, ..., and so
     has the joint cyclic span E of any of its rows; E lies in L tensor Q.
     Rows failing the first condition are never listed: the box is sieved by
-    v^T A v = 0 and by v^T A T v = 0 (eps = +1) or v^T A T^2 v = 0
-    (eps = -1, where v^T A T v = v^T A v: see the module docstring) before
-    the cyclic span is taken.  Each pivot
+    Q_A(v) = 0 and Q_A(Tv) = 0 before the cyclic span is taken
+    (_cyclic_span: Q_A on v, Tv, ..., T^(r/2 - 1) v).  Each pivot
     configuration is walked depth first from its last row towards its
     first, carrying the exact reduced echelon form of E for the rows chosen
     so far, extended by one cyclic span at a time (_joint_span).  A row v is
@@ -412,10 +417,9 @@ def _enumerate_hnf(f: EpsForm, r: int, half: int, bound: int):
     yields every metaboliser of the box in the order of the unpruned one.
     """
     a = [list(row) for row in f.matrix.rows]
-    at = [list(col) for col in zip(*a)]
     b = f.symmetrization.rows
     t = f.isometric_structure
-    forms = _isotropy_forms(a, t, f.eps)
+    forms = _isotropy_forms(a, t)
     lists: dict = {}
     branches: dict = {}
     closures: dict = {}
@@ -425,7 +429,7 @@ def _enumerate_hnf(f: EpsForm, r: int, half: int, bound: int):
         # grouped by the pivot columns of the joint span
         if (key, span) not in branches:
             if key not in lists:
-                lists[key] = _isotropic_rows(a, at, t, forms, bound, *key)
+                lists[key] = _isotropic_rows(a, t, forms, bound, *key)
             checks = [[sum(map(mul, b_row, w)) for b_row in b] for w in span[1]]
             groups: dict = {}
             for row, krylov in lists[key]:
@@ -473,27 +477,24 @@ def _enumerate_hnf(f: EpsForm, r: int, half: int, bound: int):
             yield from sorted(found)
 
 
-def _isotropy_forms(a, t, eps):
-    """S = M + M^T for M = A and M = A T (eps = +1) or A T^2 (eps = -1),
-    so that v^T S v = 2 c_m for c_m = v^T A T^(m-1) v, m = 1 and 2 or 3.
-    For eps = -1, c_2 = c_1 (see the module docstring): A T would filter
-    nothing that A does not."""
-    m = a
-    for _ in range(1 if eps == 1 else 2):
-        m = [[sum(map(mul, row, col)) for col in zip(*t)] for row in m]
+def _isotropy_forms(a, t):
+    """S = M + M^T for M = A and M = T^T A T, so that v^T S v is 2 Q_A(v)
+    and 2 Q_A(Tv): the first two checks of _cyclic_span, as quadratic forms
+    in v."""
+    at = [[sum(map(mul, row, col)) for col in zip(*t)] for row in a]
+    tat = [[sum(map(mul, t_col, col)) for col in zip(*at)] for t_col in zip(*t)]
     return [[[x + y for x, y in zip(row, col)] for row, col in zip(p, zip(*p))]
-            for p in (a, m)]
+            for p in (a, tat)]
 
 
-def _isotropic_rows(a, at, t, forms, bound, pivot_cols, pivot_vals):
+def _isotropic_rows(a, t, forms, bound, pivot_cols, pivot_vals):
     """The rows with pivot pivot_vals[0] in column pivot_cols[0] whose
     cyclic span is A-isotropic, ascending, each with the vectors
     v, Tv, ..., T^(r/2 - 1) v of its span (_cyclic_span).
 
-    `forms` (_isotropy_forms) holds S = M + M^T for M = A and for M = A T
-    (eps = +1) or A T^2 (eps = -1), and Q(v) = v^T S v = 2 v^T M v: for
-    eps = -1, v^T A T v = v^T A v (see the module docstring), so A T would
-    reject no row that A keeps.  The entries after the pivot lie in
+    `forms` (_isotropy_forms) holds S = M + M^T for M = A and for
+    M = T^T A T, and Q(v) = v^T S v = 2 v^T M v, so a row is swept only
+    when Q_A vanishes on v and on Tv.  The entries after the pivot lie in
     [-bound, bound], and in [0, p) above a later pivot p.  An odometer
     steps all but the last two of them, keeping Q and (S v)_c for the free
     columns c at O(r) a step.  Q(v + y e_d + x e_c) is then a quadratic in
@@ -509,17 +510,17 @@ def _isotropic_rows(a, at, t, forms, bound, pivot_cols, pivot_vals):
     head = cols[:-2]
     v = [0] * r
     v[jpiv] = pivot_vals[0]
+    n = len(cols)
+    if n == 0:
+        krylov = _cyclic_span(a, t, v)
+        return [(tuple(v), krylov)] if krylov else []
     for j, lo in zip(head, lows):
         v[j] = lo
-    n = len(cols)
     # (S v)_c of every form, concatenated, and the columns of S that a
     # step in each head column adds to it
     sv = [sum(map(mul, s[c], v)) for s in forms for c in cols]
     steps = [[s[c][j] for s in forms for j in cols] for c in head]
     qs = [sum(v[j] * sum(map(mul, s[j], v)) for j in range(jpiv, r)) for s in forms]
-    if n == 0:
-        krylov = None if any(qs) else _cyclic_span(at, t, v)
-        return [(tuple(v), krylov)] if krylov else []
     c = cols[-1]
     if n >= 2:
         d, sweep = cols[-2], range(lows[-2], highs[-2])
@@ -547,7 +548,7 @@ def _isotropic_rows(a, at, t, forms, bound, pivot_cols, pivot_vals):
                     continue
                 row = v[:]
                 row[d], row[c] = y, x
-                krylov = _cyclic_span(at, t, row)
+                krylov = _cyclic_span(a, t, row)
                 if krylov is not None:
                     out.append((tuple(row), krylov))
         k = len(head) - 1
@@ -568,22 +569,20 @@ def _isotropic_rows(a, at, t, forms, bound, pivot_cols, pivot_vals):
             return out
 
 
-def _cyclic_span(at, t, row):
-    """[v, Tv, ..., T^(r/2 - 1) v] for v = row when A(v, T^k v) = 0 for
-    k < r, so that the cyclic span of v is isotropic (T^r v is a combination
-    of the earlier powers), else None.  An isotropic subspace has dimension
-    at most r/2, so these powers span it whenever it has that dimension."""
-    r = len(at)
+def _cyclic_span(a, t, row):
+    """[v, Tv, ..., T^(r/2 - 1) v] for v = row when Q_A(w) = w^T A w
+    vanishes on each of them, else None: that is exactly when the cyclic
+    span of v is A-isotropic, for either sign (module docstring), and at
+    rank 2 v is the only check.  An isotropic subspace has dimension at
+    most r/2, so these powers span it whenever it has that dimension."""
     powers = [row]
-    at_v = [sum(map(mul, col, row)) for col in at]
-    w = row
-    for k in range(1, r):
-        w = [sum(map(mul, t_row, w)) for t_row in t]
-        if sum(map(mul, at_v, w)):
+    while True:
+        w = powers[-1]
+        if sum(x * sum(map(mul, a_row, w)) for x, a_row in zip(w, a)):
             return None
-        if k < r // 2:
-            powers.append(w)
-    return powers
+        if len(powers) == len(a) // 2:
+            return powers
+        powers.append([sum(map(mul, t_row, w)) for t_row in t])
 
 
 def _span_echelon(vectors):

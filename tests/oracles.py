@@ -19,8 +19,9 @@ Q[t, 1/t] by a Smith form that turns every coefficient into a Fraction
 instead of keeping ints until a division makes one, primality by Miller-Rabin instead of trial division, symplectic
 bases over F_2 on tuples instead of bitmasks, the Hermite-basis
 metaboliser walk with no use of the isometric structure, the box rows of
-that walk with an isotropic cyclic span by handing every box row to the
-cyclic-span check instead of sieving by two quadratic forms, the saturation
+that walk with an isotropic cyclic span by testing A(T^i v, T^j v) = 0 for
+all i, j < rank on every box row instead of sieving by two quadratic forms
+and testing w^T A w on v, Tv, ..., T^(rank/2 - 1) v, the saturation
 of a lattice by the inverse of one Smith form's column transform instead of
 the integer kernel taken twice, and the T-invariant metabolisers of a
 squarefree chi_T with every g(T) formed by Horner's rule and the kernel of
@@ -34,8 +35,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm, prod
 
-from knotforms.cobordism import (EpsForm, _chi_factors, _cyclic_span, _integer_kernel,
-                                 _row_hnf)
+from knotforms.cobordism import EpsForm, _chi_factors, _integer_kernel, _row_hnf
 from knotforms.exact import (Matrix, ShapeError, SingularMatrixError, det,
                              pencil_det_coefficients, smith_normal_form_with_transforms)
 from knotforms.laurent import (Laurent, _divisors, _eval_int, _trim, laurent_matrix)
@@ -608,22 +608,40 @@ def _isotropic_rows(a_rows, at_rows, r, bound, pivot_cols, pivot_val, i, caps):
     return out
 
 
+def cyclic_span_isotropic(a, t, v) -> bool:
+    """Is the cyclic span of v under t isotropic for the bilinear form a?
+    Forms v, tv, ..., t^(r-1) v for rank r and requires a(x, y) = 0 for
+    every two of them, both ways; t^r v is a combination of these
+    (Cayley-Hamilton), so they span the cyclic span."""
+    powers = _powers(t, v, len(a))
+    return all(sum(xi * aij * yj for xi, row in zip(x, a) for aij, yj in zip(row, y)) == 0
+               for x in powers for y in powers)
+
+
+def _powers(t, v, k) -> list[list[int]]:
+    """v, tv, ..., t^(k-1) v."""
+    powers = [list(v)]
+    for _ in range(k - 1):
+        powers.append([sum(tij * xj for tij, xj in zip(row, powers[-1])) for row in t])
+    return powers
+
+
 def isotropic_rows_box(f: EpsForm, bound: int, pivot_cols, pivot_vals):
     """The rows with pivot pivot_vals[0] in column pivot_cols[0] whose cyclic
-    span under T is A-isotropic, ascending, each with the powers that
-    `_cyclic_span` returns: every row of the box (entries after the pivot in
-    [-bound, bound], and in [0, p) above a later pivot p) is formed and
-    handed to `_cyclic_span`, with no quadratic filter in front."""
-    at = [list(col) for col in zip(*f.matrix.rows)]
+    span under T is A-isotropic, ascending, each with its powers
+    v, Tv, ..., T^(rank/2 - 1) v: every row of the box (entries after the
+    pivot in [-bound, bound], and in [0, p) above a later pivot p) is formed
+    and tested by `cyclic_span_isotropic`, with no quadratic filter in
+    front."""
+    a, t = f.matrix.rows, f.isometric_structure
     later = dict(zip(pivot_cols[1:], pivot_vals[1:]))
     ranges = [range(later[j]) if j in later else range(-bound, bound + 1)
               for j in range(pivot_cols[0] + 1, f.rank)]
     out = []
     for tail in product(*ranges):
         row = [0] * pivot_cols[0] + [pivot_vals[0], *tail]
-        krylov = _cyclic_span(at, f.isometric_structure, row)
-        if krylov is not None:
-            out.append((tuple(row), krylov))
+        if cyclic_span_isotropic(a, t, row):
+            out.append((tuple(row), _powers(t, row, f.rank // 2)))
     return out
 
 

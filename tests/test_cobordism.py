@@ -16,8 +16,8 @@ from knotforms.cli import main
 from knotforms.cobordism import (EpsForm, EpsFormError, _chi_factors, _cyclic_span,
                                  _direct_sum, _enumerate_hnf, _hnf_key, _integer_roots,
                                  _invariant_metabolisers, _isotropic_rows, _isotropy_forms,
-                                 _joint_span, _orthogonal_blocks, _row_hnf, _saturation,
-                                 _span_echelon, _square_at_minus_one,
+                                 _joint_span, _orthogonal_blocks, _reciprocal_normalized,
+                                 _row_hnf, _saturation, _span_echelon, _square_at_minus_one,
                                  algebraically_cobordant, eps_form_of, fox_milnor,
                                  is_metaboliser, negate, null_cobordance_obstructions,
                                  orthogonal_sum, search_metaboliser)
@@ -26,9 +26,9 @@ from knotforms.laurent import Laurent, det_pencil, factor_int_poly, render_poly
 from knotforms.quadratic import signature
 
 from generators import eps_forms, random_unimodular, square_matrices
-from oracles import (brute_force_rank1_metaboliser_absent, enumerate_hnf_unpruned,
-                     invariant_metabolisers_horner, inverse_gauss_jordan, isotropic_rows_box,
-                     saturation_smith)
+from oracles import (brute_force_rank1_metaboliser_absent, cyclic_span_isotropic,
+                     enumerate_hnf_unpruned, invariant_metabolisers_horner,
+                     inverse_gauss_jordan, isotropic_rows_box, saturation_smith)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -213,6 +213,24 @@ class TestFoxMilnor:
         p = Laurent({k: sign * c * c}) * q * q.reciprocal()
         assert fox_milnor(factor_int_poly(p))
         assert _square_at_minus_one(p)
+
+    @settings(max_examples=150)
+    @given(st.one_of(eps_forms(4), st.sampled_from((-1, 1)).flatmap(
+        lambda eps: st.tuples(eps_forms(2, eps), eps_forms(2, eps)).map(
+            lambda forms: orthogonal_sum(forms[0], negate(forms[1]))))))
+    def test_eps_form_delta_fails_only_on_odd_self_reciprocal(self, f):
+        # delta(1) = det B = +-1 makes the content 1, and
+        # delta(t) = (eps t)^n delta(1/t) pairs every factor with its
+        # reciprocal at equal multiplicity; so Fox-Milnor fails exactly on
+        # an odd multiplicity of a self-reciprocal factor
+        fact = f.delta_factorization
+        counts = dict(fact.factors)
+        assert fact.content == 1
+        assert all(counts.get(_reciprocal_normalized(poly)) == mult
+                   for poly, mult in counts.items())
+        assert fox_milnor(fact) == all(
+            mult % 2 == 0 for poly, mult in counts.items()
+            if _reciprocal_normalized(poly) == poly)
 
     @given(st.sampled_from((-1, 1)).flatmap(
         lambda eps: st.tuples(eps_forms(2, eps), eps_forms(2, eps))))
@@ -646,11 +664,55 @@ class TestPrunedWalk:
         pivot_vals = data.draw(st.lists(st.integers(1, bound), min_size=half - i,
                                         max_size=half - i))
         a = [list(row) for row in f.matrix.rows]
-        at = [list(col) for col in zip(*a)]
         t = f.isometric_structure
-        rows = _isotropic_rows(a, at, t, _isotropy_forms(a, t, f.eps), bound,
+        rows = _isotropic_rows(a, t, _isotropy_forms(a, t), bound,
                                tuple(pivot_cols[i:]), tuple(pivot_vals))
         assert rows == isotropic_rows_box(f, bound, pivot_cols[i:], pivot_vals)
+
+    @settings(max_examples=300)
+    @given(eps_forms(8), st.lists(st.integers(-2, 2), min_size=16, max_size=16))
+    def test_cyclic_span_matches_oracle(self, f, entries):
+        # Q_A on v, Tv, ..., T^(r/2 - 1) v decides isotropy of the whole
+        # cyclic span, for either sign, and the powers are the span's
+        v = entries[:f.rank]
+        a, t = f.matrix.rows, f.isometric_structure
+        krylov = _cyclic_span(a, t, v)
+        assert (krylov is not None) == cyclic_span_isotropic(a, t, v)
+        if krylov is not None:
+            assert len(krylov) == f.rank // 2
+            w = Matrix([[x] for x in v], ncols=1)
+            for power in krylov:
+                assert power == [row[0] for row in w.rows]
+                w = Matrix(t) @ w
+
+    @pytest.mark.parametrize("v", [(1, 1), (1, -1)])
+    def test_cyclic_span_checks_v_itself(self, v):
+        # rank 2: v is the only check, and here Q_A(v) = v_1 v_2 = +-1 with
+        # Q_A(Tv) = 0, so a check from Tv on would keep v
+        a, t = HYPERBOLIC_FORM.matrix.rows, HYPERBOLIC_FORM.isometric_structure
+        assert not cyclic_span_isotropic(a, t, v)
+        assert _cyclic_span(a, t, list(v)) is None
+        assert _cyclic_span(a, t, [1, 0]) == [[1, 0]]
+
+    @settings(max_examples=150)
+    @given(eps_forms(3), st.lists(st.integers(-2, 2), min_size=6, max_size=6))
+    def test_sieve_forms(self, f, entries):
+        # _isotropy_forms gives 2 Q_A(v) and 2 Q_A(Tv); on the zeros of
+        # Q_A(v), Q_A(Tv) is -c_2 / 2 = -v^T A T v / 2 (eps = +1) or
+        # -c_3 = -v^T A T^2 v (eps = -1), so it vanishes exactly where they do
+        v = Matrix([[x] for x in entries[:f.rank]], ncols=1)
+        a, t = f.matrix, Matrix(f.isometric_structure)
+
+        def q(m, w=v):
+            return (w.transpose() @ m @ w).rows[0][0]
+
+        forms = [Matrix(s) for s in _isotropy_forms(a.rows, t.rows)]
+        assert [q(s) for s in forms] == [2 * q(a), 2 * q(a, t @ v)]
+        assume(q(a) == 0)
+        if f.eps == 1:
+            assert 2 * q(a, t @ v) == -q(a @ t)
+        else:
+            assert q(a, t @ v) == -q(a @ t @ t)
 
     @given(st.integers(-4, 4), st.integers(-9, 9), st.integers(-20, 20),
            st.integers(-6, 3), st.integers(0, 8))
@@ -663,10 +725,10 @@ class TestPrunedWalk:
 def _closing_row(f: EpsForm, basis) -> int:
     """The index of the row at which the joint cyclic span of the rows
     from the last one back reaches half the rank."""
-    at = [list(col) for col in zip(*f.matrix.rows)]
     span = ((), ())
     for i in range(len(basis) - 1, -1, -1):
-        span = _joint_span(span, _cyclic_span(at, f.isometric_structure, list(basis[i])))
+        span = _joint_span(span, _cyclic_span(f.matrix.rows, f.isometric_structure,
+                                              list(basis[i])))
         if len(span[0]) == f.rank // 2:
             return i
     raise AssertionError("the rows span less than half the rank")
