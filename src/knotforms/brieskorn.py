@@ -13,18 +13,27 @@ data; it is pinned by the requirement that det(t*P + P^T) be
 1 + t + ... + t^(a-1) up to a unit, and by the golden low-rank examples.
 
 germ_report hands the matrix to the invariant pipeline (invariants.py),
-except for the monodromy: by Sebastiani-Thom it is the Kronecker product
-of the one-variable monodromies, up to the sign (-1)^(q+1).
+except for four stages read off the exponents in closed form: the
+monodromy (by Sebastiani-Thom the Kronecker product of the one-variable
+monodromies, up to the sign (-1)^(q+1)); its quasi-unipotence, from the
+Milnor-Orlik divisor of its eigenvalues (Topology 9, 1970); the even-q
+signature, from Brieskorn's lattice-point count (Invent. Math. 2, 1966);
+and the odd-q Arf invariant, from Levine's congruence
+Delta(-1) = 1 + 4 Arf (mod 8) on the Conway polynomial.  The Alexander
+polynomial stays on the pencil determinant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from math import prod
+from itertools import product
+from math import gcd, lcm, prod
+from operator import mul
 
 from .exact import Matrix, kronecker
 from .invariants import Invariants
+from .laurent import Laurent
 from .seifert import SeifertMatrix
 
 
@@ -109,6 +118,57 @@ def quadratic_suspension_seifert(n: int) -> Matrix:
     return brieskorn_seifert(BrieskornGerm((2,) * (n + 1))).matrix
 
 
+def milnor_orlik_divisor(exponents: tuple[int, ...]) -> dict[int, int]:
+    """The divisor prod (L_a - L_1) over the exponents of the monodromy's
+    eigenvalues, as {n: c_n} for sum c_n L_n, where L_n is the divisor of
+    the n-th roots of unity and L_m L_n = gcd(m, n) L_lcm(m, n) (Milnor and
+    Orlik).  A factor L_2 - L_1 = <-1> negates every eigenvalue."""
+    divisor = {1: 1}
+    for a in exponents:
+        joined: dict[int, int] = {}
+        for n, c in divisor.items():
+            m = lcm(n, a)
+            joined[m] = joined.get(m, 0) + gcd(n, a) * c
+            joined[n] = joined.get(n, 0) - c
+        divisor = {n: c for n, c in joined.items() if c}
+    return divisor
+
+
+def divisor_polynomial(divisor: dict[int, int]) -> Laurent:
+    """prod (t^n - 1)^(c_n), the polynomial with the divisor sum c_n L_n
+    (the divisor of a polynomial, such as milnor_orlik_divisor's): the
+    factors with c_n > 0 are multiplied in first, then those with c_n < 0
+    divided out, each division exact ((t^n - 1) g = p gives
+    g_i = g_(i-n) - p_i)."""
+    p = [1]
+    for n, c in sorted(divisor.items(), key=lambda nc: -nc[1]):
+        for _ in range(abs(c)):
+            if c > 0:
+                p = [(p[i - n] if i >= n else 0) - (p[i] if i < len(p) else 0)
+                     for i in range(len(p) + n)]
+            else:
+                g: list[int] = []
+                for i in range(len(p) - n):
+                    g.append((g[i - n] if i >= n else 0) - p[i])
+                p = g
+    return Laurent.from_coeff_list(p)
+
+
+def brieskorn_signature(exponents: tuple[int, ...]) -> int:
+    """Signature of the intersection form, by Brieskorn's count over
+    0 < j_i < a_i with s = sum j_i / a_i: the number of s in (0, 1) mod 2
+    minus the number in (1, 2) mod 2 (an integral s spans the radical).
+    In integers, s lcm(a) is taken mod 2 lcm(a)."""
+    period = lcm(*exponents)
+    steps = [period // a for a in exponents]
+    sigma = 0
+    for js in product(*(range(1, a) for a in exponents)):
+        r = sum(map(mul, js, steps)) % (2 * period)
+        if r % period:
+            sigma += 1 if r < period else -1
+    return sigma
+
+
 class GermReport(Invariants):
     """The invariants of a germ's Seifert matrix, with the germ and the
     anomalies found."""
@@ -129,13 +189,46 @@ class GermReport(Invariants):
         return h if self.seifert.q % 2 else -h
 
     @cached_property
+    def divisor_char_poly(self) -> Laurent:
+        """det(tI - h) from the Milnor-Orlik divisor of the exponents."""
+        return divisor_polynomial(milnor_orlik_divisor(self.germ.exponents))
+
+    @cached_property
+    def quasi_unipotent(self) -> bool | None:
+        """True when char_poly is divisor_char_poly, a product of cyclotomic
+        polynomials by construction; otherwise the general test, and
+        anomalies reports the mismatch."""
+        if self.char_poly == self.divisor_char_poly:
+            return True
+        return super().quasi_unipotent
+
+    @cached_property
+    def form_signature(self) -> int | None:
+        """Brieskorn's count for even q; None for odd q."""
+        return None if self.seifert.q % 2 else brieskorn_signature(self.germ.exponents)
+
+    @cached_property
+    def arf(self) -> int | None:
+        """KARL invariant for odd q, from Levine's congruence
+        Delta(-1) = 1 + 4 Arf (mod 8) on the Conway polynomial; None for
+        even q and when there is no Conway polynomial (I not unimodular)."""
+        delta = self.alexander_conway
+        if self.seifert.q % 2 == 0 or delta is None:
+            return None
+        return (delta(-1) - 1) // 4 % 2
+
+    @cached_property
     def anomalies(self) -> tuple[str, ...]:
         """Fiberedness and quasi-unipotence of the monodromy are theorems
-        for algebraic links, so their failure would indicate a convention
-        bug; it is reported here rather than raised."""
+        for algebraic links, and the Milnor-Orlik divisor gives its
+        characteristic polynomial, so their failure would indicate a
+        convention bug in the join or the pencil; it is reported here
+        rather than raised."""
         found = []
         if not self.fibered:
             found.append("Seifert form of an algebraic link must be unimodular")
+        if self.char_poly != self.divisor_char_poly:
+            found.append("characteristic polynomial differs from the Milnor-Orlik divisor")
         if self.quasi_unipotent is False:
             found.append("monodromy of an algebraic link must be quasi-unipotent")
         return tuple(found)

@@ -28,9 +28,10 @@ from .report import ReportDocument, format_table
 from .seifert import SeifertMatrix
 from .spheres import embeddable_spheres_group, im_j_order
 
-# `brieskorn` wall time on the germs (a, 3, 2, 2, 2), one run each on a
-# shared 2-vCPU VM with Python 3.11.7: mu = 116 0.8 s, 188 3.6 s, 256 12 s,
-# 332 36 s, 500 156 s, about mu^3.6 past 188 (det_pencil is most of it).
+# `brieskorn` wall time on the germs (a, 3, 2, 2, 2), on a shared 2-vCPU VM
+# with Python 3.11.7 (two runs, one at 500): mu = 116 0.8 s, 200 5.4-6.1 s,
+# 256 12-14 s, 332 29-32 s, 500 141 s, about mu^3.7 past 332; det_pencil is
+# nearly all of it, and the closed-form germ stages take 0.02 s at 332.
 # The warning starts past 12 s, the refusal past about 12 min (extrapolated).
 DEFAULT_RANK_WARN = 256
 DEFAULT_RANK_LIMIT = 768

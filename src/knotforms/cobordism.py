@@ -228,7 +228,9 @@ def is_metaboliser(f: EpsForm, vectors) -> bool:
     b = _basis_matrix(vectors)
     if any(d != 1 for d in smith_normal_form(b)):
         return False  # not linearly independent or not pure
-    return all(f.value(x, y) == 0 for x in vectors for y in vectors)
+    # the Gram matrix X A X^T, from the rows of X A
+    xa = [[sum(map(mul, x, col)) for col in zip(*f.matrix.rows)] for x in vectors]
+    return not any(sum(map(mul, row, y)) for row in xa for y in vectors)
 
 
 @dataclass(frozen=True)

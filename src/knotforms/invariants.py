@@ -12,7 +12,7 @@ from functools import cached_property
 
 from .exact import Matrix
 from .laurent import Laurent, NormalizationError, conway_normalize, is_product_of_cyclotomics
-from .quadratic import levine_congruence
+from .quadratic import karl, levine_congruence, signature
 from .seifert import (KnotModulePresentation, SeifertMatrix, alexander_polynomial,
                       intersection_form, knot_module, monodromy)
 from .spheres import BPClass, bp_class
@@ -92,6 +92,18 @@ class Invariants:
     @cached_property
     def knot_module(self) -> KnotModulePresentation:
         return knot_module(self.seifert)
+
+    @cached_property
+    def form_signature(self) -> int | None:
+        """Signature of the intersection form for even q (where it is
+        symmetric); None for odd q."""
+        return None if self.seifert.q % 2 else signature(self.intersection)
+
+    @cached_property
+    def arf(self) -> int | None:
+        """KARL invariant for odd q; None for even q.  Read by bp, for
+        unimodular forms only."""
+        return karl(self.seifert) if self.seifert.q % 2 else None
 
     @cached_property
     def bp(self) -> BPClass | None:

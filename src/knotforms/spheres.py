@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .exact import bernoulli
-from .quadratic import is_even, karl, signature
+from .quadratic import is_even
 
 if TYPE_CHECKING:
     from .invariants import Invariants
@@ -142,7 +142,8 @@ class ConventionError(AssertionError):
 
 def bp_class(inv: Invariants) -> BPClass:
     """Class of the boundary sphere of a unimodular Seifert matrix, read off
-    the intersection form and determinant its `Invariants` already hold.
+    the determinant, intersection form, signature and Arf invariant its
+    `Invariants` already hold.
 
     Even q: the intersection form is even and unimodular, so its signature
     is divisible by 8; signature/8 reduced modulo the group order is the
@@ -160,7 +161,7 @@ def bp_class(inv: Invariants) -> BPClass:
         notes.append("q < 2: no sphere-group interpretation")
     group = embeddable_spheres_group(max(n, 1))
     if s.q % 2 == 0:
-        sig = signature(inter)
+        sig = inv.form_signature
         if is_even(inter) and sig % 8 != 0:
             raise ConventionError(
                 f"even unimodular form with signature {sig} not divisible by 8")
@@ -171,7 +172,7 @@ def bp_class(inv: Invariants) -> BPClass:
             notes.append("q = 2: boundary is only guaranteed a homology sphere")
         return BPClass(boundary_dim=n, group=group, signature=sig, sigma_over_8=sigma8,
                        class_residue=residue, notes=tuple(notes))
-    value = karl(s)
+    value = inv.arf
     if group.kind == "trivial":
         notes.append("group is trivial: the value records the Arf invariant "
                      "of the Seifert hypersurface, not an exotic sphere")

@@ -4,7 +4,8 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings
 
-from knotforms.brieskorn import (BrieskornGerm, brieskorn_seifert, germ_report,
+from knotforms.brieskorn import (BrieskornGerm, brieskorn_seifert, brieskorn_signature,
+                                 divisor_polynomial, germ_report, milnor_orlik_divisor,
                                  pham_matrix, pham_monodromy, quadratic_suspension_seifert,
                                  sakamoto_product)
 from knotforms.exact import Matrix, det, inverse
@@ -13,6 +14,7 @@ from knotforms.laurent import Laurent, det_pencil
 from knotforms.quadratic import is_even, karl, signature
 from knotforms.seifert import (SeifertMatrix, alexander_polynomial, characteristic_polynomial,
                                intersection_form, is_quasi_unipotent, monodromy)
+from knotforms.spheres import embeddable_spheres_group
 
 from generators import brieskorn_germs
 from oracles import brieskorn_char_poly_numeric
@@ -143,6 +145,67 @@ class TestKroneckerMonodromy:
         # (95, 3, 2, 2, 2) is the Milnor ladder's k = 16 rung, mu = 188
         germ = BrieskornGerm(exponents)
         assert germ_report(germ).monodromy == monodromy(brieskorn_seifert(germ))
+
+
+class TestClosedForms:
+    """The germ report's closed-form stages against the matrix path."""
+
+    @staticmethod
+    def check(rep, inv):
+        assert rep.divisor_char_poly == inv.char_poly
+        assert rep.quasi_unipotent is True and rep.anomalies == ()
+        if rep.seifert.q % 2 == 0:
+            assert rep.form_signature == signature(inv.intersection)
+            assert rep.arf is None
+        else:
+            assert rep.form_signature is None
+            assert rep.arf == (karl(inv.seifert) if inv.unimodular else None)
+
+    @settings(max_examples=80)
+    @given(brieskorn_germs(max_milnor=64))
+    def test_match_matrix_path(self, germ):
+        self.check(germ_report(germ), Invariants(brieskorn_seifert(germ)))
+
+    @pytest.mark.parametrize("exponents", [
+        (2,), (2, 2), (5,), (2, 2, 2), (3, 3, 3), (3, 3, 3, 3), (2, 3, 5, 7), (3, 3, 3, 3, 3),
+        (3, 5, 7), (2, 3, 7, 7), (63, 2, 2, 2, 2, 2), (95, 3, 2, 2, 2)])
+    def test_fixed_germs(self, exponents):
+        # (95, 3, 2, 2, 2) is the Milnor ladder's k = 16 rung, mu = 188;
+        # the report's own pencil is the matrix path here
+        rep = germ_report(BrieskornGerm(exponents))
+        self.check(rep, rep)
+
+    @pytest.mark.parametrize("k", range(1, 29))
+    def test_milnor_table(self, k):
+        # bP_8 = Z/28, realised by Sigma(6k-1, 3, 2, 2, 2): unimodular, as
+        # Delta(1) = chi_h(1) = +-1, with signature 8k and class k
+        exponents = (6 * k - 1, 3, 2, 2, 2)
+        assert divisor_polynomial(milnor_orlik_divisor(exponents))(1) in (1, -1)
+        sigma = brieskorn_signature(exponents)
+        group = embeddable_spheres_group(7)
+        assert sigma == 8 * k
+        assert group.order == 28 and sigma // 8 % group.order == k % 28
+
+    @pytest.mark.parametrize("d", range(3, 64, 2))
+    def test_kervaire_rows(self, d):
+        rep = germ_report(BrieskornGerm((d, 2, 2, 2, 2, 2)))
+        assert rep.arf == (1 if d % 8 in (3, 5) else 0)
+        assert rep.bp.is_exotic == (d % 8 in (3, 5))
+
+    def test_mismatch_is_an_anomaly(self):
+        # a divisor that disagrees with the pencil falls back to the general
+        # cyclotomic test, and the report names the mismatch
+        rep = germ_report(BrieskornGerm((2, 3)))
+        rep.__dict__["divisor_char_poly"] = Laurent({0: 1, 1: 1})
+        assert rep.quasi_unipotent is True
+        assert rep.anomalies == (
+            "characteristic polynomial differs from the Milnor-Orlik divisor",)
+
+    def test_divisor_negates_eigenvalues_for_a_square(self):
+        # L_2 - L_1 is <-1>: joining z^2 negates every eigenvalue
+        assert milnor_orlik_divisor((2,)) == {2: 1, 1: -1}
+        assert divisor_polynomial({2: 1, 1: -1}) == Laurent({0: 1, 1: 1})
+        assert divisor_polynomial(milnor_orlik_divisor((2, 2))) == Laurent({0: -1, 1: 1})
 
 
 class TestPermutationCovariance:

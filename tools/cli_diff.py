@@ -12,7 +12,9 @@ exhaustive unknown verdicts, bound 3 its deeper walks.  The
 `germ-table` workload runs only when named: `brieskorn` on germs beyond the
 benchmark's Milnor numbers (the Milnor rungs (6k-1, 3, 2, 2, 2) for
 k = 1..10, the Kervaire rows (d, 2, 2, 2, 2, 2) for odd d = 33..63, and
-(3, 5, 7), (2, 3, 7, 7), (2, 2, 2, 2, 3)), and `invariants` on the
+(3, 5, 7), (2, 3, 7, 7), (2, 2, 2, 2, 3), (3, 3, 3), (3, 3, 3, 3),
+(2, 3, 5, 7), (3, 3, 3, 3, 3), germs of both parities with several
+exponents other than 2), and `invariants` on the
 Seifert matrix file of each of those germs with Milnor number at most 68,
 written by this checkout's `brieskorn --emit-matrix` while the operations
 are built, so that the monodromy adjugate is compared at ranks past the
@@ -56,7 +58,8 @@ import corpus  # noqa: E402
 WORKLOADS = ("germ-ladder", "matrix-files", "cobordance")
 GERM_TABLE = ([(6 * k - 1, 3, 2, 2, 2) for k in range(1, 11)]
               + [(d, 2, 2, 2, 2, 2) for d in range(33, 64, 2)]
-              + [(3, 5, 7), (2, 3, 7, 7), (2, 2, 2, 2, 3)])
+              + [(3, 5, 7), (2, 3, 7, 7), (2, 2, 2, 2, 3), (3, 3, 3), (3, 3, 3, 3),
+                 (2, 3, 5, 7), (3, 3, 3, 3, 3)])
 KNOT_MODULES_PER_KIND = 10
 
 
