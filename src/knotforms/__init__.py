@@ -13,10 +13,9 @@ from .exact import (Matrix, ShapeError, SingularMatrixError, bernoulli, det,
                     inverse, kronecker, smith_normal_form)
 from .laurent import (Laurent, NormalizationError, conway_normalize, cyclotomic,
                       elementary_divisors, factor_int_poly, render_poly)
-from .seifert import (KnotModulePresentation, NonFiberedError, SeifertMatrix,
-                      alexander_polynomial, characteristic_polynomial,
-                      intersection_form, is_quasi_unipotent, knot_module,
-                      monodromy)
+from .seifert import (NonFiberedError, SeifertMatrix, alexander_polynomial,
+                      characteristic_polynomial, intersection_form,
+                      is_quasi_unipotent, knot_module, monodromy)
 from .quadratic import (DegenerateFormError, ParityError, QuadraticFormF2, arf,
                         is_even, karl, levine_congruence, levine_congruence_check,
                         signature, symplectic_basis_f2)

@@ -94,21 +94,21 @@ def invariant_report(s: SeifertMatrix) -> ReportDocument:
     doc.add("alexander_raw", inv.alexander_raw)
     doc.add("alexander_conway", inv.alexander_conway
             if inv.alexander_conway is not None else f"<error: {inv.conway_error}>")
-    doc.add("elementary_divisors", list(inv.knot_module.divisors))
+    doc.add("elementary_divisors", list(inv.knot_module))
     _check_bp_order(inv)
     cls = inv.bp
     if cls is None:
         doc.add("note", "intersection form not unimodular: boundary is not "
                         "a homotopy sphere; sphere-class invariants skipped")
         return doc
-    if inv.signature is not None:
-        doc.add("signature", inv.signature)
+    if cls.signature is not None:
+        doc.add("signature", cls.signature)
     else:
-        doc.add("karl", inv.karl_value)
+        doc.add("karl", cls.karl_value)
         doc.add("levine_congruence", inv.levine_congruence)
     doc.add("bp_group", cls.group.describe())
     if cls.sigma_over_8 is None:
-        doc.add("bp_class", inv.karl_value)
+        doc.add("bp_class", cls.karl_value)
     elif cls.class_residue is None:
         doc.add("bp_class", str(cls.sigma_over_8))
     else:
@@ -139,14 +139,14 @@ def brieskorn_report(rep: GermReport) -> ReportDocument:
     _check_bp_order(rep)
     cls = rep.bp
     if cls is not None:
-        if rep.signature is not None:
-            doc.add("signature", rep.signature)
+        if cls.signature is not None:
+            doc.add("signature", cls.signature)
         else:
-            doc.add("karl", rep.karl_value)
+            doc.add("karl", cls.karl_value)
         doc.add("boundary_dim", cls.boundary_dim)
         doc.add("bp_group", cls.group.describe())
         doc.add("bp_class", cls.sigma_over_8 if cls.sigma_over_8 is not None
-                else rep.karl_value)
+                else cls.karl_value)
         doc.add("exotic", cls.is_exotic)
         for note in cls.notes:
             doc.add("note", note)

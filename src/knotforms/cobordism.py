@@ -51,11 +51,12 @@ v, Tv, ..., T^(r/2 - 1) v.  The walk sieves its box rows by the first two
 of these, v^T A v = 0 and v^T T^T A T v = 0, before it takes a cyclic
 span.
 
-delta = det(tA + eps A^T) is one pencil per orthogonal block, factored
-block by block (each distinct block polynomial once), and det B is read
-off it as delta(1).  Sums and negations carry their summands' block
-pencils: a difference takes none of its own.  Fox-Milnor is refuted from
-delta(-1) alone when |delta(-1)| is not a square.
+delta = det(tA + eps A^T), the pipeline's Alexander polynomial, is one
+pencil per orthogonal block, factored block by block (each distinct block
+polynomial once), and det B is read off it as delta(1).  Sums and
+negations carry their summands' block pencils: a difference takes none of
+its own.  Fox-Milnor is refuted from delta(-1) alone when |delta(-1)| is
+not a square.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from operator import add, mul
 from .exact import (Matrix, ShapeError, adjugate_product, smith_normal_form,
                     smith_normal_form_with_transforms)
 from .laurent import Factorization, Laurent, det_pencil, factor_int_poly, render_poly
-from .quadratic import karl, signature
+from .invariants import Invariants
 from .seifert import SeifertMatrix
 
 
@@ -78,61 +79,64 @@ class EpsFormError(ValueError):
     """Symmetrization is not unimodular (or the sign is invalid)."""
 
 
-@dataclass(frozen=True)
-class EpsForm:
-    """An eps-form, checked on construction: eps = +-1, A square with
-    integer entries (lists are coerced to a Matrix), det B = +-1; forms
-    built from checked forms by `_of_blocks` are not rechecked.
+# the middle dimension of an eps-form's Seifert matrix: only its parity
+# enters a stage
+_Q = {-1: 1, 1: 2}
+
+
+class EpsForm(Invariants):
+    """An eps-form, checked on construction: eps = +-1 and det B = +-1.
+
+    It is the invariant pipeline of the Seifert matrix A with q = 1 for
+    eps = -1 and q = 2 for eps = +1, so SeifertMatrix checks that A is
+    square with integer entries (lists are coerced to a Matrix), and the
+    form reads the pipeline's stages: delta = det(tA + eps A^T) is
+    alexander_raw, det B = delta(1), the intersection form eps B is the one
+    matrix built for B, form_signature is the signature of B (eps = +1) and
+    arf its Arf invariant (eps = -1).  Forms built from checked forms by
+    `_of_blocks` are not rechecked.
 
     Its cobordance stages are computed on first use and held on the form,
     so that the obstruction battery and the metaboliser search of one
-    cobordance question share them: the blocks' deltas, whose product
-    delta gives det B = delta(1) on construction, its factorization, B, T.
+    cobordance question share them: the blocks' deltas, whose product is
+    delta, its factorization, the intersection form and T.
     """
 
-    matrix: Matrix
-    eps: int
-
-    def __post_init__(self):
-        if self.eps not in (1, -1):
-            raise EpsFormError(f"eps must be +1 or -1, got {self.eps}")
-        if not isinstance(self.matrix, Matrix):
-            object.__setattr__(self, "matrix", Matrix(self.matrix))
-        if not self.matrix.is_square:
-            raise ShapeError(f"eps-form matrix must be square, got {self.matrix.shape}")
-        if not self.matrix.is_integral:
-            raise TypeError("eps-form entries must be integers")
-        d = sum(self.delta.coeffs.values())
-        if d not in (1, -1):
-            raise EpsFormError(
-                f"symmetrization has determinant {d}, not +-1: not an eps-form")
+    def __init__(self, matrix: Matrix, eps: int):
+        if eps not in _Q:
+            raise EpsFormError(f"eps must be +1 or -1, got {eps}")
+        super().__init__(SeifertMatrix(matrix, _Q[eps]))
+        if not self.unimodular:
+            raise EpsFormError(f"symmetrization has determinant {self.alexander_raw(1)}, "
+                               "not +-1: not an eps-form")
 
     @classmethod
     def _of_blocks(cls, matrix: Matrix, eps: int, block_deltas: list[Laurent]) -> "EpsForm":
         """A form built from checked forms, holding its blocks' deltas in
         the order of _orthogonal_blocks: nothing is checked."""
         f = object.__new__(cls)
-        object.__setattr__(f, "matrix", matrix)
-        object.__setattr__(f, "eps", eps)
-        object.__setattr__(f, "block_deltas", block_deltas)
+        Invariants.__init__(f, SeifertMatrix(matrix, _Q[eps]))
+        f.block_deltas = block_deltas
         return f
 
-    @property
-    def rank(self) -> int:
-        return self.matrix.nrows
+    def __repr__(self) -> str:
+        return f"EpsForm(matrix={self.matrix!r}, eps={self.eps})"
 
-    @cached_property
-    def symmetrization(self) -> Matrix:
-        """B = A + eps A^T."""
-        return self.matrix + self.matrix.transpose().scale(self.eps)
+    @property
+    def matrix(self) -> Matrix:
+        return self.seifert.matrix
+
+    @property
+    def eps(self) -> int:
+        return self.seifert.epsilon
 
     @cached_property
     def isometric_structure(self) -> tuple[tuple[int, ...], ...]:
-        """T = B^-1 A as integer rows: det(B) adj(B) A for det B = delta(1)
-        = +-1, which adjugate_product checks against its elimination of B."""
-        d, adj_a = adjugate_product(self.symmetrization, self.matrix,
-                                    sum(self.delta.coeffs.values()))
-        return (adj_a if d == 1 else -adj_a).rows
+        """T = B^-1 A as integer rows: eps d adj(eps B) A for the
+        intersection form eps B of determinant d = +-1, which
+        adjugate_product checks against its elimination of eps B."""
+        d, adj_a = adjugate_product(self.intersection, self.matrix, self.det_intersection)
+        return (adj_a if self.eps * d == 1 else -adj_a).rows
 
     @cached_property
     def block_deltas(self) -> list[Laurent]:
@@ -143,7 +147,7 @@ class EpsForm:
                 for block in _orthogonal_blocks(self)]
 
     @cached_property
-    def delta(self) -> Laurent:
+    def alexander_raw(self) -> Laurent:
         """delta = det(tA + eps A^T), the product of the blocks' deltas."""
         return prod(self.block_deltas, start=Laurent.one())
 
@@ -164,15 +168,9 @@ class EpsForm:
             for poly, mult in fact.factors:
                 counts[poly] = counts.get(poly, 0) + mult
         merged = Factorization(sign, unit_exponent, content, list(counts.items()))
-        assert merged.product() == self.delta, \
+        assert merged.product() == self.alexander_raw, \
             "per-block factorization does not multiply to delta"
         return merged
-
-    def value(self, x, y):
-        """A(x, y) for integer coordinate vectors."""
-        return sum(xi * aij * yj
-                   for xi, row in zip(x, self.matrix.rows)
-                   for aij, yj in zip(row, y))
 
 
 def eps_form_of(s: SeifertMatrix) -> EpsForm:
@@ -419,7 +417,7 @@ def _enumerate_hnf(f: EpsForm, r: int, half: int, bound: int):
     yields every metaboliser of the box in the order of the unpruned one.
     """
     a = [list(row) for row in f.matrix.rows]
-    b = f.symmetrization.rows
+    b = f.intersection.rows  # eps B: zero where B is
     t = f.isometric_structure
     forms = _isotropy_forms(a, t)
     lists: dict = {}
@@ -797,20 +795,20 @@ def null_cobordance_obstructions(f: EpsForm) -> ObstructionReport:
     """
     checks = []
     if f.eps == 1:
-        sig = signature(f.symmetrization)
+        sig = f.form_signature
         checks.append(Obstruction(
             name="signature", passed=sig == 0,
             certificate=f"signature of symmetrization = {sig}"))
-    fm = _square_at_minus_one(f.delta) and fox_milnor(f.delta_factorization)
+    delta = f.alexander_raw
+    fm = _square_at_minus_one(delta) and fox_milnor(f.delta_factorization)
     checks.append(Obstruction(
         name="fox-milnor", passed=fm,
-        certificate=f"delta = {render_poly(f.delta.unit_normalize())}: "
+        certificate=f"delta = {render_poly(delta.unit_normalize())}: "
                     f"{'factors as Q(t)Q(1/t)' if fm else 'does not factor as Q(t)Q(1/t)'}"))
     if f.eps == -1:
-        arf_value = karl(SeifertMatrix(f.matrix, q=1))
         checks.append(Obstruction(
-            name="arf", passed=arf_value == 0,
-            certificate=f"Arf invariant = {arf_value}"))
+            name="arf", passed=f.arf == 0,
+            certificate=f"Arf invariant = {f.arf}"))
     return ObstructionReport(checks=tuple(checks))
 
 

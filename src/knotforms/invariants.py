@@ -1,8 +1,11 @@
 """One invariant pipeline: every invariant of a Seifert matrix, each computed once.
 
-`Invariants(s)` has one lazy, memoized stage per invariant; a stage reads
-the earlier stages it needs instead of recomputing them.  Reports render
-an `Invariants` key by key, so a report computes only the stages it shows.
+`Invariants(s)` has one lazy, memoized stage per invariant, under one name;
+a stage reads the earlier stages it needs instead of recomputing them.
+Reports render an `Invariants` key by key, so a report computes only the
+stages it shows.  A subclass that has a stage from a closed form or from
+smaller pieces overrides it: `brieskorn.GermReport` for germs, and
+`cobordism.EpsForm`, whose Alexander polynomial is a product over blocks.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ from functools import cached_property
 from .exact import Matrix
 from .laurent import Laurent, NormalizationError, conway_normalize, is_product_of_cyclotomics
 from .quadratic import karl, levine_congruence, signature
-from .seifert import (KnotModulePresentation, SeifertMatrix, alexander_polynomial,
-                      intersection_form, knot_module, monodromy)
+from .seifert import (SeifertMatrix, alexander_polynomial, intersection_form, knot_module,
+                      monodromy)
 from .spheres import BPClass, bp_class
 
 
@@ -90,7 +93,8 @@ class Invariants:
         return None if chi is None else chi.is_integral and is_product_of_cyclotomics(chi)
 
     @cached_property
-    def knot_module(self) -> KnotModulePresentation:
+    def knot_module(self) -> tuple[Laurent, ...]:
+        """Elementary divisors of the knot module over Q[t, 1/t]."""
         return knot_module(self.seifert)
 
     @cached_property
@@ -101,8 +105,8 @@ class Invariants:
 
     @cached_property
     def arf(self) -> int | None:
-        """KARL invariant for odd q; None for even q.  Read by bp, for
-        unimodular forms only."""
+        """KARL invariant for odd q; None for even q.  Read by bp and
+        levine_congruence, for unimodular forms only."""
         return karl(self.seifert) if self.seifert.q % 2 else None
 
     @cached_property
@@ -111,17 +115,8 @@ class Invariants:
         return bp_class(self) if self.unimodular else None
 
     @property
-    def signature(self) -> int | None:
-        """Signature of a unimodular even-q form, from bp."""
-        return self.bp and self.bp.signature
-
-    @property
-    def karl_value(self) -> int | None:
-        """KARL invariant of a unimodular odd-q form, from bp."""
-        return self.bp and self.bp.karl_value
-
-    @property
     def levine_congruence(self) -> bool | None:
-        if self.karl_value is None:
+        """Levine's congruence on a unimodular odd-q form; None otherwise."""
+        if not self.unimodular or self.arf is None:
             return None
-        return levine_congruence(self.alexander_conway, self.karl_value)
+        return levine_congruence(self.alexander_conway, self.arf)

@@ -122,26 +122,10 @@ def is_quasi_unipotent(h: Matrix) -> bool:
     return is_product_of_cyclotomics(chi)
 
 
-@dataclass(frozen=True)
-class KnotModulePresentation:
-    """The middle knot module, presented over Z[t,1/t] by tA + (-1)^q A^T,
-    and its elementary divisors over Q[t,1/t]."""
-
-    seifert: SeifertMatrix
-    divisors: tuple[Laurent, ...] = ()
-
-    @property
-    def is_torsion_over_qt(self) -> bool:
-        """True iff the module is Q[t,1/t]-torsion (no zero divisors)."""
-        return all(not d.is_zero for d in self.divisors)
-
-    @property
-    def free_rank_over_qt(self) -> int:
-        return sum(1 for d in self.divisors if d.is_zero)
-
-
-def knot_module(s: SeifertMatrix) -> KnotModulePresentation:
-    """Elementary divisors over Q[t, 1/t] of the presentation tA + (-1)^q A^T."""
+def knot_module(s: SeifertMatrix) -> tuple[Laurent, ...]:
+    """The middle knot module, presented over Z[t, 1/t] by tA + (-1)^q A^T:
+    its elementary divisors over Q[t, 1/t].  The module is Q[t, 1/t]-torsion
+    exactly when no divisor is zero, and its free rank is the number of
+    zero divisors."""
     rows = pencil(s.matrix, s.matrix.transpose().scale(s.epsilon))
-    return KnotModulePresentation(seifert=s, divisors=tuple(elementary_divisors(rows)))
-
+    return tuple(elementary_divisors(rows))

@@ -485,6 +485,13 @@ def saturation_smith(vectors) -> list[tuple[int, ...]]:
     return [tuple(int(x) for x in row) for row in v_inv.rows[:k.nrows]]
 
 
+def form_value(f: EpsForm, x, y):
+    """A(x, y) for integer coordinate vectors."""
+    return sum(xi * aij * yj
+               for xi, row in zip(x, f.matrix.rows)
+               for aij, yj in zip(row, y))
+
+
 def invariant_metabolisers_horner(f: EpsForm):
     """Row HNFs of all metabolisers of f when chi_T is squarefree, None
     otherwise: the integer kernels of g(T) for the products g of rank/2
@@ -498,7 +505,7 @@ def invariant_metabolisers_horner(f: EpsForm):
     kernels = [_integer_kernel(_poly_at_matrix(g, t)) for g, _ in chi]
 
     def isotropic(i, j):
-        return all(f.value(x, y) == 0 and f.value(y, x) == 0
+        return all(form_value(f, x, y) == 0 and form_value(f, y, x) == 0
                    for x in kernels[i] for y in kernels[j])
 
     k = len(chi)

@@ -59,8 +59,8 @@ def test_criterion_3_e8_germ():
     assert rep.rank == 8
     assert rep.unimodular
     assert is_even(rep.intersection)
-    assert abs(rep.signature) == 8
-    assert float_signature(rep.intersection) == rep.signature
+    assert abs(rep.form_signature) == 8
+    assert float_signature(rep.intersection) == rep.form_signature
     # the same form in the dimension where its boundary is a 7-sphere:
     # class is a generator of the cyclic group of order 28
     cls = bp_class(Invariants(brieskorn_seifert(BrieskornGerm((2, 2, 2, 3, 5)))))
@@ -76,7 +76,7 @@ def test_criterion_3_e8_germ():
 def test_criterion_4_kervaire_sphere():
     rep = germ_report(BrieskornGerm((2, 2, 2, 2, 2, 3)))
     assert rep.seifert.q == 5
-    assert rep.karl_value == 1
+    assert rep.arf == 1
     group = embeddable_spheres_group(9)
     assert group.describe() == "Z/2"
     assert rep.bp.is_exotic

@@ -237,7 +237,7 @@ class TestGermReport:
         assert rep.fibered and rep.quasi_unipotent
         assert rep.unimodular
         assert is_even(rep.intersection)
-        assert abs(rep.signature) == 8
+        assert abs(rep.form_signature) == 8
         assert rep.bp.sigma_over_8 in (1, -1)
         # boundary is 3-dimensional here: no exotic-sphere content
         assert rep.bp.boundary_dim == 3
@@ -247,7 +247,7 @@ class TestGermReport:
     def test_e8_germ_in_milnor_dimension(self):
         rep = germ_report(BrieskornGerm((2, 2, 2, 3, 5)))
         assert rep.seifert.q == 4 and rep.rank == 8
-        assert abs(rep.signature) == 8
+        assert abs(rep.form_signature) == 8
         assert rep.bp.boundary_dim == 7
         assert rep.bp.group.describe() == "Z/28"
         assert rep.bp.class_residue in (1, 27)
@@ -256,7 +256,7 @@ class TestGermReport:
     def test_kervaire_sphere(self):
         rep = germ_report(BrieskornGerm((2, 2, 2, 2, 2, 3)))
         assert rep.seifert.q == 5
-        assert rep.karl_value == 1
+        assert rep.arf == 1
         assert rep.bp.boundary_dim == 9
         assert rep.bp.group.describe() == "Z/2"
         assert rep.bp.is_exotic
@@ -276,5 +276,5 @@ class TestGermReport:
 
     def test_trefoil_report(self):
         rep = germ_report(BrieskornGerm((2, 3)))
-        assert rep.unimodular and rep.karl_value == 1
+        assert rep.unimodular and rep.arf == 1
         assert rep.alexander_conway == Laurent({-1: 1, 0: -1, 1: 1})

@@ -38,6 +38,11 @@ HYPERBOLIC_FORM = EpsForm(Matrix([[0, 1], [0, 0]]), -1)
 EMPTY_FORM = EpsForm(Matrix([], ncols=0), -1)
 
 
+def symmetrization(f: EpsForm) -> Matrix:
+    # B = A + eps A^T
+    return f.matrix + f.matrix.transpose().scale(f.eps)
+
+
 def upper_half(sym: Matrix) -> Matrix:
     # A with A + A^T = sym, for an even symmetric matrix
     n = sym.nrows
@@ -98,7 +103,7 @@ class TestValidateEpsForm:
             EpsForm(a, eps)
 
     def test_lists_coerced_and_non_integers_rejected(self):
-        assert EpsForm([[-1, 0], [1, -1]], -1) == TREFOIL_FORM
+        assert EpsForm([[-1, 0], [1, -1]], -1).matrix == TREFOIL_FORM.matrix
         with pytest.raises(TypeError):
             EpsForm(Matrix([[Fraction(1, 2), 1], [0, 0]]), -1)
         with pytest.raises(ShapeError):
@@ -239,8 +244,8 @@ class TestFoxMilnor:
         # is the one that factoring every delta gives, certificate and all
         f1, f2 = forms
         diff = orthogonal_sum(f1, negate(f2))
-        factored = fox_milnor(factor_int_poly(diff.delta))
-        if not _square_at_minus_one(diff.delta):
+        factored = fox_milnor(factor_int_poly(diff.alexander_raw))
+        if not _square_at_minus_one(diff.alexander_raw):
             assert not factored
         report = null_cobordance_obstructions(diff)
         with pytest.MonkeyPatch.context() as mp:
@@ -271,16 +276,16 @@ class TestObstructions:
                            if c.name == "signature").certificate
         # delta(-1) = det(A^T - A) is a square for eps = +1, so Fox-Milnor
         # is refuted by factoring the irreducible, self-reciprocal delta
-        assert _square_at_minus_one(form.delta)
+        assert _square_at_minus_one(form.alexander_raw)
         assert named["fox-milnor"] is False
 
     def test_signature_additivity(self):
         f1 = EpsForm(upper_half(_e8()), 1)
         f2 = EpsForm(upper_half(Matrix([[0, 1], [1, 0]])), 1)
-        s1 = signature(f1.symmetrization)
-        s2 = signature(f2.symmetrization)
         diff = orthogonal_sum(f1, negate(f2))
-        assert signature(diff.symmetrization) == s1 - s2
+        assert diff.form_signature == f1.form_signature - f2.form_signature == 8
+        for f in (f1, f2, diff):
+            assert f.form_signature == signature(symmetrization(f))
 
 
 def _e8() -> Matrix:
@@ -319,22 +324,22 @@ class TestAlgebraicallyCobordant:
 
 @pytest.fixture()
 def stage_calls(monkeypatch):
-    """Count, per EpsForm stage, the matrices whose symmetrization is built
-    (in calls.built), and the calls to adjugate_product, factor_int_poly,
-    det_pencil and det through every knotforms binding, with their
-    arguments (in calls.args)."""
+    """Count, per EpsForm stage, the matrices whose intersection form
+    eps B is built (in calls.built), and the calls to adjugate_product,
+    factor_int_poly, det_pencil and det through every knotforms binding,
+    with their arguments (in calls.args)."""
     calls = Counter()
     calls.built = []
     calls.args = {}
-    build = EpsForm.symmetrization.func
+    build = EpsForm.intersection.func
 
-    def symmetrization(self):
+    def intersection(self):
         calls.built.append(self.matrix)
         return build(self)
 
-    stage = cached_property(symmetrization)
-    stage.__set_name__(EpsForm, "symmetrization")
-    monkeypatch.setattr(EpsForm, "symmetrization", stage)
+    stage = cached_property(intersection)
+    stage.__set_name__(EpsForm, "intersection")
+    monkeypatch.setattr(EpsForm, "intersection", stage)
     for module, name in [("exact", "adjugate_product"), ("laurent", "factor_int_poly"),
                          ("laurent", "det_pencil"), ("exact", "det")]:
         original = getattr(sys.modules[f"knotforms.{module}"], name)
@@ -378,7 +383,7 @@ class TestStagesComputedOnce:
         blocks = _orthogonal_blocks(f1) + _orthogonal_blocks(f2)
         # each distinct block delta is factored once, and none when
         # |delta(-1)| is not a square, which refutes Fox-Milnor unfactored
-        at_minus_one = abs(f1.delta(-1) * f2.delta(-1))
+        at_minus_one = abs(f1.alexander_raw(-1) * f2.alexander_raw(-1))
         distinct = len(set(f1.block_deltas + f2.block_deltas))
         square = isqrt(at_minus_one) ** 2 == at_minus_one
         assert stage_calls["factor_int_poly"] == distinct * square
@@ -452,9 +457,9 @@ class TestIsometricStructure:
         assert all(poly.max_exponent <= max(map(len, blocks)) for poly, _ in merged.factors)
         whole = det_pencil(diff.matrix, diff.matrix.transpose().scale(diff.eps))
         assert merged.product() == whole
-        assert diff.delta == whole
+        assert diff.alexander_raw == whole
         for f in (f1, f2, diff):
-            assert f.delta(1) == det(f.symmetrization) in (1, -1)
+            assert f.alexander_raw(1) == det(symmetrization(f)) in (1, -1)
         assert fox_milnor(merged) == fox_milnor(factor_int_poly(whole))
         certificate = next(c.certificate for c in null_cobordance_obstructions(diff).checks
                            if c.name == "fox-milnor")
@@ -474,7 +479,7 @@ class TestIsometricStructure:
         checked = EpsForm(_direct_sum(f.matrix, -g.matrix), f.eps)
         assert diff.matrix == checked.matrix and diff.eps == checked.eps
         assert diff.block_deltas == checked.block_deltas
-        assert diff.delta == checked.delta
+        assert diff.alexander_raw == checked.alexander_raw
         assert diff.delta_factorization.product() == checked.delta_factorization.product()
         assert diff.isometric_structure == checked.isometric_structure
         assert negate(f).block_deltas == EpsForm(-f.matrix, f.eps).block_deltas
@@ -527,7 +532,7 @@ class TestIsometricStructure:
     @example(EpsForm(Matrix([[0, 0, 1, 0], [0, 0, 0, 1],
                                        [0, 0, 1, 1], [0, 0, 0, 2]]), -1))
     def test_homogeneous_factors_multiply_to_chi_t(self, f):
-        b = f.symmetrization
+        b = symmetrization(f)
         t = inverse_gauss_jordan(b) @ f.matrix
         chi = Laurent.from_coeff_list(
             pencil_det_coefficients(Matrix.identity(f.rank), -t))
@@ -559,7 +564,7 @@ class TestMirrorPairing:
     def test_delta_is_eps_reciprocal(self, f):
         # delta(t) = (eps t)^n delta(1/t) with n even: the coefficients of t^k
         # and t^(n - k) agree, so the t-power equals the degree drop
-        delta = f.delta
+        delta = f.alexander_raw
         assert all(delta.coefficient(f.rank - e) == c for e, c in delta.coeffs.items())
         assert f.delta_factorization.unit_exponent == f.rank - delta.max_exponent
 
@@ -645,7 +650,7 @@ class TestPrunedWalk:
         t = Matrix(f.isometric_structure)
         c, power = [], Matrix.identity(f.rank)
         for _ in range(f.rank + 2):
-            c.append(at_v(f.symmetrization @ power))
+            c.append(at_v(symmetrization(f) @ power))
             power = power @ t
         for m, cm in enumerate(c):
             assert cm == f.eps * sum(comb(m, i) * (-1) ** i * c[i] for i in range(m + 1))

@@ -1,5 +1,6 @@
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given
@@ -7,14 +8,18 @@ from hypothesis import strategies as st
 
 from knotforms.brieskorn import BrieskornGerm, brieskorn_seifert, germ_report
 from knotforms.cli import main
+from knotforms.cobordism import negate, orthogonal_sum
 from knotforms.exact import Matrix, det
 from knotforms.invariants import Invariants
+from knotforms.matrixfile import parse_matrix_file
 from knotforms.quadratic import karl, levine_congruence_check, signature
 from knotforms.seifert import (SeifertMatrix, characteristic_polynomial, intersection_form,
                                is_quasi_unipotent, monodromy)
 from knotforms.spheres import bp_class
 
-from generators import square_matrices
+from generators import eps_forms, square_matrices
+
+GOLDEN = Path(__file__).parent / "golden"
 
 LADDER = [(6 * k - 1, 3, 2, 2, 2) for k in range(1, 5)] + [
     (d, 2, 2, 2, 2, 2) for d in range(3, 32, 2)]
@@ -60,21 +65,22 @@ class TestStages:
     def test_odd_q_matches_public_helpers(self, rows, q):
         s = SeifertMatrix(Matrix(rows), q=q)
         inv = Invariants(s)
-        assert inv.karl_value == karl(s)
+        assert inv.arf == inv.bp.karl_value == karl(s)
         assert inv.levine_congruence == levine_congruence_check(s)
-        assert inv.signature is None
+        assert inv.form_signature is None and inv.bp.signature is None
         assert inv.bp == bp_class(Invariants(s))
 
     def test_even_q_signature_from_bp(self):
         s = brieskorn_seifert(BrieskornGerm((2, 2, 2, 3, 5)))
         inv = Invariants(s)
-        assert inv.signature == signature(inv.intersection) == 8
-        assert inv.karl_value is None and inv.levine_congruence is None
+        assert inv.bp.signature == inv.form_signature == signature(inv.intersection) == 8
+        assert inv.arf is None and inv.bp.karl_value is None
+        assert inv.levine_congruence is None
 
     def test_not_unimodular_has_no_sphere_class(self):
         inv = Invariants(SeifertMatrix(Matrix([[-1]]), q=1))
         assert not inv.unimodular
-        assert inv.bp is None and inv.signature is None and inv.karl_value is None
+        assert inv.bp is None and inv.levine_congruence is None
         assert inv.alexander_conway is None
         assert "value at t=1 is 0" in inv.conway_error
 
@@ -134,9 +140,37 @@ class TestOneComputationPerInvariant:
     def test_germ_report_object_reads_stages_once(self, calls):
         rep = germ_report(BrieskornGerm((2, 2, 2, 2, 2, 3)))
         for _ in range(2):
-            rep.char_poly, rep.alexander_conway, rep.karl_value, rep.anomalies
+            rep.char_poly, rep.alexander_conway, rep.arf, rep.anomalies
         assert calls == Counter(det_pencil=1)
         assert not calls.det_args
+
+    @pytest.mark.parametrize("name", sorted(
+        p.name[len("cobordant_"):-len("_a.mat")] for p in GOLDEN.glob("cobordant_*_a.mat")))
+    def test_cobordant(self, name, calls, monkeypatch, capsys):
+        # the battery reads the difference's form_signature (eps = +1) or
+        # arf (eps = -1) stage, once, and no determinant
+        monkeypatch.chdir(GOLDEN)
+        main(["cobordant", f"cobordant_{name}_a.mat", f"cobordant_{name}_b.mat"])
+        assert capsys.readouterr().out == (GOLDEN / f"cobordant_{name}.text").read_text()
+        odd = parse_matrix_file((GOLDEN / f"cobordant_{name}_a.mat").read_text()).q % 2
+        assert (calls["signature"], calls["karl"]) == ((0, 1) if odd else (1, 0))
+        assert not calls.det_args
+
+
+class TestEpsFormPipeline:
+    @given(st.sampled_from((-1, 1)).flatmap(
+        lambda eps: st.tuples(eps_forms(2, eps), eps_forms(2, eps))), st.integers(0, 1))
+    def test_difference_matches_fresh_invariants(self, forms, k):
+        # the difference's delta is the product of its summands' block
+        # deltas; a fresh pipeline on the same matrix takes the whole-matrix
+        # pencil, signature and Arf invariant, at a q of the same parity
+        f1, f2 = forms
+        diff = orthogonal_sum(f1, negate(f2))
+        fresh = Invariants(SeifertMatrix(diff.matrix, (1 if diff.eps == -1 else 2) + 2 * k))
+        assert diff.alexander_raw == fresh.alexander_raw
+        assert diff.unimodular and fresh.unimodular
+        assert diff.form_signature == fresh.form_signature
+        assert diff.arf == fresh.arf
 
 
 @st.composite
