@@ -29,12 +29,7 @@ from .brieskorn import (BrieskornGerm, GermReport, brieskorn_seifert, germ_repor
                         pham_matrix, quadratic_suspension_seifert, sakamoto_product)
 from .spheres import (BPClass, GroupVerdict, bp4k2_group, bp4k_order, bp_class,
                       embeddable_spheres_group, im_j_order)
-from .links import (HandlePresentation, IsotopyVerdict, LinkingMatrix,
-                    LinkingMatrixError, handle_data, links_isotopic,
-                    validate_linking_matrix)
-from .evendim import (ModuleStructure, TorsionPresentation,
-                      derived_torsion_intersection, presented_module_structure,
-                      torsion_symmetry_check, validate_presentation)
+from .links import HandlePresentation, handle_data
 from .matrixfile import MatrixFileError, parse_matrix_file, serialize_matrix_file
 
 __version__ = "0.1.0"

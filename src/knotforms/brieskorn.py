@@ -13,14 +13,13 @@ data; it is pinned by the requirement that det(t*P + P^T) be
 1 + t + ... + t^(a-1) up to a unit, and by the golden low-rank examples.
 
 germ_report hands the matrix to the invariant pipeline (invariants.py),
-except for four stages read off the exponents in closed form: the
+except for three stages read off the exponents in closed form: the
 monodromy (by Sebastiani-Thom the Kronecker product of the one-variable
 monodromies, up to the sign (-1)^(q+1)); its quasi-unipotence, from the
-Milnor-Orlik divisor of its eigenvalues (Topology 9, 1970); the even-q
-signature, from Brieskorn's lattice-point count (Invent. Math. 2, 1966);
-and the odd-q Arf invariant, from Levine's congruence
-Delta(-1) = 1 + 4 Arf (mod 8) on the Conway polynomial.  The Alexander
-polynomial stays on the pencil determinant.
+Milnor-Orlik divisor of its eigenvalues (Topology 9, 1970); and the even-q
+signature, from Brieskorn's lattice-point count (Invent. Math. 2, 1966).
+The Alexander polynomial stays on the pencil determinant, and the odd-q
+Arf invariant is the pipeline's, read off its Conway form.
 """
 
 from __future__ import annotations
@@ -171,7 +170,9 @@ def brieskorn_signature(exponents: tuple[int, ...]) -> int:
 
 class GermReport(Invariants):
     """The invariants of a germ's Seifert matrix, with the germ and the
-    anomalies found."""
+    anomalies found.  The monodromy, its quasi-unipotence and the even-q
+    signature come from the exponents; every other stage, the odd-q Arf
+    invariant included, is the pipeline's."""
 
     def __init__(self, germ: BrieskornGerm):
         super().__init__(brieskorn_seifert(germ))
@@ -206,16 +207,6 @@ class GermReport(Invariants):
     def form_signature(self) -> int | None:
         """Brieskorn's count for even q; None for odd q."""
         return None if self.seifert.q % 2 else brieskorn_signature(self.germ.exponents)
-
-    @cached_property
-    def arf(self) -> int | None:
-        """KARL invariant for odd q, from Levine's congruence
-        Delta(-1) = 1 + 4 Arf (mod 8) on the Conway polynomial; None for
-        even q and when there is no Conway polynomial (I not unimodular)."""
-        delta = self.alexander_conway
-        if self.seifert.q % 2 == 0 or delta is None:
-            return None
-        return (delta(-1) - 1) // 4 % 2
 
     @cached_property
     def anomalies(self) -> tuple[str, ...]:

@@ -93,8 +93,8 @@ class EpsForm(Invariants):
     form reads the pipeline's stages: delta = det(tA + eps A^T) is
     alexander_raw, det B = delta(1), the intersection form eps B is the one
     matrix built for B, form_signature is the signature of B (eps = +1) and
-    arf its Arf invariant (eps = -1).  Forms built from checked forms by
-    `_of_blocks` are not rechecked.
+    arf its Arf invariant (eps = -1), read off delta's Conway form.  Forms
+    built from checked forms by `_of_blocks` are not rechecked.
 
     Its cobordance stages are computed on first use and held on the form,
     so that the obstruction battery and the metaboliser search of one

@@ -164,12 +164,6 @@ class Matrix:
         return self._build([[sum(map(mul, row, col)) for col in bt] for row in self.rows],
                            other.ncols, self.is_integral and other.is_integral)
 
-    def apply(self, vector):
-        """Matrix times column vector (a sequence), returned as a tuple."""
-        if len(vector) != self.ncols:
-            raise ShapeError("vector length does not match column count")
-        return tuple(sum(a * b for a, b in zip(row, vector)) for row in self.rows)
-
     def submatrix(self, row_indices, col_indices) -> "Matrix":
         ri, ci = list(row_indices), list(col_indices)
         return self._build([[self.rows[i][j] for j in ci] for i in ri], len(ci),

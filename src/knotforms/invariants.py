@@ -105,9 +105,13 @@ class Invariants:
 
     @cached_property
     def arf(self) -> int | None:
-        """KARL invariant for odd q; None for even q.  Read by bp and
-        levine_congruence, for unimodular forms only."""
-        return karl(self.seifert) if self.seifert.q % 2 else None
+        """KARL invariant for odd q, read off the Conway polynomial by
+        Levine's congruence Delta(-1) = 1 + 4 Arf (mod 8); None for even q
+        and when there is no Conway polynomial (I not unimodular).  Read by
+        bp and by the cobordance battery."""
+        if self.seifert.q % 2 == 0 or self.alexander_conway is None:
+            return None
+        return (self.alexander_conway(-1) - 1) // 4 % 2
 
     @cached_property
     def bp(self) -> BPClass | None:
@@ -116,7 +120,9 @@ class Invariants:
 
     @property
     def levine_congruence(self) -> bool | None:
-        """Levine's congruence on a unimodular odd-q form; None otherwise."""
-        if not self.unimodular or self.arf is None:
+        """Levine's congruence on a unimodular odd-q form, with the Arf
+        invariant taken independently of Delta, by karl's symplectic
+        reduction over F_2; None otherwise."""
+        if self.arf is None:
             return None
-        return levine_congruence(self.alexander_conway, self.arf)
+        return levine_congruence(self.alexander_conway, karl(self.seifert))

@@ -181,10 +181,11 @@ class Laurent:
         return Laurent._normalized({-e: c for e, c in reversed(self.coeffs.items())})
 
     def __call__(self, x):
-        """Exact evaluation; x must be nonzero if negative exponents occur."""
-        total = Fraction(0)
-        for e, c in self.coeffs.items():
-            total += Fraction(c) * (Fraction(x) ** e)
+        """Exact evaluation; x must be nonzero if negative exponents occur.
+        The terms are summed over the common denominator x^(-m), for m the
+        least exponent or 0, so integer data is summed in integers."""
+        m = min(next(iter(self.coeffs), 0), 0)
+        total = Fraction(sum(c * x ** (e - m) for e, c in self.coeffs.items()), x ** -m)
         return int(total) if total.denominator == 1 else total
 
     def __repr__(self):

@@ -401,10 +401,6 @@ class TestMatrixBasics:
         with pytest.raises(ShapeError):
             Matrix([[1, 2], [3]])
 
-    def test_apply(self):
-        m = Matrix([[1, 2], [3, 4]])
-        assert m.apply((1, 1)) == (3, 7)
-
 
 # int, bool or Fraction entries; halves make sums and products that are
 # integers again

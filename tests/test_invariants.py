@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from knotforms.brieskorn import BrieskornGerm, brieskorn_seifert, germ_report
 from knotforms.cli import main
-from knotforms.cobordism import negate, orthogonal_sum
+from knotforms.cobordism import EpsForm, negate, orthogonal_sum
 from knotforms.exact import Matrix, det
 from knotforms.invariants import Invariants
 from knotforms.matrixfile import parse_matrix_file
@@ -70,6 +70,15 @@ class TestStages:
         assert inv.form_signature is None and inv.bp.signature is None
         assert inv.bp == bp_class(Invariants(s))
 
+    @given(eps_forms(5, -1), st.sampled_from((1, 3, 5)))
+    @example(EpsForm(Matrix([], ncols=0), -1), 1)
+    def test_arf_from_delta_matches_karl(self, f, q):
+        # arf is read off the Conway form; karl, the symplectic reduction of
+        # the Seifert quadratic form over F_2, is the independent oracle.  An
+        # eps-form with eps = -1 is a unimodular Seifert matrix at any odd q
+        s = SeifertMatrix(f.matrix, q)
+        assert Invariants(s).arf == karl(s)
+
     def test_even_q_signature_from_bp(self):
         s = brieskorn_seifert(BrieskornGerm((2, 2, 2, 3, 5)))
         inv = Invariants(s)
@@ -81,7 +90,7 @@ class TestStages:
         inv = Invariants(SeifertMatrix(Matrix([[-1]]), q=1))
         assert not inv.unimodular
         assert inv.bp is None and inv.levine_congruence is None
-        assert inv.alexander_conway is None
+        assert inv.alexander_conway is None and inv.arf is None
         assert "value at t=1 is 0" in inv.conway_error
 
 
@@ -148,12 +157,13 @@ class TestOneComputationPerInvariant:
         p.name[len("cobordant_"):-len("_a.mat")] for p in GOLDEN.glob("cobordant_*_a.mat")))
     def test_cobordant(self, name, calls, monkeypatch, capsys):
         # the battery reads the difference's form_signature (eps = +1) or
-        # arf (eps = -1) stage, once, and no determinant
+        # arf (eps = -1) stage, once, and no determinant; arf is read off
+        # the Conway form, so karl is never called
         monkeypatch.chdir(GOLDEN)
         main(["cobordant", f"cobordant_{name}_a.mat", f"cobordant_{name}_b.mat"])
         assert capsys.readouterr().out == (GOLDEN / f"cobordant_{name}.text").read_text()
         odd = parse_matrix_file((GOLDEN / f"cobordant_{name}_a.mat").read_text()).q % 2
-        assert (calls["signature"], calls["karl"]) == ((0, 1) if odd else (1, 0))
+        assert (calls["signature"], calls["karl"]) == ((0, 0) if odd else (1, 0))
         assert not calls.det_args
 
 
@@ -163,14 +173,15 @@ class TestEpsFormPipeline:
     def test_difference_matches_fresh_invariants(self, forms, k):
         # the difference's delta is the product of its summands' block
         # deltas; a fresh pipeline on the same matrix takes the whole-matrix
-        # pencil, signature and Arf invariant, at a q of the same parity
+        # pencil and signature, at a q of the same parity; the Arf invariant
+        # read off delta is checked against the F_2 symplectic reduction
         f1, f2 = forms
         diff = orthogonal_sum(f1, negate(f2))
         fresh = Invariants(SeifertMatrix(diff.matrix, (1 if diff.eps == -1 else 2) + 2 * k))
         assert diff.alexander_raw == fresh.alexander_raw
         assert diff.unimodular and fresh.unimodular
         assert diff.form_signature == fresh.form_signature
-        assert diff.arf == fresh.arf
+        assert diff.arf == (karl(diff.seifert) if diff.eps == -1 else None)
 
 
 @st.composite

@@ -149,6 +149,7 @@ class TestLaurentArithmetic:
     def test_evaluate_fraction(self):
         p = poly({-2: 1})
         assert p(2) == Fraction(1, 4)
+        assert poly({-1: Fraction(1, 2), 2: 3})(Fraction(-2, 3)) == Fraction(7, 12)
 
     def test_unit_normalize(self):
         p = poly({-3: -2, -1: 4})

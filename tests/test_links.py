@@ -1,10 +1,7 @@
 import random
 
-import pytest
-
-from knotforms.exact import Matrix, ShapeError
-from knotforms.links import (LinkingMatrixError, handle_data,
-                             links_isotopic, validate_linking_matrix)
+from knotforms.exact import Matrix
+from knotforms.links import handle_data
 from knotforms.seifert import SeifertMatrix, intersection_form
 
 A1 = Matrix([[-1, 0], [1, -1]])
@@ -59,56 +56,3 @@ class TestHandleData:
             s = SeifertMatrix(a, q=5)
             data = handle_data(s)
             assert data.framings == tuple(a.rows[i][i] % 2 for i in range(n))
-
-
-class TestValidateLinkingMatrix:
-    def test_symmetric_odd_m(self):
-        lm = validate_linking_matrix(Matrix([[0, 1], [1, 0]]), m=3)
-        assert lm.symmetry_sign == 1
-
-    def test_antisymmetric_even_m(self):
-        lm = validate_linking_matrix(Matrix([[0, 1], [-1, 0]]), m=2)
-        assert lm.symmetry_sign == -1
-
-    def test_diagonal_rejected_with_location(self):
-        with pytest.raises(LinkingMatrixError) as exc:
-            validate_linking_matrix(Matrix([[1, 0], [0, 0]]), m=2)
-        assert "(0, 0)" in str(exc.value)
-
-    def test_wrong_symmetry_rejected(self):
-        with pytest.raises(LinkingMatrixError):
-            validate_linking_matrix(Matrix([[0, 1], [1, 0]]), m=2)
-
-    def test_round_trip(self):
-        m = Matrix([[0, 3], [3, 0]])
-        assert validate_linking_matrix(m, m=3).matrix == m
-
-
-class TestLinksIsotopic:
-    def test_reflexive(self):
-        lm = validate_linking_matrix(Matrix([[0, 1], [1, 0]]), m=3)
-        verdict = links_isotopic(lm, lm)
-        assert verdict.isotopic is True
-        assert verdict.describe() == "isotopic"
-
-    def test_different_linking_not_isotopic(self):
-        a = validate_linking_matrix(Matrix([[0, 1], [-1, 0]]), m=2)
-        b = validate_linking_matrix(Matrix([[0, 2], [-2, 0]]), m=2)
-        verdict = links_isotopic(a, b)
-        assert verdict.isotopic is False
-
-    def test_m1_is_only_necessary(self):
-        a = validate_linking_matrix(Matrix([[0, 1], [1, 0]]), m=1)
-        b = validate_linking_matrix(Matrix([[0, 2], [2, 0]]), m=1)
-        verdict = links_isotopic(a, b)
-        assert verdict.isotopic is None
-        assert not verdict.classification_valid
-        assert "necessary condition fails" in verdict.describe()
-        same = links_isotopic(a, a)
-        assert same.isotopic is None and same.linking_equal
-
-    def test_shape_mismatch(self):
-        a = validate_linking_matrix(Matrix([[0]]), m=2)
-        b = validate_linking_matrix(Matrix([[0, 1], [-1, 0]]), m=2)
-        with pytest.raises(ShapeError):
-            links_isotopic(a, b)
