@@ -25,8 +25,7 @@ from .cobordism import (CobordanceVerdict, EpsForm, EpsFormError, Metaboliser,
                         null_cobordance_obstructions, orthogonal_sum,
                         search_metaboliser)
 from .invariants import Invariants
-from .brieskorn import (BrieskornGerm, GermReport, brieskorn_seifert, germ_report,
-                        pham_matrix, quadratic_suspension_seifert, sakamoto_product)
+from .brieskorn import BrieskornGerm, GermReport, brieskorn_seifert, germ_report, pham_matrix
 from .spheres import (BPClass, GroupVerdict, bp4k2_group, bp4k_order, bp_class,
                       embeddable_spheres_group, im_j_order)
 from .links import HandlePresentation, handle_data

@@ -81,14 +81,6 @@ def pham_monodromy(a: int) -> Matrix:
                     for j in range(n)] for i in range(n)], ncols=n)
 
 
-def sakamoto_product(af: Matrix, ag: Matrix, n: int, m: int) -> Matrix:
-    """Seifert matrix of f(u) + g(v) from those of f and g:
-    (-1)^((n+1)(m+1)) times the tensor product, where f has n+1 variables
-    and g has m+1."""
-    sign = -1 if ((n + 1) * (m + 1)) % 2 else 1
-    return kronecker(af, ag).scale(sign)
-
-
 def _join(piece, exponents: tuple[int, ...]) -> Matrix:
     """Kronecker product of piece(a) over the exponents in order; a = 2
     pieces are (1) and drop out, and the empty product is (1)."""
@@ -97,24 +89,16 @@ def _join(piece, exponents: tuple[int, ...]) -> Matrix:
 
 
 def brieskorn_seifert(germ: BrieskornGerm) -> SeifertMatrix:
-    """The join formula over the exponents, in order.  Folding
-    sakamoto_product joins a one-variable piece to k = 1 .. N-1 variables
-    with sign (-1)^k, so the matrix is (-1)^(N(N-1)/2) times the Kronecker
-    product of the pham_matrix(a).  It depends on the exponent order only up
-    to congruence; the invariants do not."""
+    """The join formula over the exponents, in order.  Sakamoto's binary
+    join of germs in n+1 and m+1 variables is (-1)^((n+1)(m+1)) times the
+    Kronecker product; folded over the exponents it joins a one-variable
+    piece to k = 1 .. N-1 variables with sign (-1)^k, so the matrix is
+    (-1)^(N(N-1)/2) times the Kronecker product of the pham_matrix(a).  It
+    depends on the exponent order only up to congruence; the invariants do
+    not."""
     n = germ.variables
     matrix = _join(pham_matrix, germ.exponents)
     return SeifertMatrix(-matrix if n * (n - 1) // 2 % 2 else matrix, q=germ.middle_dimension)
-
-
-def quadratic_suspension_seifert(n: int) -> Matrix:
-    """Seifert matrix of the sum of n+1 squares, by iterated join from (1).
-
-    Comes out to (1) for n = 0, 3 (mod 4) and (-1) for n = 1, 2 (mod 4).
-    """
-    if n < 0:
-        raise ValueError("need at least one variable")
-    return brieskorn_seifert(BrieskornGerm((2,) * (n + 1))).matrix
 
 
 def milnor_orlik_divisor(exponents: tuple[int, ...]) -> dict[int, int]:

@@ -68,8 +68,7 @@ from itertools import combinations, product
 from math import gcd, isqrt, prod
 from operator import add, mul
 
-from .exact import (Matrix, ShapeError, adjugate_product, smith_normal_form,
-                    smith_normal_form_with_transforms)
+from .exact import Matrix, ShapeError, adjugate_product
 from .laurent import Factorization, Laurent, det_pencil, factor_int_poly, render_poly
 from .invariants import Invariants
 from .seifert import SeifertMatrix
@@ -205,17 +204,12 @@ class Metaboliser:
     basis: tuple[tuple[int, ...], ...]
 
 
-def _basis_matrix(vectors) -> Matrix:
-    vectors = [tuple(v) for v in vectors]
-    width = len(vectors[0]) if vectors else 0
-    if all(isinstance(x, int) for v in vectors for x in v):
-        return Matrix._of_ints(vectors, width)
-    return Matrix(vectors, ncols=width)
-
-
 def is_metaboliser(f: EpsForm, vectors) -> bool:
-    """True iff `vectors` spans a metaboliser: half rank, pure (Smith
-    normal form of the basis matrix all ones), and A vanishing on it."""
+    """True iff `vectors` spans a metaboliser: half rank, pure, and A
+    vanishing on it.  The k rows of X are independent and span a pure
+    lattice exactly when the columns of X span Z^k, that is when their row
+    HNF is the k x k identity.  Entries must be integers (an int-valued
+    Fraction counts as one); others raise TypeError."""
     vectors = [tuple(v) for v in vectors]
     if any(len(v) != f.rank for v in vectors):
         raise ShapeError("candidate vectors have the wrong length")
@@ -223,8 +217,11 @@ def is_metaboliser(f: EpsForm, vectors) -> bool:
         return False
     if f.rank == 0:
         return True
-    b = _basis_matrix(vectors)
-    if any(d != 1 for d in smith_normal_form(b)):
+    basis = Matrix(vectors)  # int-valued Fractions become ints
+    if not basis.is_integral:
+        raise TypeError("metaboliser candidates need integer entries")
+    vectors = basis.rows
+    if _row_hnf(zip(*vectors)) != Matrix.identity(len(vectors)).rows:
         return False  # not linearly independent or not pure
     # the Gram matrix X A X^T, from the rows of X A
     xa = [[sum(map(mul, x, col)) for col in zip(*f.matrix.rows)] for x in vectors]
@@ -345,18 +342,23 @@ def _invariant_metabolisers(f: EpsForm):
             for choice in product(*pairs)]
 
 
-def _integer_kernel(m: list[list[int]]) -> list[tuple[int, ...]]:
-    """A basis of ker(m) on Z^n, a pure lattice: with U m V = D in Smith
-    form, the columns of V past the rank of m."""
-    factors, _, v = smith_normal_form_with_transforms(Matrix(m))
-    rank = sum(1 for x in factors if x)
-    return [tuple(row[j] for row in v.rows) for j in range(rank, v.ncols)]
+def _integer_kernel(m) -> tuple[tuple[int, ...], ...]:
+    """Row HNF of the lattice ker(m) meet Z^n, for a k x n integer matrix m
+    with k >= 1.  The rows of [m^T | I_n] span the pairs (m x, x) for x in
+    Z^n, so the rows of their HNF whose first k entries vanish, with those
+    entries dropped, are an HNF basis of the kernel; it is pure, as every
+    kernel is (Cohen, A Course in Computational Algebraic Number Theory,
+    section 2.4)."""
+    k = len(m)
+    hnf = _row_hnf(list(col) + [int(i == j) for j in range(len(m[0]))]
+                   for i, col in enumerate(zip(*m)))
+    return tuple(row[k:] for row in hnf if not any(row[:k]))
 
 
 def _row_hnf(vectors) -> tuple[tuple[int, ...], ...]:
-    """Row Hermite normal form of the lattice spanned by independent
-    integer vectors: echelon rows, positive pivots, entries above a pivot
-    in [0, pivot)."""
+    """Row Hermite normal form of the lattice spanned by integer vectors,
+    any generating set, dependent or not: echelon rows, positive pivots,
+    entries above a pivot in [0, pivot), no zero rows."""
     rows = [list(v) for v in vectors]
     top = 0
     for col in range(len(rows[0]) if rows else 0):
@@ -641,10 +643,12 @@ def _saturation(cols, rows) -> tuple[tuple[int, ...], ...]:
     """Row HNF of the pure lattice (rational span) meet Z^n, from the span's
     reduced echelon form (_span_echelon).  When every pivot entry is 1 the
     form is integral, so the lattice is its integer span and it is the HNF;
-    otherwise the lattice is the integer kernel of the integer kernel."""
+    otherwise the lattice is the integer kernel of the integer kernel,
+    which _integer_kernel already gives in HNF.  (The span is then short
+    of rank n, so the inner kernel has a row.)"""
     if all(row[c] == 1 for row, c in zip(rows, cols)):
         return rows
-    return _row_hnf(_integer_kernel(_integer_kernel(rows)))
+    return _integer_kernel(_integer_kernel(rows))
 
 
 def _integer_roots(a: int, b: int, c: int, lo: int, hi: int) -> list[int]:

@@ -9,10 +9,14 @@ empty-product convention their determinant is 1.
 A value with denominator 1 is always an ``int``, never a ``Fraction``, and
 only outside data is validated: ``Matrix(rows)`` checks and normalizes
 every entry, while the matrices the library builds from integer entries
-(transposes, sums, products, Smith transforms, ...) come from the private
+(transposes, sums, products, adjugate products, ...) come from the private
 ``Matrix._of_ints``, which checks nothing.  Each matrix records at
 construction whether all its entries are ints, so ``is_integral`` costs
 nothing.
+
+The Smith form gives invariant factors only, with no unimodular
+transforms; the lattices of the cobordism search (kernels, saturations,
+purity) come from the Hermite normal form in ``cobordism``.
 
 Pencil determinants det(t*A + B) (characteristic polynomials among them)
 take one of two kernels, by rank alone.  Up to rank 8, Bareiss
@@ -245,41 +249,14 @@ def smith_normal_form(m: Matrix) -> tuple[int, ...]:
     """Invariant factors d_1 | d_2 | ... of an integer matrix, all >= 0.
 
     Returns min(nrows, ncols) factors; trailing zeros encode rank deficiency.
-    """
-    return smith_normal_form_with_transforms(m)[0]
-
-
-def smith_normal_form_with_transforms(m: Matrix) -> tuple[tuple[int, ...], Matrix, Matrix]:
-    """Invariant factors plus unimodular U, V with U @ m @ V diagonal.
-
-    Classical pivot-and-reduce: every row move is also made on U, every
-    column move on V.
+    Classical pivot-and-reduce: the least nonzero entry of the trailing
+    block becomes the pivot and reduces its row and column, until it
+    divides the whole block.
     """
     if not m.is_integral:
         raise TypeError("Smith normal form requires integer entries")
     nrows, ncols = m.shape
     a = [list(row) for row in m.rows]
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a + v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, c):
-        # row_i += c * row_j
-        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-
-    def add_col(i, j, c):
-        # col_i += c * col_j
-        for row in a + v:
-            row[i] += c * row[j]
-
     k = min(nrows, ncols)
     for t in range(k):
         while True:
@@ -287,33 +264,31 @@ def smith_normal_form_with_transforms(m: Matrix) -> tuple[tuple[int, ...], Matri
             if not nonzero:
                 break
             i, j = min(nonzero, key=lambda ij: abs(a[ij[0]][ij[1]]))
-            if i != t:
-                swap_rows(t, i)
+            a[t], a[i] = a[i], a[t]
             if j != t:
-                swap_cols(t, j)
+                for row in a:
+                    row[t], row[j] = row[j], row[t]
             done = True
+            pivot = a[t]
             for r in range(t + 1, nrows):
                 if a[r][t] != 0:
-                    add_row(r, t, -(a[r][t] // a[t][t]))
-                    if a[r][t] != 0:
-                        done = False
+                    c = a[r][t] // pivot[t]
+                    a[r] = [x - c * y for x, y in zip(a[r], pivot)]
+                    done = done and a[r][t] == 0
             for c in range(t + 1, ncols):
-                if a[t][c] != 0:
-                    add_col(c, t, -(a[t][c] // a[t][t]))
-                    if a[t][c] != 0:
-                        done = False
+                if pivot[c] != 0:
+                    q = pivot[c] // pivot[t]
+                    for row in a:
+                        row[c] -= q * row[t]
+                    done = done and pivot[c] == 0
             if done:
                 # pivot must divide the whole trailing block
                 offender = next((r for r in range(t + 1, nrows)
-                                 if any(a[r][c] % a[t][t] for c in range(t + 1, ncols))), None)
+                                 if any(a[r][c] % pivot[t] for c in range(t + 1, ncols))), None)
                 if offender is None:
                     break
-                add_row(t, offender, 1)
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-    factors = tuple(a[i][i] for i in range(k))
-    return factors, Matrix._of_ints(u, nrows), Matrix._of_ints(v, ncols)
+                a[t] = [x + y for x, y in zip(pivot, a[offender])]
+    return tuple(abs(a[i][i]) for i in range(k))
 
 
 # tangent numbers T_1, T_2, ... = 1, 2, 16, 272, ...; grown by doubling

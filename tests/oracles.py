@@ -26,7 +26,10 @@ of a lattice by the inverse of one Smith form's column transform instead of
 the integer kernel taken twice, and the T-invariant metabolisers of a
 squarefree chi_T with every g(T) formed by Horner's rule and the kernel of
 each product of factors taken by its own Smith form instead of saturating
-the sum of the factors' kernels.
+the sum of the factors' kernels, integer kernels by the column transform
+of a Smith form instead of the Hermite form of [m^T | I], and germ Seifert
+matrices by folding Sakamoto's binary join instead of one signed
+Kronecker product.
 """
 
 from __future__ import annotations
@@ -35,9 +38,10 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm, prod
 
-from knotforms.cobordism import EpsForm, _chi_factors, _integer_kernel, _row_hnf
-from knotforms.exact import (Matrix, ShapeError, SingularMatrixError, det,
-                             pencil_det_coefficients, smith_normal_form_with_transforms)
+from knotforms.brieskorn import BrieskornGerm, brieskorn_seifert
+from knotforms.cobordism import EpsForm, _chi_factors, _row_hnf
+from knotforms.exact import (Matrix, ShapeError, SingularMatrixError, det, kronecker,
+                             pencil_det_coefficients)
 from knotforms.laurent import (Laurent, _divisors, _eval_int, _trim, laurent_matrix)
 from knotforms.quadratic import DegenerateFormError
 
@@ -374,6 +378,94 @@ def snf_via_minor_gcds(m: Matrix) -> tuple[int, ...]:
     return tuple(factors)
 
 
+def smith_normal_form_with_transforms(m: Matrix) -> tuple[tuple[int, ...], Matrix, Matrix]:
+    """Invariant factors plus unimodular U, V with U @ m @ V diagonal.
+
+    Classical pivot-and-reduce: every row move is also made on U, every
+    column move on V.
+    """
+    if not m.is_integral:
+        raise TypeError("Smith normal form requires integer entries")
+    nrows, ncols = m.shape
+    a = [list(row) for row in m.rows]
+    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
+    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a + v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(i, j, c):
+        # row_i += c * row_j
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+
+    def add_col(i, j, c):
+        # col_i += c * col_j
+        for row in a + v:
+            row[i] += c * row[j]
+
+    k = min(nrows, ncols)
+    for t in range(k):
+        while True:
+            nonzero = [(i, j) for i in range(t, nrows) for j in range(t, ncols) if a[i][j]]
+            if not nonzero:
+                break
+            i, j = min(nonzero, key=lambda ij: abs(a[ij[0]][ij[1]]))
+            if i != t:
+                swap_rows(t, i)
+            if j != t:
+                swap_cols(t, j)
+            done = True
+            for r in range(t + 1, nrows):
+                if a[r][t] != 0:
+                    add_row(r, t, -(a[r][t] // a[t][t]))
+                    if a[r][t] != 0:
+                        done = False
+            for c in range(t + 1, ncols):
+                if a[t][c] != 0:
+                    add_col(c, t, -(a[t][c] // a[t][t]))
+                    if a[t][c] != 0:
+                        done = False
+            if done:
+                # pivot must divide the whole trailing block
+                offender = next((r for r in range(t + 1, nrows)
+                                 if any(a[r][c] % a[t][t] for c in range(t + 1, ncols))), None)
+                if offender is None:
+                    break
+                add_row(t, offender, 1)
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+    factors = tuple(a[i][i] for i in range(k))
+    return factors, Matrix(u, ncols=nrows), Matrix(v, ncols=ncols)
+
+
+def integer_kernel_smith(m) -> list[tuple[int, ...]]:
+    """A basis of ker(m) meet Z^n for an integer matrix m with n columns,
+    given as a Matrix or as rows: with U m V = D in Smith form, the columns
+    of V past the rank of m, which span a pure lattice because V is
+    unimodular."""
+    m = m if isinstance(m, Matrix) else Matrix(m)
+    factors, _, v = smith_normal_form_with_transforms(m)
+    rank = sum(1 for x in factors if x)
+    return [tuple(row[j] for row in v.rows) for j in range(rank, v.ncols)]
+
+
+def lattice_basis_smith(vectors, n: int) -> list[tuple[int, ...]]:
+    """A basis of the lattice spanned by integer vectors of length n, any
+    generating set: with U K V = D in Smith form, K = U^-1 D V^-1 and U is
+    unimodular, so the rows of K span those of D V^-1, the rows of V^-1
+    scaled by the nonzero invariant factors."""
+    factors, _, v = smith_normal_form_with_transforms(Matrix([list(x) for x in vectors], ncols=n))
+    v_inv = inverse_gauss_jordan(v)
+    return [tuple(d * int(x) for x in row) for d, row in zip(factors, v_inv.rows) if d]
+
+
 def float_signature(m: Matrix) -> int:
     """Signature via numpy eigenvalues; float oracle for test time only."""
     import numpy as np
@@ -502,7 +594,7 @@ def invariant_metabolisers_horner(f: EpsForm):
     if any(mult > 1 for _, mult in chi):
         return None
     t = f.isometric_structure
-    kernels = [_integer_kernel(_poly_at_matrix(g, t)) for g, _ in chi]
+    kernels = [integer_kernel_smith(_poly_at_matrix(g, t)) for g, _ in chi]
 
     def isotropic(i, j):
         return all(form_value(f, x, y) == 0 and form_value(f, y, x) == 0
@@ -520,7 +612,7 @@ def invariant_metabolisers_horner(f: EpsForm):
             g = Laurent.one()
             for i in subset:
                 g = g * chi[i][0]
-            out.append(_row_hnf(_integer_kernel(_poly_at_matrix(g, t))))
+            out.append(_row_hnf(integer_kernel_smith(_poly_at_matrix(g, t))))
     return out
 
 
@@ -666,6 +758,24 @@ def _combine(cands, i, chosen):
                 break
         else:
             yield from _combine(cands, i + 1, chosen + (entry,))
+
+
+def sakamoto_product(af: Matrix, ag: Matrix, n: int, m: int) -> Matrix:
+    """Seifert matrix of f(u) + g(v) from those of f and g by Sakamoto's
+    binary join: (-1)^((n+1)(m+1)) times the tensor product, where f has
+    n+1 variables and g has m+1."""
+    sign = -1 if ((n + 1) * (m + 1)) % 2 else 1
+    return kronecker(af, ag).scale(sign)
+
+
+def quadratic_suspension_seifert(n: int) -> Matrix:
+    """Seifert matrix of the sum of n+1 squares, by iterated join from (1).
+
+    Comes out to (1) for n = 0, 3 (mod 4) and (-1) for n = 1, 2 (mod 4).
+    """
+    if n < 0:
+        raise ValueError("need at least one variable")
+    return brieskorn_seifert(BrieskornGerm((2,) * (n + 1))).matrix
 
 
 def brieskorn_char_poly_numeric(exponents: tuple[int, ...], monic_coeffs: list) -> bool:

@@ -8,8 +8,7 @@ float eigenvalue cross-checks used only as independent test-time oracles.
 import random
 import time
 
-from knotforms.brieskorn import (BrieskornGerm, brieskorn_seifert, germ_report,
-                                 quadratic_suspension_seifert)
+from knotforms.brieskorn import BrieskornGerm, brieskorn_seifert, germ_report
 from knotforms.cobordism import (EpsForm, algebraically_cobordant, eps_form_of,
                                  is_metaboliser, null_cobordance_obstructions,
                                  search_metaboliser)
@@ -21,7 +20,7 @@ from knotforms.seifert import (SeifertMatrix, alexander_polynomial,
                                intersection_form, is_quasi_unipotent, monodromy)
 from knotforms.spheres import bp4k_order, bp_class, embeddable_spheres_group, im_j_order
 
-from oracles import bernoulli_akiyama_tanigawa, float_signature
+from oracles import bernoulli_akiyama_tanigawa, float_signature, quadratic_suspension_seifert
 
 A1 = Matrix([[-1, 0], [1, -1]])
 H1 = Matrix([[0, 1], [-1, 1]])

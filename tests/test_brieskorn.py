@@ -6,8 +6,7 @@ from hypothesis import given, settings
 
 from knotforms.brieskorn import (BrieskornGerm, brieskorn_seifert, brieskorn_signature,
                                  divisor_polynomial, germ_report, milnor_orlik_divisor,
-                                 pham_matrix, pham_monodromy, quadratic_suspension_seifert,
-                                 sakamoto_product)
+                                 pham_matrix, pham_monodromy)
 from knotforms.exact import Matrix, det, inverse
 from knotforms.invariants import Invariants
 from knotforms.laurent import Laurent, det_pencil
@@ -17,7 +16,7 @@ from knotforms.seifert import (SeifertMatrix, alexander_polynomial, characterist
 from knotforms.spheres import embeddable_spheres_group
 
 from generators import brieskorn_germs
-from oracles import brieskorn_char_poly_numeric
+from oracles import brieskorn_char_poly_numeric, quadratic_suspension_seifert, sakamoto_product
 
 A1 = Matrix([[-1, 0], [1, -1]])
 

@@ -3,7 +3,8 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, prod
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -14,21 +15,24 @@ from knotforms import cobordism
 from knotforms.brieskorn import BrieskornGerm, brieskorn_seifert
 from knotforms.cli import main
 from knotforms.cobordism import (EpsForm, EpsFormError, _chi_factors, _cyclic_span,
-                                 _direct_sum, _enumerate_hnf, _hnf_key, _integer_roots,
+                                 _direct_sum, _enumerate_hnf, _hnf_key, _integer_kernel,
+                                 _integer_roots,
                                  _invariant_metabolisers, _isotropic_rows, _isotropy_forms,
                                  _joint_span, _orthogonal_blocks, _reciprocal_normalized,
                                  _row_hnf, _saturation, _span_echelon, _square_at_minus_one,
                                  algebraically_cobordant, eps_form_of, fox_milnor,
                                  is_metaboliser, negate, null_cobordance_obstructions,
                                  orthogonal_sum, search_metaboliser)
-from knotforms.exact import Matrix, ShapeError, det, pencil_det_coefficients, smith_normal_form
+from knotforms.exact import (Matrix, ShapeError, det, inverse, pencil_det_coefficients,
+                             smith_normal_form)
 from knotforms.laurent import Laurent, det_pencil, factor_int_poly, render_poly
 from knotforms.quadratic import signature
 
 from generators import eps_forms, random_unimodular, square_matrices
 from oracles import (brute_force_rank1_metaboliser_absent, cyclic_span_isotropic,
-                     enumerate_hnf_unpruned, invariant_metabolisers_horner,
-                     inverse_gauss_jordan, isotropic_rows_box, saturation_smith)
+                     enumerate_hnf_unpruned, integer_kernel_smith,
+                     invariant_metabolisers_horner, inverse_gauss_jordan, isotropic_rows_box,
+                     lattice_basis_smith, saturation_smith)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -131,6 +135,13 @@ class TestIsMetaboliser:
 
     def test_empty(self):
         assert is_metaboliser(EMPTY_FORM, [])
+
+    def test_non_integer_entries_rejected(self):
+        with pytest.raises(TypeError):
+            is_metaboliser(HYPERBOLIC_FORM, [(Fraction(1, 2), 0)])
+        with pytest.raises(TypeError):
+            is_metaboliser(HYPERBOLIC_FORM, [(0.5, 0)])
+        assert is_metaboliser(HYPERBOLIC_FORM, [(Fraction(2, 2), 0)])
 
 
 class TestSearchMetaboliser:
@@ -548,15 +559,87 @@ class TestIsometricStructure:
         assume(all(smith_normal_form(m)))  # independent rows
         hnf = _row_hnf(m.rows)
         assert _row_hnf((random_unimodular(rnd, m.nrows) @ m).rows) == hnf
-        pivots = [next(j for j, x in enumerate(row) if x) for row in hnf]
-        assert pivots == sorted(set(pivots))
-        for i, (row, j) in enumerate(zip(hnf, pivots)):
-            assert row[j] > 0
-            assert all(0 <= hnf[k][j] < row[j] for k in range(i))
-            assert all(hnf[k][j] == 0 for k in range(i + 1, len(hnf)))
+        assert_row_hnf(hnf)
         # same lattice: the stacked rows have the Smith form of m alone
         assert smith_normal_form(Matrix(hnf + m.rows, ncols=5))[:m.nrows] == \
             smith_normal_form(m)
+
+
+def assert_row_hnf(hnf):
+    # echelon rows with positive pivots, entries above a pivot in [0, pivot)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in hnf]
+    assert pivots == sorted(set(pivots))
+    for i, (row, j) in enumerate(zip(hnf, pivots)):
+        assert row[j] > 0
+        assert all(0 <= hnf[k][j] < row[j] for k in range(i))
+        assert all(hnf[k][j] == 0 for k in range(i + 1, len(hnf)))
+
+
+def same_lattice(g1, g2, n: int) -> bool:
+    """Whether two generating sets of vectors of length n span one lattice.
+    The nonzero invariant factors of a generating set give the rank of its
+    lattice L and the order of the torsion of Z^n / L, the index of L in
+    its saturation.  L1 + L2 holds L1, so with the same rank and index the
+    two are equal."""
+    def rank_and_index(rows):
+        factors = [d for d in smith_normal_form(Matrix([list(x) for x in rows], ncols=n)) if d]
+        return len(factors), prod(factors)
+    return rank_and_index(g1) == rank_and_index(g2) == rank_and_index(list(g1) + list(g2))
+
+
+@st.composite
+def integer_matrices(draw):
+    """k x n integer matrices, k and n in 1..8, entries in -3..3; about half
+    of them have a last row that depends on the others."""
+    k, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                         min_size=k, max_size=k))
+    if draw(st.booleans()):
+        c = draw(st.integers(-2, 2))
+        rows[-1] = [c * x - y for x, y in zip(rows[0], rows[-2])] if k > 1 else [0] * n
+    return rows
+
+
+class TestLatticeKernel:
+    @given(integer_matrices())
+    def test_integer_kernel_matches_smith_oracle(self, m):
+        n = len(m[0])
+        kernel = _integer_kernel(m)
+        for x in kernel:
+            assert len(x) == n
+            assert all(sum(map(mul, row, x)) == 0 for row in m)
+        assert_row_hnf(kernel)
+        oracle = integer_kernel_smith(m)
+        assert len(kernel) == len(oracle)
+        assert same_lattice(kernel, oracle, n)
+
+    @given(integer_matrices())
+    def test_row_hnf_of_any_generating_set(self, rows):
+        n = len(rows[0])
+        hnf = _row_hnf(rows)
+        assert_row_hnf(hnf)
+        assert all(any(row) for row in hnf)
+        oracle = lattice_basis_smith(rows, n)
+        assert len(hnf) == len(oracle)
+        assert same_lattice(hnf, oracle, n)
+        assert _row_hnf(oracle) == hnf
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)),
+        st.randoms())
+    @example([[2, 1], [1, 1]], random.Random(0))
+    @example([[1, 2], [2, 4]], random.Random(0))
+    def test_purity_matches_smith_form(self, y, rnd):
+        # A = [[0, I], [0, 0]] vanishes on the first n coordinates, so on
+        # X0 = [Y | 0] is_metaboliser is the purity test alone; a unimodular
+        # g moves A to g^T A g and X0 to X = X0 g^-T, a metaboliser of the
+        # moved form exactly when X0 is one of A
+        n = len(y)
+        a = Matrix([[int(j == i + n) for j in range(2 * n)] for i in range(2 * n)])
+        g = random_unimodular(rnd, 2 * n, steps=12)
+        x = Matrix([row + [0] * n for row in y]) @ inverse(g).transpose()
+        pure = set(smith_normal_form(x)) == {1}
+        assert is_metaboliser(EpsForm(g.transpose() @ a @ g, -1), x.rows) == pure
 
 
 class TestMirrorPairing:

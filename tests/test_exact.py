@@ -7,17 +7,17 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from knotforms import exact
-from knotforms.cobordism import _basis_matrix, _direct_sum
+from knotforms.cobordism import _direct_sum
 from knotforms.exact import (Matrix, ShapeError, SingularMatrixError, adjugate_product,
                              bernoulli, det, inverse, kronecker, pencil_det_coefficients,
-                             smith_normal_form, smith_normal_form_with_transforms,
-                             word_prime)
+                             smith_normal_form, word_prime)
 from knotforms.laurent import Laurent, pencil
 
 from generators import random_unimodular, square_matrices
 from oracles import (bernoulli_akiyama_tanigawa, det_cofactor, det_pencil_interpolation,
                      inverse_gauss_jordan, is_prime_miller_rabin, laurent_det_cofactor,
-                     snf_via_minor_gcds, von_staudt_denominator)
+                     smith_normal_form_with_transforms, snf_via_minor_gcds,
+                     von_staudt_denominator)
 
 
 def random_matrix(rng, n, m=None, lo=-5, hi=5):
@@ -378,6 +378,7 @@ class TestSmithNormalForm:
         for _ in range(60):
             m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
             factors, u, v = smith_normal_form_with_transforms(m)
+            assert smith_normal_form(m) == factors
             assert det(u) in (1, -1) and det(v) in (1, -1)
             product = u @ m @ v
             for i in range(product.nrows):
@@ -498,13 +499,6 @@ class TestUncheckedProducers:
         assert_validated(Matrix.identity(r))
         assert_validated(Matrix.zero(r, c))
 
-    @given(st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
-        lambda rc: exact_matrices(*rc, st.integers(-4, 4))))
-    def test_smith_transforms(self, m):
-        _, u, v = smith_normal_form_with_transforms(m)
-        assert_validated(u)
-        assert_validated(v)
-
     @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
         square_matrices(n), exact_matrices(n, 2, st.integers(-4, 4)))))
     def test_adjugate_product(self, mr):
@@ -517,9 +511,3 @@ class TestUncheckedProducers:
     @example(HALVES, Matrix([[1]]))
     def test_direct_sum(self, a, b):
         assert_validated(_direct_sum(a, b))
-
-    @given(st.integers(0, 3).flatmap(lambda n: st.lists(
-        st.lists(st.one_of(ENTRIES, st.integers(-4, 4)), min_size=n, max_size=n),
-        min_size=1, max_size=3)))
-    def test_basis_matrix(self, vectors):
-        assert_validated(_basis_matrix(vectors))
