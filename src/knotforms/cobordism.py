@@ -49,7 +49,13 @@ j < r/2, and then by Cayley-Hamilton so does every c_m, m >= 1: for either
 sign, the cyclic span of v is A-isotropic exactly when Q_A vanishes on
 v, Tv, ..., T^(r/2 - 1) v.  The walk sieves its box rows by the first two
 of these, v^T A v = 0 and v^T T^T A T v = 0, before it takes a cyclic
-span.
+span.  Both are quadratic in the last free entry x of a row, and the
+combination of the two with no x^2 term is linear in x: each setting of
+the other entries leaves one candidate x, found by one exact division, and
+only where that combination vanishes for every x are the integer roots of
+a quadratic taken.  A row that passes the sieve has Q_A(v) = Q_A(Tv) = 0
+already, so its cyclic span takes Q_A from T^2 v on, multiplying by the
+nonzero entries of A and T only.
 
 delta = det(tA + eps A^T), the pipeline's Alexander polynomial, is one
 pencil per orthogonal block, factored block by block (each distinct block
@@ -494,14 +500,26 @@ def _isotropic_rows(a, t, forms, bound, pivot_cols, pivot_vals):
     cyclic span is A-isotropic, ascending, each with the vectors
     v, Tv, ..., T^(r/2 - 1) v of its span (_cyclic_span).
 
-    `forms` (_isotropy_forms) holds S = M + M^T for M = A and for
-    M = T^T A T, and Q(v) = v^T S v = 2 v^T M v, so a row is swept only
+    `forms` (_isotropy_forms) holds S_i = M + M^T for M = A and for
+    M = T^T A T, and Q_i(v) = v^T S_i v = 2 v^T M v, so a row is swept only
     when Q_A vanishes on v and on Tv.  The entries after the pivot lie in
     [-bound, bound], and in [0, p) above a later pivot p.  An odometer
-    steps all but the last two of them, keeping Q and (S v)_c for the free
-    columns c at O(r) a step.  Q(v + y e_d + x e_c) is then a quadratic in
-    the last two entries y and x: y is swept, the first form's discriminant
-    in x must be a square, and x is an integer root.
+    steps all but the last three of them, z, y and x, keeping the values of
+    the forms and (S v)_j for the free columns j at O(r) a step.  Each Q_i
+    is then a quadratic in z, y and x whose x^2 coefficient cc_i is S_i's
+    diagonal entry in x's column, so
+
+        P = cc_2 Q_1 - cc_1 Q_2 = M(z, y) x + N(z, y)
+
+    has no x^2 term (when cc_1 = cc_2 = 0, P is Q_1, already linear in x).
+    P and R vanish together exactly where Q_1 and Q_2 do, for R = Q_1, or
+    R = Q_2 when P is a multiple of Q_1 (cc_1 = 0), and these two are the
+    forms the odometer keeps.  z and y are swept; where M != 0 the one
+    candidate x = -N / M is kept when the division is exact, x is in range
+    and R vanishes there.  Only where M = N = 0 is P zero for every x, and
+    the integer roots of R are listed (_integer_roots).  A kept row has
+    Q_A(v) = Q_A(Tv) = 0, proved by the sieve, so its cyclic span
+    (_cyclic_span) takes Q_A from T^2 v on.
     """
     r = len(a)
     jpiv = pivot_cols[0]
@@ -509,59 +527,76 @@ def _isotropic_rows(a, t, forms, bound, pivot_cols, pivot_vals):
     cols = list(range(jpiv + 1, r))
     lows = [0 if j in later else -bound for j in cols]
     highs = [later.get(j, bound + 1) for j in cols]
-    head = cols[:-2]
     v = [0] * r
     v[jpiv] = pivot_vals[0]
+    a, t = _nonzeros(a), _nonzeros(t)
     n = len(cols)
     if n == 0:
         krylov = _cyclic_span(a, t, v)
         return [(tuple(v), krylov)] if krylov else []
+    head = cols[:-3]
     for j, lo in zip(head, lows):
         v[j] = lo
-    # (S v)_c of every form, concatenated, and the columns of S that a
-    # step in each head column adds to it
-    sv = [sum(map(mul, s[c], v)) for s in forms for c in cols]
-    steps = [[s[c][j] for s in forms for j in cols] for c in head]
-    qs = [sum(v[j] * sum(map(mul, s[j], v)) for j in range(jpiv, r)) for s in forms]
-    c = cols[-1]
-    if n >= 2:
-        d, sweep = cols[-2], range(lows[-2], highs[-2])
-    else:  # one free entry: y = 0 stands in the same column as x
-        d, sweep = c, (0,)
-    # per form: S_dd, 2 S_cd, S_cc
-    coeffs = [(s[d][d], 2 * s[c][d], s[c][c]) for s in forms]
+    # z, y and x in columns b, d and c; with fewer free entries, z = 0 (and
+    # y = 0) stand in the same column as the next
+    ib, id_, ic = max(n - 3, 0), max(n - 2, 0), n - 1
+    b, d, c = cols[ib], cols[id_], cols[ic]
+    zs = range(lows[ib], highs[ib]) if n >= 3 else (0,)
+    ys = range(lows[id_], highs[id_]) if n >= 2 else (0,)
+    lo, hi = lows[ic], highs[ic]
+    s1, s2 = forms
+    cc1, cc2 = s1[c][c], s2[c][c]
+    w1, w2 = (cc2, -cc1) if cc1 or cc2 else (1, 0)
+    sp = [[w1 * x + w2 * y for x, y in zip(r1, r2)] for r1, r2 in zip(s1, s2)]
+    pr = (sp, s1 if w2 else s2)
+    # (S v)_j of P and R, concatenated, and the columns of S that a step in
+    # each head column adds to it
+    sv = [sum(map(mul, s[j], v)) for s in pr for j in cols]
+    steps = [[s[e][j] for s in pr for j in cols] for e in head]
+    qs = [sum(v[j] * sum(map(mul, s[j], v)) for j in range(jpiv, r)) for s in pr]
+    # the quadratic parts of P and R in z, y, x: S_bb, 2 S_bd, 2 S_bc,
+    # S_dd, 2 S_cd, S_cc, the last zero for P
+    (pbb, pbd, pbc, pdd, pcd, _), (rbb, rbd, rbc, rdd, rcd, rcc) = [
+        (s[b][b], 2 * s[b][d], 2 * s[b][c], s[d][d], 2 * s[c][d], s[c][c]) for s in pr]
     out = []
     while True:
-        # Q(y, x) = Q + y (2 (S v)_d + y S_dd) + x (2 (S v)_c + 2 y S_cd + x S_cc)
-        lin = [(q, 2 * sv[i * n + n - 2], 2 * sv[i * n + n - 1])
-               for i, q in enumerate(qs)]
-        (q, qd, qc), (dd, cd, cc) = lin[0], coeffs[0]
-        for y in sweep:
-            lin_x, const = qc + y * cd, q + y * (qd + y * dd)
-            if cc:  # an integer root needs a square discriminant
-                disc = lin_x * lin_x - 4 * cc * const
-                if disc < 0 or isqrt(disc) ** 2 != disc:
+        # S(v + z e_b + y e_d + x e_c) = S(v) + z (sb + z S_bb)
+        #     + y (sd + 2 z S_bd + y S_dd) + x (sc + 2 z S_bc + 2 y S_cd + x S_cc)
+        # for sj = 2 (S v)_j
+        (p, rq), pb, pd, pc = qs, 2 * sv[ib], 2 * sv[id_], 2 * sv[ic]
+        rb, rd, rc = 2 * sv[n + ib], 2 * sv[n + id_], 2 * sv[n + ic]
+        for z in zs:
+            # M = mz + y pcd and N = nz + y (nd + y pdd) at this z
+            nz, nd, mz = p + z * (pb + z * pbb), pd + z * pbd, pc + z * pbc
+            rz, rzd, rzc = rq + z * (rb + z * rbb), rd + z * rbd, rc + z * rbc
+            for y in ys:
+                m, m0 = mz + y * pcd, nz + y * (nd + y * pdd)
+                if m:
+                    if m0 % m:
+                        continue
+                    x = -m0 // m
+                    if not lo <= x < hi or rz + y * (rzd + y * rdd) + x * (rzc + y * rcd + x * rcc):
+                        continue
+                    xs = (x,)
+                elif m0:
                     continue
-            elif lin_x and const % lin_x:  # and a linear one lin_x | const
-                continue
-            for x in _integer_roots(cc, lin_x, const, lows[-1], highs[-1]):
-                if any(q1 + y * (qd1 + y * dd1) + x * (qc1 + y * cd1 + x * cc1)
-                       for (q1, qd1, qc1), (dd1, cd1, cc1) in zip(lin[1:], coeffs[1:])):
-                    continue
-                row = v[:]
-                row[d], row[c] = y, x
-                krylov = _cyclic_span(a, t, row)
-                if krylov is not None:
-                    out.append((tuple(row), krylov))
+                else:
+                    xs = _integer_roots(rcc, rzc + y * rcd, rz + y * (rzd + y * rdd), lo, hi)
+                for x in xs:
+                    row = v[:]
+                    row[b], row[d], row[c] = z, y, x
+                    krylov = _cyclic_span(a, t, row, known=2)
+                    if krylov is not None:
+                        out.append((tuple(row), krylov))
         k = len(head) - 1
         while k >= 0:
             e = head[k]
             delta = 1 if v[e] + 1 < highs[k] else lows[k] - v[e]
             if delta:
                 v[e] += delta
-                # Q(v + delta e_e) = Q + 2 delta (S v)_e + delta^2 S_ee
+                # S(v + delta e_e) = S(v) + 2 delta (S v)_e + delta^2 S_ee
                 qs = [q + delta * (2 * sv[i * n + k] + delta * s[e][e])
-                      for i, (q, s) in enumerate(zip(qs, forms))]
+                      for i, (q, s) in enumerate(zip(qs, pr))]
                 sv = (list(map(add, sv, steps[k])) if delta == 1 else
                       [x + delta * y for x, y in zip(sv, steps[k])])
             if delta == 1:
@@ -571,20 +606,32 @@ def _isotropic_rows(a, t, forms, bound, pivot_cols, pivot_vals):
             return out
 
 
-def _cyclic_span(a, t, row):
+def _nonzeros(m):
+    """The rows of the integer matrix m as their (column, entry) pairs with
+    a nonzero entry: products with them skip the zeros of m, half of it in
+    a cobordance difference f (+) -g, which is block diagonal."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in m]
+
+
+def _cyclic_span(a, t, row, known=0):
     """[v, Tv, ..., T^(r/2 - 1) v] for v = row when Q_A(w) = w^T A w
     vanishes on each of them, else None: that is exactly when the cyclic
     span of v is A-isotropic, for either sign (module docstring), and at
     rank 2 v is the only check.  An isotropic subspace has dimension at
-    most r/2, so these powers span it whenever it has that dimension."""
+    most r/2, so these powers span it whenever it has that dimension.
+    A and T are given by their nonzero entries (_nonzeros); Q_A is taken
+    only from T^known v on, the earlier powers being known isotropic
+    (the sieve of _isotropic_rows proves it for v and Tv)."""
+    half = len(a) // 2
     powers = [row]
     while True:
         w = powers[-1]
-        if sum(x * sum(map(mul, a_row, w)) for x, a_row in zip(w, a)):
+        if len(powers) > known and sum([x * sum([y * w[j] for j, y in a_row])
+                                          for x, a_row in zip(w, a) if x]):
             return None
-        if len(powers) == len(a) // 2:
+        if len(powers) == half:
             return powers
-        powers.append([sum(map(mul, t_row, w)) for t_row in t])
+        powers.append([sum([y * w[j] for j, y in t_row]) for t_row in t])
 
 
 def _span_echelon(vectors):

@@ -3,6 +3,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations, product
 from math import comb, gcd, isqrt, prod
 from operator import mul
 from pathlib import Path
@@ -18,7 +19,8 @@ from knotforms.cobordism import (EpsForm, EpsFormError, _chi_factors, _cyclic_sp
                                  _direct_sum, _enumerate_hnf, _hnf_key, _integer_kernel,
                                  _integer_roots,
                                  _invariant_metabolisers, _isotropic_rows, _isotropy_forms,
-                                 _joint_span, _orthogonal_blocks, _reciprocal_normalized,
+                                 _joint_span, _nonzeros, _orthogonal_blocks,
+                                 _reciprocal_normalized,
                                  _row_hnf, _saturation, _span_echelon, _square_at_minus_one,
                                  algebraically_cobordant, eps_form_of, fox_milnor,
                                  is_metaboliser, negate, null_cobordance_obstructions,
@@ -407,9 +409,9 @@ def cyclic_spans(monkeypatch):
     calls = Counter()
     build = cobordism._cyclic_span
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls["_cyclic_span"] += 1
-        return build(*args)
+        return build(*args, **kwargs)
 
     monkeypatch.setattr(cobordism, "_cyclic_span", counted)
     return calls
@@ -683,6 +685,31 @@ def _with_congruent_copy(f: EpsForm, rnd) -> EpsForm:
     return orthogonal_sum(f, negate(EpsForm(matrix=p.transpose() @ f.matrix @ p, eps=f.eps)))
 
 
+def _isotropic_rows_of(f: EpsForm, bound: int, pivot_cols, pivot_vals):
+    a, t = f.matrix.rows, f.isometric_structure
+    return _isotropic_rows(a, t, _isotropy_forms(a, t), bound, tuple(pivot_cols),
+                           tuple(pivot_vals))
+
+
+# forms from the seed-1 cobordance corpus whose bound-2 row lists reach
+# every branch of _isotropic_rows' solve: a difference A (+) -B or one form
+# A, with the x^2 coefficients of the two sieve forms in the last column
+# (cc_1, cc_2) both zero, zero and not, not and zero, neither zero
+SOLVE_FORMS = [
+    EpsForm(_direct_sum(Matrix([[2, 1], [0, 0]]), -Matrix([[1, -1], [0, 0]])), -1),
+    EpsForm(Matrix([[-1, -1, 1, 0], [-1, -2, 2, 0], [0, 1, -1, -1], [0, 1, 0, 0]]), 1),
+    EpsForm(_direct_sum(Matrix([[0, 1], [0, 0]]), -Matrix([[0, 0], [1, -2]])), 1),
+    EpsForm(_direct_sum(Matrix([[-1, 1], [2, 1]]), -Matrix([[-3, 0], [1, 1]])), -1),
+]
+# genus-3 forms of the same corpus: some sieve survivors fail at T^2 v
+P121_A = EpsForm(Matrix([[1, 0, 2, 0, -1, -3], [1, 1, 2, 0, -1, -1], [2, 1, 4, 0, -2, -5],
+                         [0, -1, 0, 0, -1, -3], [-1, 0, -3, 0, -1, 2],
+                         [-3, 1, -6, -1, 1, 8]]), -1)
+P131_A = EpsForm(Matrix([[0, 0, 1, 0, -2, 0], [0, 0, 1, -2, 0, 1], [0, 0, 1, 1, -1, 1],
+                         [0, 1, -1, 0, 2, 1], [1, 0, -1, -3, 2, -1],
+                         [0, -1, -1, -1, 2, 0]]), 1)
+
+
 class TestPrunedWalk:
     @settings(max_examples=150)
     @given(eps_forms(3), st.randoms(), st.booleans(), st.sampled_from((1, 2)))
@@ -744,18 +771,75 @@ class TestPrunedWalk:
     @given(eps_forms(4), st.sampled_from((1, 2)), st.data())
     def test_isotropic_rows_match_box_oracle(self, f, bound, data):
         # the two quadratic filters drop only rows whose cyclic span is not
-        # isotropic; rank 8 sweeps the bound-1 box only (5^7 rows at bound 2)
+        # isotropic, and each kept row comes with its powers v, Tv, ...;
+        # rank 8 sweeps the bound-1 box only (5^7 rows at bound 2)
         assume(f.rank <= 6 or bound == 1)
         half = f.rank // 2
         pivot_cols = sorted(data.draw(st.permutations(range(f.rank)))[:half])
         i = data.draw(st.integers(0, half - 1))
         pivot_vals = data.draw(st.lists(st.integers(1, bound), min_size=half - i,
                                         max_size=half - i))
-        a = [list(row) for row in f.matrix.rows]
-        t = f.isometric_structure
-        rows = _isotropic_rows(a, t, _isotropy_forms(a, t), bound,
-                               tuple(pivot_cols[i:]), tuple(pivot_vals))
-        assert rows == isotropic_rows_box(f, bound, pivot_cols[i:], pivot_vals)
+        rows = _isotropic_rows_of(f, bound, pivot_cols[i:], pivot_vals)
+        expected = isotropic_rows_box(f, bound, pivot_cols[i:], pivot_vals)
+        assert [row for row, _ in rows] == [row for row, _ in expected]
+        assert [krylov for _, krylov in rows] == [krylov for _, krylov in expected]
+
+    def test_isotropic_rows_reach_every_branch(self, monkeypatch):
+        # every configuration of SOLVE_FORMS in the bound-2 box against the
+        # oracle, rows and powers alike; together they reach each branch of
+        # the solve for the last entry x: each zero pattern of the x^2
+        # coefficients cc_1, cc_2 of the two sieve forms (one elimination
+        # each), each also at some y where M = N = 0 (the fallback), zero to
+        # three free entries (z, y and x are solved, the others stepped),
+        # and entries in [0, 2) above a later pivot 2
+        fallbacks = []
+        roots = cobordism._integer_roots
+
+        def counted(*args):
+            fallbacks.append(args)
+            return roots(*args)
+
+        monkeypatch.setattr(cobordism, "_integer_roots", counted)
+        reached = set()
+        for f in SOLVE_FORMS:
+            a, half = f.matrix.rows, f.rank // 2
+            forms = _isotropy_forms(a, f.isometric_structure)
+            c = f.rank - 1
+            zeros = (forms[0][c][c] == 0, forms[1][c][c] == 0)
+            for pivot_cols in combinations(range(f.rank), half):
+                for i in range(half):
+                    for pivot_vals in product((1, 2), repeat=half - i):
+                        fallbacks.clear()
+                        rows = _isotropic_rows_of(f, 2, pivot_cols[i:], pivot_vals)
+                        assert rows == isotropic_rows_box(f, 2, pivot_cols[i:], pivot_vals)
+                        free = f.rank - 1 - pivot_cols[i]
+                        reached.add(("free entries", min(free, 3)))
+                        if free:
+                            reached.add(zeros)
+                        if fallbacks:
+                            reached.add((zeros, "M = N = 0"))
+                        if 2 in pivot_vals[1:]:
+                            reached.add("a later pivot 2")
+        patterns = set(product((False, True), repeat=2))
+        assert reached == ({("free entries", k) for k in range(4)} | {"a later pivot 2"}
+                           | patterns | {(zeros, "M = N = 0") for zeros in patterns})
+
+    @pytest.mark.parametrize("f,pivot_cols", [(P121_A, (0, 2, 3)), (P131_A, (0, 1, 2))])
+    def test_isotropic_rows_check_t2_v(self, f, pivot_cols):
+        # rank 6: the sieve proves Q_A(v) = Q_A(Tv) = 0 only, and some row of
+        # this box passes it with Q_A(T^2 v) != 0, which drops it
+        rows = _isotropic_rows_of(f, 1, pivot_cols, (1, 1, 1))
+        assert rows == isotropic_rows_box(f, 1, pivot_cols, (1, 1, 1))
+        a, t = f.matrix.rows, f.isometric_structure
+        forms = _isotropy_forms(a, t)
+        # the bound-1 box: entries in [-1, 1], and 0 above a later pivot 1
+        box = [(0,) * pivot_cols[0] + (1,) + tail
+               for tail in product(*[range(1) if j in pivot_cols else range(-1, 2)
+                                     for j in range(pivot_cols[0] + 1, f.rank)])]
+        sieved = [v for v in box
+                  if not any(sum(x * sum(map(mul, s_row, v)) for x, s_row in zip(v, s))
+                             for s in forms)]
+        assert len(sieved) > len(rows)
 
     @settings(max_examples=300)
     @given(eps_forms(8), st.lists(st.integers(-2, 2), min_size=16, max_size=16))
@@ -764,7 +848,7 @@ class TestPrunedWalk:
         # cyclic span, for either sign, and the powers are the span's
         v = entries[:f.rank]
         a, t = f.matrix.rows, f.isometric_structure
-        krylov = _cyclic_span(a, t, v)
+        krylov = _cyclic_span(_nonzeros(a), _nonzeros(t), v)
         assert (krylov is not None) == cyclic_span_isotropic(a, t, v)
         if krylov is not None:
             assert len(krylov) == f.rank // 2
@@ -779,6 +863,7 @@ class TestPrunedWalk:
         # Q_A(Tv) = 0, so a check from Tv on would keep v
         a, t = HYPERBOLIC_FORM.matrix.rows, HYPERBOLIC_FORM.isometric_structure
         assert not cyclic_span_isotropic(a, t, v)
+        a, t = _nonzeros(a), _nonzeros(t)
         assert _cyclic_span(a, t, list(v)) is None
         assert _cyclic_span(a, t, [1, 0]) == [[1, 0]]
 
@@ -814,9 +899,9 @@ def _closing_row(f: EpsForm, basis) -> int:
     """The index of the row at which the joint cyclic span of the rows
     from the last one back reaches half the rank."""
     span = ((), ())
+    a, t = _nonzeros(f.matrix.rows), _nonzeros(f.isometric_structure)
     for i in range(len(basis) - 1, -1, -1):
-        span = _joint_span(span, _cyclic_span(f.matrix.rows, f.isometric_structure,
-                                              list(basis[i])))
+        span = _joint_span(span, _cyclic_span(a, t, list(basis[i])))
         if len(span[0]) == f.rank // 2:
             return i
     raise AssertionError("the rows span less than half the rank")
@@ -939,11 +1024,31 @@ P109_BOX2 = [
 ]
 
 
+# its metabolisers in the bound-3 box in _hnf_key order: P109_BOX2 and the
+# four whose second row has pivot 3
+P109_BOX3 = P109_BOX2[:3] + [
+    ((1, 0, 0, -1, 0, 0, 0, 0), (0, 3, -2, 1, 0, 0, 0, 0),
+     (0, 0, 0, 0, 1, 0, 1, 0), (0, 0, 0, 0, 0, 0, 2, -1)),
+    ((2, 0, -2, -1, 0, 0, 0, 0), (0, 3, -1, 2, 0, 0, 0, 0),
+     (0, 0, 0, 0, 1, 0, 1, 0), (0, 0, 0, 0, 0, 0, 2, -1)),
+] + P109_BOX2[3:6] + [
+    ((1, 0, 0, -1, 0, 0, 0, 0), (0, 3, -2, 1, 0, 0, 0, 0),
+     (0, 0, 0, 0, 1, 2, -1, 0), (0, 0, 0, 0, 0, 0, 0, 1)),
+    ((2, 0, -2, -1, 0, 0, 0, 0), (0, 3, -1, 2, 0, 0, 0, 0),
+     (0, 0, 0, 0, 1, 2, -1, 0), (0, 0, 0, 0, 0, 0, 0, 1)),
+] + P109_BOX2[6:]
+
+
 class TestJointSpanClosure:
     def test_p109_box_metabolisers(self):
         assert _invariant_metabolisers(P109) is None  # the walk decides it
         assert list(_metabolisers(P109, 2, walk=_enumerate_hnf)) == P109_BOX2
         assert [_closing_row(P109, basis) for basis in P109_BOX2] == [0] * 8 + [1, 1]
+
+    def test_p109_bound3_box_metabolisers(self):
+        # an exhaustive walk of a real box: every metaboliser, in order
+        assert P109_BOX3 == sorted(P109_BOX3, key=_hnf_key)
+        assert list(_metabolisers(P109, 3, walk=_enumerate_hnf)) == P109_BOX3
 
     @pytest.mark.parametrize("bound", (2, 3, 4))
     def test_p109_witness(self, bound):
