@@ -14,6 +14,7 @@ from knotforms.brieskorn import BrieskornGerm, germ_report
 from knotforms.cli import main
 
 from generators import eps_forms, square_matrices
+from refusals import REFUSALS, write_files
 
 TREFOIL = "q=1 rank=2\n-1 0\n1 -1\n"
 UNKNOT = "q=1 rank=0\n"
@@ -415,6 +416,29 @@ class TestHandles:
         out = capsys.readouterr().out
         assert "integer" in out
         assert "[-2, -2]" in out
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("argv, env, err, patched", [
+        *[(argv, env, err, None) for _, argv, env, err in REFUSALS],
+        # the catch-all: an exception raised inside a command
+        (["groups", "5", "9"], {}, "error: RuntimeError: boom", "embeddable_spheres_group"),
+    ], ids=[case[0] for case in REFUSALS] + ["catch-all"])
+    def test_exit_2_and_one_line(self, argv, env, err, patched, tmp_path, capsys,
+                                 monkeypatch):
+        write_files(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        if patched:
+            def crash(*args, **kwargs):
+                raise RuntimeError("boom")
+
+            monkeypatch.setattr(cli, patched, crash)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == err + "\n"
 
 
 class TestUsage:

@@ -27,8 +27,12 @@ column j repeat row and column i (a zero divisor), and block sums B + B
 (a non-cyclic module).  The `batches` workload runs only when named too:
 every other argv names one file, so it compares multi-file output, with
 one `invariants` and one `handles` argv over all the `matrix-files` files
-of the seed and one `invariants` argv over the `knot-modules` files.
-Each argv is run as `python -m knotforms.cli` in a subprocess, once
+of the seed and one `invariants` argv over the `knot-modules` files.  The
+`refusals` workload runs only when named, and ignores the seed: each case
+of the CLI's refusal table (`tests/refusals.py`), with the table's files
+written into the temporary directory and the case's environment set, so
+that the exit code and the one `error:` line of every refusal are
+compared.  Each argv is run as `python -m knotforms.cli` in a subprocess, once
 against this checkout's `src/` and once against DIR's `src/`, in that
 temporary directory.  Exit code, stdout and stderr are compared after each tree's
 root path is replaced by `<checkout>`.
@@ -52,8 +56,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 import corpus  # noqa: E402
+import refusals  # noqa: E402
 
 WORKLOADS = ("germ-ladder", "matrix-files", "cobordance")
 GERM_TABLE = ([(6 * k - 1, 3, 2, 2, 2) for k in range(1, 11)]
@@ -88,10 +94,13 @@ def knot_module_matrices(seed: int) -> list[tuple[str, list[list[int]], int]]:
 
 
 def build_ops(workload: str, seed: int, workdir: Path,
-              bound: int = corpus.COBORDANCE_BOUND) -> list[tuple[str, list[str]]]:
-    """(name, argv) for each operation of the workload, as perfbench runs
-    them but with `cobordant --bound bound`; matrix files are written into
-    workdir."""
+              bound: int = corpus.COBORDANCE_BOUND) -> list[tuple[str, list[str], dict]]:
+    """(name, argv, environment) for each operation of the workload, as
+    perfbench runs them but with `cobordant --bound bound`; matrix files
+    are written into workdir."""
+    if workload == "refusals":
+        refusals.write_files(workdir)
+        return [(name, argv, env) for name, argv, env, _ in refusals.REFUSALS]
     ops = []
     if workload == "germ-table":
         for exponents in GERM_TABLE:
@@ -109,7 +118,7 @@ def build_ops(workload: str, seed: int, workdir: Path,
     elif workload == "batches":
         for command, source in (("invariants", "matrix-files"), ("handles", "matrix-files"),
                                 ("invariants", "knot-modules")):
-            paths = [argv[-1] for _, argv in build_ops(source, seed, workdir)]
+            paths = [argv[-1] for _, argv, _ in build_ops(source, seed, workdir)]
             ops.append((f"{command}-{source}", [command, "--format", "machine", *paths]))
     elif workload == "germ-ladder":
         for spec in corpus.germ_ladder(seed):
@@ -129,7 +138,7 @@ def build_ops(workload: str, seed: int, workdir: Path,
                 paths.append(str(path))
             ops.append((spec["name"], ["cobordant", *paths, "--bound", str(bound),
                                        "--format", "machine"]))
-    return ops
+    return [(name, argv, {}) for name, argv in ops]
 
 
 def emit_matrix(exponents: tuple[int, ...], path: Path) -> None:
@@ -139,10 +148,10 @@ def emit_matrix(exponents: tuple[int, ...], path: Path) -> None:
                     "--emit-matrix", str(path)], env=env, stdout=subprocess.DEVNULL, check=True)
 
 
-def run_cli(tree: Path, argv: list[str], cwd: Path, budget: float):
+def run_cli(tree: Path, argv: list[str], cwd: Path, budget: float, extra_env: dict):
     """(exit code, stdout, stderr) with tree's path normalized, or None on
     an overrun."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env = dict(os.environ, **extra_env, PYTHONPATH=str(tree / "src"))
     try:
         proc = subprocess.run([sys.executable, "-m", "knotforms.cli", *argv], cwd=cwd,
                               env=env, capture_output=True, text=True, timeout=budget)
@@ -158,7 +167,8 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True,
                         help="root of the tree to compare against (holds src/knotforms)")
     parser.add_argument("--workload", default="all",
-                        choices=("all",) + WORKLOADS + ("germ-table", "knot-modules", "batches"))
+                        choices=("all",) + WORKLOADS + ("germ-table", "knot-modules", "batches",
+                                                       "refusals"))
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--bound", type=int, default=corpus.COBORDANCE_BOUND,
                         help="entry bound of `cobordant` in the cobordance workload")
@@ -175,9 +185,9 @@ def main(argv=None) -> int:
             workdir = Path(tmp, workload)
             workdir.mkdir()
             counts = {"identical": 0, "differ": 0, "overran": 0}
-            for name, op_argv in build_ops(workload, args.seed, workdir, args.bound):
-                ours = run_cli(ROOT, op_argv, workdir, args.budget)
-                theirs = run_cli(parent, op_argv, workdir, args.budget)
+            for name, op_argv, env in build_ops(workload, args.seed, workdir, args.bound):
+                ours = run_cli(ROOT, op_argv, workdir, args.budget, env)
+                theirs = run_cli(parent, op_argv, workdir, args.budget, env)
                 if ours is None or theirs is None:
                     counts["overran"] += 1
                 elif ours == theirs:
