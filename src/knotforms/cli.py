@@ -9,8 +9,11 @@ Subcommands:
 
 Exit codes: 0 success (and "cobordant"); 1 not-cobordant; 2 usage, parse or
 semantic error, or any other error inside a command; 3 cobordance unknown
-within the search bound.  Output is
-byte-identical for identical inputs and flags.
+within the search bound.  Output is byte-identical for identical inputs and
+flags.  A command refuses its input by raising `Refusal` (or, for a
+malformed matrix file, MatrixFileError), and `main` alone reports it: one
+line "error: <message>" on stderr, nothing on stdout, exit 2.  Any other
+exception inside a command reads "error: <Type>: <message>", also exit 2.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from functools import cache
 from .brieskorn import BrieskornGerm, GermReport, germ_report
 from .cobordism import algebraically_cobordant, eps_form_of
 from .invariants import Invariants
+from .links import handle_data
 from .matrixfile import MatrixFileError, parse_matrix_file, serialize_matrix_file
 from .report import ReportDocument, format_table
 from .seifert import SeifertMatrix
@@ -42,14 +46,15 @@ RANK_LIMIT_ENV = "KNOTFORMS_RANK_LIMIT"
 GROUPS_MAX_CYCLIC_N = 3307
 
 
-class CyclicOrderTooLargeError(ValueError):
+class Refusal(Exception):
+    """Input a command refuses; main prints "error: <message>" and exits 2."""
+
+
+def _past_digit_limit(n: int) -> Refusal:
     """|bP^(n+1)| for n = 3 (mod 4) past GROUPS_MAX_CYCLIC_N has too many
     digits to print."""
-
-    def __str__(self) -> str:
-        return (f"|bP^(n+1)| at n = {self.args[0]} has more than 4300 digits, the limit "
-                f"on integer string conversion; n = 3 (mod 4) must be "
-                f"<= {GROUPS_MAX_CYCLIC_N}")
+    return Refusal(f"|bP^(n+1)| at n = {n} has more than 4300 digits, the limit on "
+                   f"integer string conversion; n = 3 (mod 4) must be <= {GROUPS_MAX_CYCLIC_N}")
 
 
 def _check_bp_order(inv: Invariants) -> None:
@@ -58,7 +63,7 @@ def _check_bp_order(inv: Invariants) -> None:
     (the Bernoulli table behind it alone is quadratic in n)."""
     n = 2 * inv.seifert.q - 1
     if inv.seifert.q % 2 == 0 and n > GROUPS_MAX_CYCLIC_N and inv.unimodular:
-        raise CyclicOrderTooLargeError(n)
+        raise _past_digit_limit(n)
 
 
 def _rank_limit() -> int:
@@ -68,14 +73,17 @@ def _rank_limit() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(f"{RANK_LIMIT_ENV} must be an integer, got {raw!r}") from None
+        raise Refusal(f"{RANK_LIMIT_ENV} must be an integer, got {raw!r}") from None
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise Refusal(exc) from None
 
 
 def invariant_report(s: SeifertMatrix) -> ReportDocument:
@@ -101,16 +109,14 @@ def invariant_report(s: SeifertMatrix) -> ReportDocument:
         doc.add("note", "intersection form not unimodular: boundary is not "
                         "a homotopy sphere; sphere-class invariants skipped")
         return doc
-    if cls.signature is not None:
-        doc.add("signature", cls.signature)
+    if inv.form_signature is not None:
+        doc.add("signature", inv.form_signature)
     else:
-        doc.add("karl", cls.karl_value)
+        doc.add("karl", inv.arf)
         doc.add("levine_congruence", inv.levine_congruence)
     doc.add("bp_group", cls.group.describe())
     if cls.sigma_over_8 is None:
-        doc.add("bp_class", cls.karl_value)
-    elif cls.class_residue is None:
-        doc.add("bp_class", str(cls.sigma_over_8))
+        doc.add("bp_class", inv.arf)
     else:
         doc.add("bp_class", f"{cls.sigma_over_8} (residue {cls.class_residue} mod group order)")
     doc.add("exotic", cls.is_exotic)
@@ -139,14 +145,13 @@ def brieskorn_report(rep: GermReport) -> ReportDocument:
     _check_bp_order(rep)
     cls = rep.bp
     if cls is not None:
-        if cls.signature is not None:
-            doc.add("signature", cls.signature)
+        if rep.form_signature is not None:
+            doc.add("signature", rep.form_signature)
         else:
-            doc.add("karl", cls.karl_value)
+            doc.add("karl", rep.arf)
         doc.add("boundary_dim", cls.boundary_dim)
         doc.add("bp_group", cls.group.describe())
-        doc.add("bp_class", cls.sigma_over_8 if cls.sigma_over_8 is not None
-                else cls.karl_value)
+        doc.add("bp_class", cls.sigma_over_8 if cls.sigma_over_8 is not None else rep.arf)
         doc.add("exotic", cls.is_exotic)
         for note in cls.notes:
             doc.add("note", note)
@@ -156,7 +161,6 @@ def brieskorn_report(rep: GermReport) -> ReportDocument:
 
 
 def handles_report(s: SeifertMatrix) -> ReportDocument:
-    from .links import handle_data
     data = handle_data(s)
     doc = ReportDocument()
     doc.add("q", s.q)
@@ -169,20 +173,15 @@ def handles_report(s: SeifertMatrix) -> ReportDocument:
     return doc
 
 
-def _render_file_report(path: str, kind: str, mode: str) -> str:
-    s = parse_matrix_file(_read_input(path))
-    doc = invariant_report(s) if kind == "invariants" else handles_report(s)
+def _render_file_report(path: str, report, mode: str) -> str:
+    doc = report(parse_matrix_file(_read_input(path)))
     if path != "-":
         doc.items.insert(0, ("input", path))
     return doc.render(mode)
 
 
-def _cmd_matrix_files(args, kind: str) -> int:
-    try:
-        outputs = [_render_file_report(p, kind, args.format) for p in args.paths]
-    except (MatrixFileError, OSError, CyclicOrderTooLargeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _cmd_matrix_files(args) -> int:
+    outputs = [_render_file_report(p, args.report, args.format) for p in args.paths]
     sys.stdout.write("\n".join(outputs))
     return 0
 
@@ -190,28 +189,21 @@ def _cmd_matrix_files(args, kind: str) -> int:
 def _cmd_brieskorn(args) -> int:
     try:
         germ = BrieskornGerm(tuple(args.exponents))
-        limit = _rank_limit()
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise Refusal(exc) from None
+    limit = _rank_limit()
     mu = germ.milnor_number
     if mu > limit:
-        print(f"error: Milnor number {mu} exceeds the rank limit {limit} "
-              f"(override with {RANK_LIMIT_ENV})", file=sys.stderr)
-        return 2
+        raise Refusal(f"Milnor number {mu} exceeds the rank limit {limit} "
+                      f"(override with {RANK_LIMIT_ENV})")
     if mu > DEFAULT_RANK_WARN:
         print(f"warning: Milnor number {mu} is large; this will be slow",
               file=sys.stderr)
     if args.emit_matrix and germ.middle_dimension < 1:
-        print("error: --emit-matrix needs at least two exponents: matrix files "
-              "require q >= 1, and this germ has q = 0", file=sys.stderr)
-        return 2
+        raise Refusal("--emit-matrix needs at least two exponents: matrix files "
+                      "require q >= 1, and this germ has q = 0")
     rep = germ_report(germ)
-    try:
-        report = brieskorn_report(rep).render(args.format)
-    except CyclicOrderTooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = brieskorn_report(rep).render(args.format)
     if args.emit_matrix:
         text = serialize_matrix_file(rep.seifert)
         if args.emit_matrix == "-":
@@ -221,27 +213,20 @@ def _cmd_brieskorn(args) -> int:
                 with open(args.emit_matrix, "w", encoding="utf-8") as fh:
                     fh.write(text)
             except OSError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
+                raise Refusal(exc) from None
     sys.stdout.write(report)
     return 0
 
 
 def _cmd_cobordant(args) -> int:
-    try:
-        s1 = parse_matrix_file(_read_input(args.file_a))
-        s2 = parse_matrix_file(_read_input(args.file_b))
-    except (MatrixFileError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    s1 = parse_matrix_file(_read_input(args.file_a))
+    s2 = parse_matrix_file(_read_input(args.file_b))
     if s1.q % 2 != s2.q % 2:
-        print(f"error: parity mismatch: q={s1.q} vs q={s2.q}", file=sys.stderr)
-        return 2
+        raise Refusal(f"parity mismatch: q={s1.q} vs q={s2.q}")
     try:
         f1, f2 = eps_form_of(s1), eps_form_of(s2)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise Refusal(exc) from None
     verdict = algebraically_cobordant(f1, f2, bound=args.bound)
     doc = ReportDocument()
     doc.add("verdict", verdict.status)
@@ -275,13 +260,11 @@ def _cmd_groups(args) -> int:
     lo = args.n_min
     hi = args.n_max if args.n_max is not None else lo
     if lo < 1 or hi < lo:
-        print("error: need 1 <= N_MIN <= N_MAX", file=sys.stderr)
-        return 2
+        raise Refusal("need 1 <= N_MIN <= N_MAX")
     first = max(lo, GROUPS_MAX_CYCLIC_N + 1)
     first += (3 - first) % 4  # the first n = 3 (mod 4) past the limit
     if first <= hi:
-        print(f"error: {CyclicOrderTooLargeError(first)}", file=sys.stderr)
-        return 2
+        raise _past_digit_limit(first)
     headers = ["n", "G^n", "|bP^(n+1)|", "im_J(4k-1)", "provenance"]
     rows = [_group_row(n) for n in range(lo, hi + 1)]
     sys.stdout.write(format_table(headers, rows, args.format))
@@ -306,12 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("paths", nargs="+", metavar="FILE",
                        help="matrix files; '-' reads stdin")
     add_format(p_inv)
+    p_inv.set_defaults(run=_cmd_matrix_files, report=invariant_report)
 
     p_br = sub.add_parser("brieskorn", help="invariants of an exponent tuple")
     p_br.add_argument("exponents", nargs="+", type=int, metavar="A")
     p_br.add_argument("--emit-matrix", metavar="PATH",
                       help="also write the Seifert matrix as a matrix file")
     add_format(p_br)
+    p_br.set_defaults(run=_cmd_brieskorn)
 
     p_cob = sub.add_parser("cobordant", help="algebraic cobordance of two files")
     p_cob.add_argument("file_a", metavar="FILE_A")
@@ -323,15 +308,18 @@ def build_parser() -> argparse.ArgumentParser:
                             "basis within the bound is searched, those that "
                             "cannot be T-invariant skipped")
     add_format(p_cob)
+    p_cob.set_defaults(run=_cmd_cobordant)
 
     p_gr = sub.add_parser("groups", help="embeddable-sphere group table")
     p_gr.add_argument("n_min", type=int, metavar="N_MIN")
     p_gr.add_argument("n_max", type=int, nargs="?", default=None, metavar="N_MAX")
     add_format(p_gr)
+    p_gr.set_defaults(run=_cmd_groups)
 
     p_h = sub.add_parser("handles", help="handle-presentation data for matrix files")
     p_h.add_argument("paths", nargs="+", metavar="FILE")
     add_format(p_h)
+    p_h.set_defaults(run=_cmd_matrix_files, report=handles_report)
 
     return parser
 
@@ -342,26 +330,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "cobordant" and args.bound < 1:
         parser.error(f"argument --bound: must be >= 1, got {args.bound}")
     try:
-        return _run(args)
+        return args.run(args)
+    except (Refusal, MatrixFileError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:
         # exit 1 would read as "not-cobordant"; interrupts and other
         # BaseExceptions still propagate
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-
-
-def _run(args) -> int:
-    if args.command == "invariants":
-        return _cmd_matrix_files(args, "invariants")
-    if args.command == "handles":
-        return _cmd_matrix_files(args, "handles")
-    if args.command == "brieskorn":
-        return _cmd_brieskorn(args)
-    if args.command == "cobordant":
-        return _cmd_cobordant(args)
-    if args.command == "groups":
-        return _cmd_groups(args)
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

@@ -52,8 +52,8 @@ of these, v^T A v = 0 and v^T T^T A T v = 0, before it takes a cyclic
 span.  Both are quadratic in the last free entry x of a row, and the
 combination of the two with no x^2 term is linear in x: each setting of
 the other entries leaves one candidate x, found by one exact division, and
-only where that combination vanishes for every x are the integer roots of
-a quadratic taken.  A row that passes the sieve has Q_A(v) = Q_A(Tv) = 0
+only where that combination vanishes for every x is one of the two tested
+at each x of the box.  A row that passes the sieve has Q_A(v) = Q_A(Tv) = 0
 already, so its cyclic span takes Q_A from T^2 v on, multiplying by the
 nonzero entries of A and T only.
 
@@ -517,8 +517,8 @@ def _isotropic_rows(a, t, forms, bound, pivot_cols, pivot_vals):
     forms the odometer keeps.  z and y are swept; where M != 0 the one
     candidate x = -N / M is kept when the division is exact, x is in range
     and R vanishes there.  Only where M = N = 0 is P zero for every x, and
-    the integer roots of R are listed (_integer_roots).  A kept row has
-    Q_A(v) = Q_A(Tv) = 0, proved by the sieve, so its cyclic span
+    R is tested at each x in [lo, hi), at most 2 bound + 1 values.  A kept
+    row has Q_A(v) = Q_A(Tv) = 0, proved by the sieve, so its cyclic span
     (_cyclic_span) takes Q_A from T^2 v on.
     """
     r = len(a)
@@ -581,7 +581,8 @@ def _isotropic_rows(a, t, forms, bound, pivot_cols, pivot_vals):
                 elif m0:
                     continue
                 else:
-                    xs = _integer_roots(rcc, rzc + y * rcd, rz + y * (rzd + y * rdd), lo, hi)
+                    r0, r1 = rz + y * (rzd + y * rdd), rzc + y * rcd
+                    xs = [x for x in range(lo, hi) if not r0 + x * (r1 + x * rcc)]
                 for x in xs:
                     row = v[:]
                     row[b], row[d], row[c] = z, y, x
@@ -698,24 +699,6 @@ def _saturation(cols, rows) -> tuple[tuple[int, ...], ...]:
     return _integer_kernel(_integer_kernel(rows))
 
 
-def _integer_roots(a: int, b: int, c: int, lo: int, hi: int) -> list[int]:
-    """The integers x in [lo, hi) with a x^2 + b x + c = 0, ascending."""
-    if a == 0:
-        if b == 0:
-            return list(range(lo, hi)) if c == 0 else []
-        roots = [-c // b] if c % b == 0 else []
-    else:
-        disc = b * b - 4 * a * c
-        if disc < 0:
-            return []
-        root = isqrt(disc)
-        if root * root != disc:
-            return []
-        roots = sorted({(-b + e * root) // (2 * a) for e in (-1, 1)
-                        if (-b + e * root) % (2 * a) == 0})
-    return [x for x in roots if lo <= x < hi]
-
-
 def _orthogonal_blocks(f: EpsForm) -> list[list[int]]:
     """Index sets of the orthogonal blocks of f, in order of their least
     index: the connected components of the graph joining i and j whenever
@@ -796,8 +779,7 @@ def fox_milnor(fact: Factorization) -> bool:
 def _square_at_minus_one(p: Laurent) -> bool:
     """Is |p(-1)| a perfect square?  Every +-t^k c^2 Q(t) Q(1/t) is +- a
     square at -1, so False refutes Fox-Milnor with no factoring."""
-    return _isqrt_exact(abs(sum(c if e % 2 == 0 else -c
-                                for e, c in p.coeffs.items()))) is not None
+    return _isqrt_exact(abs(p(-1))) is not None
 
 
 def _reciprocal_normalized(p: Laurent) -> Laurent:

@@ -115,25 +115,16 @@ def embeddable_spheres_group(n: int) -> GroupVerdict:
 
 @dataclass(frozen=True)
 class BPClass:
-    """Which embeddable homotopy sphere a knot's boundary is."""
+    """Which embeddable homotopy sphere a knot's boundary is.  The invariant
+    it is read off, the signature (even q) or the Arf invariant (odd q), is
+    the pipeline's `form_signature` or `arf`."""
 
     boundary_dim: int
     group: GroupVerdict
-    signature: int | None = None      # even q
+    is_exotic: bool
     sigma_over_8: int | None = None   # even q
-    class_residue: int | None = None  # even q, when the group is cyclic
-    karl_value: int | None = None     # odd q
+    class_residue: int | None = None  # even q: sigma_over_8 mod the group order
     notes: tuple[str, ...] = ()
-
-    @property
-    def is_exotic(self) -> bool:
-        if self.group.kind == "trivial":
-            return False
-        if self.sigma_over_8 is not None:
-            if self.group.kind == "cyclic":
-                return self.class_residue % self.group.order != 0
-            return self.sigma_over_8 != 0
-        return bool(self.karl_value) and self.group.kind == "Z/2"
 
 
 class ConventionError(AssertionError):
@@ -161,21 +152,21 @@ def bp_class(inv: Invariants) -> BPClass:
         notes.append("q < 2: no sphere-group interpretation")
     group = embeddable_spheres_group(max(n, 1))
     if s.q % 2 == 0:
+        # n = 2q - 1 is 3 mod 4 (or below 5), so the group is cyclic or trivial
         sig = inv.form_signature
         if is_even(inter) and sig % 8 != 0:
             raise ConventionError(
                 f"even unimodular form with signature {sig} not divisible by 8")
         sigma8 = sig // 8
-        residue = sigma8 % group.order if group.kind == "cyclic" else (
-            0 if group.kind == "trivial" else None)
+        residue = sigma8 % group.order if group.kind == "cyclic" else 0
         if s.q == 2:
             notes.append("q = 2: boundary is only guaranteed a homology sphere")
-        return BPClass(boundary_dim=n, group=group, signature=sig, sigma_over_8=sigma8,
-                       class_residue=residue, notes=tuple(notes))
-    value = inv.arf
+        return BPClass(boundary_dim=n, group=group, is_exotic=residue != 0,
+                       sigma_over_8=sigma8, class_residue=residue, notes=tuple(notes))
     if group.kind == "trivial":
         notes.append("group is trivial: the value records the Arf invariant "
                      "of the Seifert hypersurface, not an exotic sphere")
     if group.kind == "unknown":
         notes.append("group order unknown in this dimension")
-    return BPClass(boundary_dim=n, group=group, karl_value=value, notes=tuple(notes))
+    return BPClass(boundary_dim=n, group=group, is_exotic=group.kind == "Z/2" and inv.arf == 1,
+                   notes=tuple(notes))

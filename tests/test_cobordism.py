@@ -17,7 +17,6 @@ from knotforms.brieskorn import BrieskornGerm, brieskorn_seifert
 from knotforms.cli import main
 from knotforms.cobordism import (EpsForm, EpsFormError, _chi_factors, _cyclic_span,
                                  _direct_sum, _enumerate_hnf, _hnf_key, _integer_kernel,
-                                 _integer_roots,
                                  _invariant_metabolisers, _isotropic_rows, _isotropy_forms,
                                  _joint_span, _nonzeros, _orthogonal_blocks,
                                  _reciprocal_normalized,
@@ -784,40 +783,45 @@ class TestPrunedWalk:
         assert [row for row, _ in rows] == [row for row, _ in expected]
         assert [krylov for _, krylov in rows] == [krylov for _, krylov in expected]
 
-    def test_isotropic_rows_reach_every_branch(self, monkeypatch):
+    def test_isotropic_rows_reach_every_branch(self):
         # every configuration of SOLVE_FORMS in the bound-2 box against the
         # oracle, rows and powers alike; together they reach each branch of
         # the solve for the last entry x: each zero pattern of the x^2
         # coefficients cc_1, cc_2 of the two sieve forms (one elimination
-        # each), each also at some y where M = N = 0 (the fallback), zero to
-        # three free entries (z, y and x are solved, the others stepped),
-        # and entries in [0, 2) above a later pivot 2
-        fallbacks = []
-        roots = cobordism._integer_roots
-
-        def counted(*args):
-            fallbacks.append(args)
-            return roots(*args)
-
-        monkeypatch.setattr(cobordism, "_integer_roots", counted)
+        # each), each also at some setting of the other entries where
+        # P = M x + N vanishes at x = 0 and x = 1, so M = N = 0 (the
+        # fallback), zero to three free entries (z, y and x are solved, the
+        # others stepped), and entries in [0, 2) above a later pivot 2
         reached = set()
         for f in SOLVE_FORMS:
             a, half = f.matrix.rows, f.rank // 2
             forms = _isotropy_forms(a, f.isometric_structure)
             c = f.rank - 1
-            zeros = (forms[0][c][c] == 0, forms[1][c][c] == 0)
+            cc1, cc2 = forms[0][c][c], forms[1][c][c]
+            weights = (cc2, -cc1) if cc1 or cc2 else (1, 0)
+
+            def p_at(v):
+                return sum(w * sum(x * sum(map(mul, row, v)) for x, row in zip(v, s))
+                           for w, s in zip(weights, forms))
+
             for pivot_cols in combinations(range(f.rank), half):
                 for i in range(half):
                     for pivot_vals in product((1, 2), repeat=half - i):
-                        fallbacks.clear()
                         rows = _isotropic_rows_of(f, 2, pivot_cols[i:], pivot_vals)
                         assert rows == isotropic_rows_box(f, 2, pivot_cols[i:], pivot_vals)
-                        free = f.rank - 1 - pivot_cols[i]
+                        jpiv = pivot_cols[i]
+                        free = c - jpiv
                         reached.add(("free entries", min(free, 3)))
                         if free:
+                            zeros = (cc1 == 0, cc2 == 0)
                             reached.add(zeros)
-                        if fallbacks:
-                            reached.add((zeros, "M = N = 0"))
+                            later = dict(zip(pivot_cols[i + 1:], pivot_vals[1:]))
+                            swept = product(*[range(later[j]) if j in later else range(-2, 3)
+                                              for j in range(jpiv + 1, c)])
+                            if any(p_at([0] * jpiv + [pivot_vals[0], *head, 0]) ==
+                                   p_at([0] * jpiv + [pivot_vals[0], *head, 1]) == 0
+                                   for head in swept):
+                                reached.add((zeros, "M = N = 0"))
                         if 2 in pivot_vals[1:]:
                             reached.add("a later pivot 2")
         patterns = set(product((False, True), repeat=2))
@@ -886,13 +890,6 @@ class TestPrunedWalk:
             assert 2 * q(a, t @ v) == -q(a @ t)
         else:
             assert q(a, t @ v) == -q(a @ t @ t)
-
-    @given(st.integers(-4, 4), st.integers(-9, 9), st.integers(-20, 20),
-           st.integers(-6, 3), st.integers(0, 8))
-    def test_integer_roots_match_brute_force(self, a, b, c, lo, width):
-        hi = lo + width
-        assert _integer_roots(a, b, c, lo, hi) == [
-            x for x in range(lo, hi) if a * x * x + b * x + c == 0]
 
 
 def _closing_row(f: EpsForm, basis) -> int:
